@@ -1,10 +1,10 @@
 """Homology covers of multigraphs, quotient metrics, and cut embeddings."""
 
 from .boxspace import Tower, TowerLevel, build_tower
-from .cover import (CloudLabel, CoverGraph, EdgeChainModM, VertexChainModM,
+from .cover import (CoverGraph, EdgeChainModM, VertexChainModM,
                     boundary_mod_m, build_zm_cover, chain_mod_m, cloud_map,
-                    has_m_repeated_edge, is_m_congruent, lift_path,
-                    phi_profile, project_edge, project_vertex,
+                    cover_girth, has_m_repeated_edge, is_m_congruent,
+                    lift_path, phi_profile, project_edge, project_vertex,
                     signed_edge_counts)
 from .embed import (BinaryVector, EmbeddedFamily, HalfIntVector,
                     PsiEmbedding, assemble_family, binary_embed_matrix,
@@ -13,7 +13,8 @@ from .embed import (BinaryVector, EmbeddedFamily, HalfIntVector,
 from .errors import (CapExceeded, EndpointMismatch, HomcoverError,
                      LengthMismatch, NonBinaryCoordinates, NonConstantNe,
                      NotConnected, NotSpanningTree, NotTwoEdgeConnected,
-                     ParseError, PathMismatch, SizeCapExceeded)
+                     ParseError, PathMismatch, SizeCapExceeded,
+                     UnsupportedModulus)
 from .graph import (MultiGraph, Walk, bfs_distance_matrix, bfs_distances,
                     cayley_zm_power, complete_graph, concat_walks,
                     cycle_graph, doubled_edge, girth, graph_document,

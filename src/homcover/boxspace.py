@@ -7,14 +7,12 @@ previous one.  The subgroups themselves are never represented.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .cover import CoverGraph, build_zm_cover
 from .errors import SizeCapExceeded
-from .graph import (MultiGraph, _has_loop, _has_parallel_pair,
-                    cayley_zm_power, cycle_bound_from)
+from .graph import MultiGraph, _girth_from_roots, cayley_zm_power
 from .trees import tree_counts
 
 DEFAULT_TOWER_CAP = 1 << 23
@@ -31,12 +29,7 @@ def girth_vertex_transitive(g: MultiGraph):
     Correct whenever the graph is vertex-transitive (every vertex lies on
     a shortest cycle); all tower levels qualify.  math.inf for forests.
     """
-    if _has_loop(g):
-        return 1
-    if _has_parallel_pair(g):
-        return 2
-    bound = cycle_bound_from(g, 0)
-    return bound if bound is math.inf else int(bound)
+    return _girth_from_roots(g, [0])
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class TowerLevel:
     girth_value: int
     cover: Optional[CoverGraph]       # None for the Cayley seed
     ne_constant: Optional[bool]       # None when unverified
-    vertex_transitive_hint: bool = True
 
 
 @dataclass(frozen=True)

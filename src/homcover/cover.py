@@ -17,17 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
-                     PathMismatch, SizeCapExceeded)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, is_two_edge_connected)
+                     PathMismatch, SizeCapExceeded, UnsupportedModulus)
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, _girth_from_roots,
+                    is_two_edge_connected)
 from .trees import SpanningTree, _tree_from_edge_set, some_spanning_tree
 
+#: Largest supported m: residues are stored as uint8 up to m = 256 and as
+#: uint16 up to this bound.
+MAX_M = 1 << 16
 
-@dataclass(frozen=True)
-class CloudLabel:
-    """Element of Z_m^r identifying a cloud."""
 
-    coords: tuple[int, ...]
-    m: int
+def _residue_dtype(m: int) -> np.dtype:
+    """Narrowest unsigned dtype holding every residue mod m."""
+    return np.dtype(np.uint8 if m <= 256 else np.uint16)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ class CoverGraph:
         """Per-vertex signed traversal counts mod m from the basepoint.
 
         Row x is the mod-m chain of any cover path from the basepoint to
-        x, one residue per base edge; shape (|V~|, |E(X)|), dtype uint8.
+        x, one residue per base edge; shape (|V~|, |E(X)|), dtype uint8
+        for m <= 256 and uint16 above.
         Well-defined because any two such paths differ by a loop whose
         projection has trivial mod-m homology class.
         """
@@ -132,12 +135,29 @@ class CoverGraph:
             for i in range(self.r):
                 digits[:, i] = (ranks // m ** i) % m
             deck_part = (digits @ (loops % m)) % m
-            prof = np.empty((n * self.deck_size, ne), dtype=np.uint8)
+            prof = np.empty((n * self.deck_size, ne), dtype=_residue_dtype(m))
             for v in range(n):
                 block = (pv[v][None, :] + deck_part) % m
                 prof[v * self.deck_size:(v + 1) * self.deck_size] = block
             self._profiles = prof
         return self._profiles
+
+    # -- deck group ----------------------------------------------------------
+
+    def deck_permutation(self, k: int) -> np.ndarray:
+        """Fiber index map of the deck translation by label rank k.
+
+        perm[rank(l)] = rank(l - k).  Translations are automorphisms that
+        keep profile differences, so d and d_Q rows from (v, k) are the
+        rows from (v, 0) gathered through perm within each fiber:
+        ``row.reshape(|V(X)|, deck_size)[:, perm].ravel()``.
+        """
+        ranks = np.arange(self.deck_size, dtype=np.int64)
+        perm = np.zeros(self.deck_size, dtype=np.int64)
+        for i, shift in enumerate(self.label_of(k)):
+            stride = self.m ** i
+            perm += ((ranks // stride - shift) % self.m) * stride
+        return perm
 
     def __repr__(self):
         return (f"CoverGraph(base=|V|={self.base.vertex_count},"
@@ -152,8 +172,8 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     and d_Q is a metric on it).  The optional tree fixes the construction
     layout; the cover's isomorphism type does not depend on it.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    if not 2 <= m <= MAX_M:
+        raise UnsupportedModulus(f"m must be in 2..{MAX_M}, got {m}")
     if not is_two_edge_connected(g):
         raise NotTwoEdgeConnected("base graph must be connected and bridgeless")
     if tree is None:
@@ -183,6 +203,17 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
             heads[lo:lo + deck] = h * deck + ranks
     cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
     return CoverGraph(g, m, tree, cover_graph)
+
+
+def cover_girth(c: CoverGraph):
+    """Girth of the cover from one BFS root (v, 0) per fiber.
+
+    The deck group acts transitively on each fiber by automorphisms, so
+    some shortest cycle passes through a vertex (v, 0); the result equals
+    girth(c.graph) exactly.
+    """
+    return _girth_from_roots(c.graph,
+                             range(0, c.graph.vertex_count, c.deck_size))
 
 
 # -- covering projection and lifting -------------------------------------
@@ -235,8 +266,9 @@ def cloud_map(c: CoverGraph, tree: SpanningTree | None = None) -> np.ndarray:
     """Cloud label of every cover vertex with respect to a base tree.
 
     Labels are signed counts mod m of the tree's cotree edges along cover
-    paths from the basepoint; shape (|V~|, r), dtype uint8.  For the
-    construction tree this reproduces the layout labels.
+    paths from the basepoint; shape (|V~|, r), with the dtype of
+    base_profiles.  For the construction tree this reproduces the layout
+    labels.
     """
     if tree is None:
         tree = c.tree0
@@ -249,7 +281,7 @@ def cloud_map(c: CoverGraph, tree: SpanningTree | None = None) -> np.ndarray:
     m = c.m
     deck = c.deck_size
     n = c.graph.vertex_count
-    labels = np.zeros((n, r), dtype=np.uint8)
+    labels = np.zeros((n, r), dtype=_residue_dtype(m))
     seen = np.zeros(n, dtype=bool)
     seen[c.basepoint] = True
     indptr, ae, asg, ah = c.graph.arcs()

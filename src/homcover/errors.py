@@ -47,3 +47,7 @@ class LengthMismatch(HomcoverError, ValueError):
 
 class NonBinaryCoordinates(HomcoverError, ValueError):
     """Vector has coordinates outside {0, 1/2}."""
+
+
+class UnsupportedModulus(HomcoverError, ValueError):
+    """Cover modulus m outside the supported range."""

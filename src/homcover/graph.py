@@ -106,10 +106,11 @@ class MultiGraph:
             counts = np.bincount(src, minlength=self.vertex_count)
             indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            self._indptr = indptr
             self._arc_edge = eid[order]
             self._arc_sign = sgn[order]
             self._arc_head = dst[order]
+            # set last: a concurrent caller that sees _indptr sees all arrays
+            self._indptr = indptr
         return self._indptr, self._arc_edge, self._arc_sign, self._arc_head
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
@@ -325,19 +326,25 @@ def cycle_bound_from(g: MultiGraph, root: int, best=math.inf):
     return best
 
 
-def girth(g: MultiGraph):
-    """Length of the shortest cycle: 1 for a loop, 2 for a parallel pair,
-    math.inf for forests.  Per-source truncated BFS."""
+def _girth_from_roots(g: MultiGraph, roots: Iterable[int]):
+    """Loop and parallel-pair shortcuts, then the least cycle bound over
+    the roots.  Exact whenever some shortest cycle passes through a root."""
     if _has_loop(g):
         return 1
     if _has_parallel_pair(g):
         return 2
     best = math.inf
-    for root in range(g.vertex_count):
+    for root in roots:
         best = cycle_bound_from(g, root, best)
         if best == 3:
             break
     return best if best is math.inf else int(best)
+
+
+def girth(g: MultiGraph):
+    """Length of the shortest cycle: 1 for a loop, 2 for a parallel pair,
+    math.inf for forests.  Per-source truncated BFS."""
+    return _girth_from_roots(g, range(g.vertex_count))
 
 
 # -- connectivity -------------------------------------------------------

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cover import CoverGraph, build_zm_cover, is_m_congruent, lift_path
+from .cover import (CoverGraph, build_zm_cover, cover_girth, is_m_congruent,
+                    lift_path)
 from .embed import binary_embed_matrix
 from .errors import CapExceeded, HomcoverError
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
@@ -219,8 +220,14 @@ def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
     return CheckRecord("conglifts", instance, 2 * trials, violations, details)
 
 
-def check_isometry(c: CoverGraph, instance: str, samples: int, seed: int,
-                   fault: bool = False) -> CheckRecord:
+def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
+                   seed: int, fault: bool) -> CheckRecord:
+    """Hamming rows of the binary embedding against 2 * d_Q.
+
+    The Hamming distance of two rows is both the doubled l1 distance of
+    the cut embedding and the squared l2 distance after l1_to_l2, so the
+    isometry and l2 checks share this body.
+    """
     sources = _sources_for(c, samples, seed)
     if sources is None:
         sources = range(c.graph.vertex_count)
@@ -229,38 +236,26 @@ def check_isometry(c: CoverGraph, instance: str, samples: int, seed: int,
     trials = 0
     details = []
     for s in sources:
-        doubled_l1 = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+        hamming = (binary != binary[s]).sum(axis=1, dtype=np.int64)
         expected = 2 * d_q_from(c, s)
         if fault:
-            doubled_l1 = doubled_l1 + 1
-        bad = np.nonzero(doubled_l1 != expected)[0]
-        trials += len(doubled_l1)
+            hamming = hamming + 1
+        bad = np.nonzero(hamming != expected)[0]
+        trials += len(hamming)
         violations += len(bad)
         for t in bad[:max(0, 10 - len(details))]:
             details.append({"source": int(s), "target": int(t)})
-    return CheckRecord("isometry", instance, trials, violations, details)
+    return CheckRecord(check, instance, trials, violations, details)
+
+
+def check_isometry(c: CoverGraph, instance: str, samples: int, seed: int,
+                   fault: bool = False) -> CheckRecord:
+    return _check_hamming("isometry", c, instance, samples, seed, fault)
 
 
 def check_l2(c: CoverGraph, instance: str, samples: int, seed: int,
              fault: bool = False) -> CheckRecord:
-    sources = _sources_for(c, samples, seed)
-    if sources is None:
-        sources = range(c.graph.vertex_count)
-    binary = binary_embed_matrix(c)
-    violations = 0
-    trials = 0
-    details = []
-    for s in sources:
-        sq = (binary != binary[s]).sum(axis=1, dtype=np.int64)  # Hamming
-        expected = 2 * d_q_from(c, s)
-        if fault:
-            sq = sq + 1
-        bad = np.nonzero(sq != expected)[0]
-        trials += len(sq)
-        violations += len(bad)
-        for t in bad[:max(0, 10 - len(details))]:
-            details.append({"source": int(s), "target": int(t)})
-    return CheckRecord("l2", instance, trials, violations, details)
+    return _check_hamming("l2", c, instance, samples, seed, fault)
 
 
 def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
@@ -284,7 +279,7 @@ def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
 def check_girth_growth(c: CoverGraph, instance: str,
                        fault: bool = False) -> CheckRecord:
     g_base = girth(c.base)
-    g_cover = girth(c.graph)
+    g_cover = cover_girth(c)
     if fault:
         g_cover = g_base
     ok = g_cover > g_base
@@ -313,6 +308,8 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     for name in cfg.graphs:
         g = named_graph(name)
         covers[name] = build_zm_cover(g, cfg.m, size_cap=cfg.size_cap)
+        # fill the lazy profile cache here, not racing in the worker threads
+        covers[name].base_profiles()
 
     tasks = []
     for name in cfg.graphs:

@@ -27,8 +27,6 @@ EXHAUSTIVE_LIMIT = 20_000
 
 def d_T_distance(a, b, m: int) -> int:
     """Word metric on Z_m^r with one generator per factor."""
-    a = getattr(a, "coords", a)
-    b = getattr(b, "coords", b)
     if len(a) != len(b):
         raise LengthMismatch("labels have different lengths")
     total = 0
@@ -51,8 +49,14 @@ def d_q(c: CoverGraph, x: int, y: int) -> int:
 def d_q_from(c: CoverGraph, x: int) -> np.ndarray:
     """d_Q from x to every cover vertex, as one vectorised row."""
     prof = c.base_profiles()
-    diff = (prof.astype(np.int16) - prof[x].astype(np.int16)) % c.m
+    wide = _signed(prof.dtype)
+    diff = (prof.astype(wide) - prof[x].astype(wide)) % c.m
     return np.minimum(diff, c.m - diff).sum(axis=1, dtype=np.int64)
+
+
+def _signed(residues: np.dtype) -> np.dtype:
+    """Signed dtype wide enough for differences of two residues."""
+    return np.promote_types(residues, np.int8)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,8 @@ def tree_average_numerators(c: CoverGraph,
     total = np.zeros((n, n), dtype=np.int64)
     m = c.m
     for tree in enumerate_spanning_trees(c.base, cap):
-        lab = cloud_map(c, tree).astype(np.int16)
+        lab = cloud_map(c, tree)
+        lab = lab.astype(_signed(lab.dtype))
         diff = (lab[:, None, :] - lab[None, :, :]) % m
         total += np.minimum(diff, m - diff).sum(axis=2, dtype=np.int64)
     return total, counts.common
@@ -145,6 +150,31 @@ def _default_sources(c: CoverGraph, sources) -> list[int]:
     return list(sources)
 
 
+def _fiber_rows(c: CoverGraph, srcs: list[int], with_dq: bool = True):
+    """Yield (source, d row, d_Q row or None) for each source, in order.
+
+    Per 32-source chunk, BFS and d_Q rows are computed once for each
+    distinct fiber representative (v, 0); the rows of (v, k) are the
+    representative's rows gathered through c.deck_permutation(k).
+    """
+    deck = c.deck_size
+    n_base = c.base.vertex_count
+    for lo in range(0, len(srcs), 32):
+        chunk = srcs[lo:lo + 32]
+        fibers = list(dict.fromkeys(s // deck for s in chunk))
+        reps = [v * deck for v in fibers]
+        dmat = bfs_distance_matrix(c.graph, reps)
+        dq = [d_q_from(c, x) for x in reps] if with_dq else None
+        for s in chunk:
+            v, k = divmod(s, deck)
+            i = fibers.index(v)
+            perm = c.deck_permutation(k)
+            d_row = dmat[i].reshape(n_base, deck)[:, perm].ravel()
+            dq_row = (dq[i].reshape(n_base, deck)[:, perm].ravel()
+                      if with_dq else None)
+            yield s, d_row, dq_row
+
+
 def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
                    max_details: int = 10, _dq_perturb: int = 0) -> CompareReport:
     """Check, over (source, all-target) pairs, that d_Q <= d, that
@@ -154,30 +184,24 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
     """
     g0 = girth(c.base)
     report = CompareReport(girth_base=int(g0))
-    srcs = _default_sources(c, sources)
-    for lo in range(0, len(srcs), 32):
-        chunk = srcs[lo:lo + 32]
-        dmat = bfs_distance_matrix(c.graph, chunk)
-        for row, s in enumerate(chunk):
-            d_row = dmat[row]
-            dq_row = d_q_from(c, s)
-            if _dq_perturb:
-                dq_row = dq_row + np.where(np.arange(len(dq_row)) != s,
-                                           _dq_perturb, 0)
-            report.pairs_checked += len(d_row)
-            mono = dq_row > d_row
-            iff = (dq_row < g0) != (d_row < g0)
-            below = d_row < g0
-            eq = below & (dq_row != d_row)
-            report.monotone_violations += int(mono.sum())
-            report.iff_violations += int(iff.sum())
-            report.equality_violations += int(eq.sum())
-            if len(report.details) < max_details:
-                bad = np.nonzero(mono | iff | eq)[0]
-                for t in bad[:max_details - len(report.details)]:
-                    report.details.append(
-                        {"source": int(s), "target": int(t),
-                         "d": int(d_row[t]), "d_q": int(dq_row[t])})
+    for s, d_row, dq_row in _fiber_rows(c, _default_sources(c, sources)):
+        if _dq_perturb:
+            dq_row = dq_row + np.where(np.arange(len(dq_row)) != s,
+                                       _dq_perturb, 0)
+        report.pairs_checked += len(d_row)
+        mono = dq_row > d_row
+        iff = (dq_row < g0) != (d_row < g0)
+        below = d_row < g0
+        eq = below & (dq_row != d_row)
+        report.monotone_violations += int(mono.sum())
+        report.iff_violations += int(iff.sum())
+        report.equality_violations += int(eq.sum())
+        if len(report.details) < max_details:
+            bad = np.nonzero(mono | iff | eq)[0]
+            for t in bad[:max_details - len(report.details)]:
+                report.details.append(
+                    {"source": int(s), "target": int(t),
+                     "d": int(d_row[t]), "d_q": int(dq_row[t])})
     return report
 
 
@@ -224,19 +248,14 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)
     maxs = np.full(diam_bound, -1, dtype=np.int64)
     counts = np.zeros(diam_bound, dtype=np.int64)
-    for lo in range(0, len(srcs), 32):
-        chunk = srcs[lo:lo + 32]
-        dmat = bfs_distance_matrix(c.graph, chunk)
-        for row, s in enumerate(chunk):
-            d_row = dmat[row]
-            if mode == "l2":
-                # squared Euclidean distance of 0/1 vectors = Hamming
-                val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
-            else:
-                val = d_q_from(c, s)
-            counts += np.bincount(d_row, minlength=diam_bound)
-            np.minimum.at(mins, d_row, val)
-            np.maximum.at(maxs, d_row, val)
+    for s, d_row, val in _fiber_rows(c, srcs, with_dq=mode == "dq"):
+        if mode == "l2":
+            # squared Euclidean distance of 0/1 vectors = Hamming; taken
+            # directly, since this row is what the l2 profile tests
+            val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+        counts += np.bincount(d_row, minlength=diam_bound)
+        np.minimum.at(mins, d_row, val)
+        np.maximum.at(maxs, d_row, val)
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))
                  for t in range(diam_bound) if counts[t] > 0)

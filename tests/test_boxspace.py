@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from homcover import build_tower, build_zm_cover, girth, named_graph
+from homcover import (build_tower, build_zm_cover, cover_girth, girth,
+                      named_graph)
 from homcover.boxspace import girth_vertex_transitive
 from homcover.errors import SizeCapExceeded
 from homcover.graph import cayley_zm_power, cycle_graph
@@ -19,6 +20,18 @@ class TestGirthShortcut:
     def test_agrees_with_full_girth(self, name):
         g = named_graph(name)
         assert girth_vertex_transitive(g) == girth(g)
+
+    def test_agrees_with_fiber_root_girth_on_tower(self):
+        # levels >= 2 are covers, whose girth the deck group makes exact
+        # from one root per fiber; this checks the vertex-transitivity the
+        # single root assumes
+        tower = build_tower(2, 2, 3)
+        girths = [lvl.girth_value for lvl in tower.levels]
+        assert girths == [4, 8, 16]
+        for lvl in tower.levels[1:]:
+            assert girth_vertex_transitive(lvl.graph) == cover_girth(lvl.cover)
+        seed = build_tower(2, 3, 1).levels[0].graph  # level 1 of (2, 3, 2)
+        assert girth_vertex_transitive(seed) == girth(seed) == 3
 
     def test_agrees_on_covers(self):
         for name, m in [("k4", 3), ("c5", 3), ("petersen", 2)]:

@@ -10,8 +10,12 @@ from homcover import (MultiGraph, Walk, boundary_mod_m, build_zm_cover,
                       is_two_edge_connected, lift_path, named_graph,
                       path_graph, phi_profile, project_edge, project_vertex, signed_edge_counts,
                       some_spanning_tree)
+from homcover.cover import MAX_M
 from homcover.errors import (EndpointMismatch, NotTwoEdgeConnected,
-                             PathMismatch, SizeCapExceeded)
+                             PathMismatch, SizeCapExceeded,
+                             UnsupportedModulus)
+from homcover.metrics import (d_q, d_q_from, tree_average_numerators,
+                              verify_compare)
 from homcover.trees import _tree_from_edge_set
 
 from conftest import two_edge_connected_multigraphs
@@ -318,3 +322,32 @@ class TestDeckAction:
         for E in range(c.graph.edge_count):
             t, h = c.graph.endpoints(E)
             assert tuple(sorted((moved[t], moved[h]))) in edge_set
+
+
+class TestResidueWidth:
+    @pytest.mark.parametrize("m", [255, 256, 257])
+    def test_c3_cover(self, m):
+        c = build_zm_cover(cycle_graph(3), m)
+        prof = c.base_profiles()
+        assert prof.dtype == (np.uint8 if m <= 256 else np.uint16)
+        assert int(prof.max()) == m - 1
+        assert int(cloud_map(c).max()) == m - 1
+        assert verify_compare(c, [0, 1, 2]).passed
+        n = c.graph.vertex_count
+        dq = np.stack([d_q_from(c, x) for x in range(n)])
+        assert all(dq[x, y] == d_q(c, x, y) for x, y in [(0, n // 2), (5, 1)])
+        numer, n_avoid = tree_average_numerators(c)
+        assert np.array_equal(numer, n_avoid * dq)
+
+    def test_widest_supported_m(self):
+        m = MAX_M
+        c = build_zm_cover(cycle_graph(1), m)  # the cycle C_m
+        assert c.base_profiles().dtype == np.uint16
+        row = d_q_from(c, 0)
+        assert int(row.max()) == m // 2
+        assert verify_compare(c, [0, m - 1]).passed
+
+    @pytest.mark.parametrize("m", [1, MAX_M + 1])
+    def test_unsupported_m_rejected(self, m):
+        with pytest.raises(UnsupportedModulus):
+            build_zm_cover(cycle_graph(1), m)

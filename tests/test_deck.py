@@ -1,0 +1,178 @@
+"""The deck group (Z_m)^r acts on every cover by automorphisms.
+
+These tests check that fact on the edge arrays, and check every result
+that relies on it (fiber-root girth, rows gathered from one representative
+per fiber) against computations that do not.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from homcover import (bfs_distance_matrix, build_zm_cover,
+                      compression_profile, cover_girth, d_q_from, girth,
+                      is_two_edge_connected, named_graph, verify_compare)
+from homcover.embed import binary_embed_matrix
+
+from conftest import connected_multigraphs
+
+NAMED = ("doubled_edge", "k4", "c5", "petersen")
+
+#: The generic girth runs a Python BFS from every vertex; above this size
+#: (the Petersen cover at m = 5 has 156,250 vertices) it takes minutes.
+GENERIC_GIRTH_LIMIT = 10_000
+
+
+def shifted(c, i: int) -> np.ndarray:
+    """Index of the translate by generator i of every cover vertex."""
+    idx = np.arange(c.graph.vertex_count, dtype=np.int64)
+    v, rank = np.divmod(idx, c.deck_size)
+    stride = c.m ** i
+    digit = (rank // stride) % c.m
+    return v * c.deck_size + rank + (((digit + 1) % c.m) - digit) * stride
+
+
+def edge_multiset(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    pairs = np.stack([tails, heads], axis=1)
+    return pairs[np.lexsort((heads, tails))]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("name", NAMED)
+def test_generators_preserve_edges(name, m):
+    c = build_zm_cover(named_graph(name), m)
+    g = c.graph
+    want = edge_multiset(g.tails, g.heads)
+    for i in range(c.r):
+        shift = shifted(c, i)
+        got = edge_multiset(shift[g.tails], shift[g.heads])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,m", [("k4", 3), ("doubled_edge", 5), ("c5", 2)])
+def test_deck_permutation_is_label_subtraction(name, m):
+    c = build_zm_cover(named_graph(name), m)
+    for k in range(c.deck_size):
+        shift = c.label_of(k)
+        perm = c.deck_permutation(k)
+        for rank in range(c.deck_size):
+            label = c.label_of(rank)
+            assert perm[rank] == c.rank_of(
+                [a - b for a, b in zip(label, shift)])
+
+
+# -- fiber-root girth ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("name", NAMED)
+def test_cover_girth_equals_generic(name, m):
+    c = build_zm_cover(named_graph(name), m)
+    got = cover_girth(c)
+    assert got > girth(c.base)
+    if c.graph.vertex_count <= GENERIC_GIRTH_LIMIT:
+        assert got == girth(c.graph)
+
+
+@given(connected_multigraphs(max_vertices=5, max_extra_edges=4)
+       .filter(is_two_edge_connected),
+       st.integers(min_value=2, max_value=3))
+@settings(max_examples=30, deadline=None)
+def test_cover_girth_random_bases(g, m):
+    assume(g.vertex_count * m ** (g.edge_count - g.vertex_count + 1) <= 600)
+    c = build_zm_cover(g, m)
+    assert cover_girth(c) == girth(c.graph)
+
+
+# -- rows from one representative per fiber ----------------------------------
+#
+# The oracles compute every BFS row and d_Q row from its own source.
+
+
+def compare_oracle(c, sources, max_details=10, dq_perturb=0):
+    g0 = girth(c.base)
+    out = {"pairs": 0, "mono": 0, "iff": 0, "eq": 0, "details": []}
+    dmat = bfs_distance_matrix(c.graph, sources)
+    for s, d_row in zip(sources, dmat):
+        dq_row = d_q_from(c, s)
+        if dq_perturb:
+            dq_row = dq_row + np.where(np.arange(len(dq_row)) != s,
+                                       dq_perturb, 0)
+        out["pairs"] += len(d_row)
+        mono = dq_row > d_row
+        iff = (dq_row < g0) != (d_row < g0)
+        eq = (d_row < g0) & (dq_row != d_row)
+        out["mono"] += int(mono.sum())
+        out["iff"] += int(iff.sum())
+        out["eq"] += int(eq.sum())
+        for t in np.nonzero(mono | iff | eq)[0]:
+            if len(out["details"]) < max_details:
+                out["details"].append({"source": int(s), "target": int(t),
+                                       "d": int(d_row[t]),
+                                       "d_q": int(dq_row[t])})
+    return out
+
+
+def profile_oracle(c, sources, mode):
+    binary = binary_embed_matrix(c) if mode == "l2" else None
+    dmat = bfs_distance_matrix(c.graph, sources)
+    rows = {}
+    for s, d_row in zip(sources, dmat):
+        if mode == "l2":
+            val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+        else:
+            val = d_q_from(c, s)
+        for t, q in zip(d_row.tolist(), val.tolist()):
+            cnt, lo, hi = rows.get(t, (0, q, q))
+            rows[t] = (cnt + 1, min(lo, q), max(hi, q))
+    return [(t, cnt, Fraction(lo), Fraction(hi))
+            for t, (cnt, lo, hi) in sorted(rows.items())]
+
+
+def source_sets(c):
+    """All sources in order, a shuffled sample crossing chunk boundaries,
+    and 40 sources in descending order."""
+    n = c.graph.vertex_count
+    rng = random.Random(c.graph.vertex_count)
+    return [list(range(n)),
+            rng.sample(range(n), min(n, 70)),
+            list(range(n - 1, -1, -1))[:40]]
+
+
+COVERS = [("k4", 3), ("petersen", 2), ("c5", 3), ("doubled_edge", 5)]
+
+
+@pytest.mark.parametrize("perturb", [0, 1])
+@pytest.mark.parametrize("name,m", COVERS)
+def test_verify_compare_matches_oracle(name, m, perturb):
+    c = build_zm_cover(named_graph(name), m)
+    for sources in source_sets(c):
+        rep = verify_compare(c, sources, _dq_perturb=perturb)
+        want = compare_oracle(c, sources, dq_perturb=perturb)
+        assert rep.pairs_checked == want["pairs"]
+        assert rep.monotone_violations == want["mono"]
+        assert rep.iff_violations == want["iff"]
+        assert rep.equality_violations == want["eq"]
+        assert rep.details == want["details"]
+        assert rep.passed == (not perturb)
+
+
+@pytest.mark.parametrize("mode", ["dq", "l2"])
+@pytest.mark.parametrize("name,m", COVERS)
+def test_compression_profile_matches_oracle(name, m, mode):
+    c = build_zm_cover(named_graph(name), m)
+    for sources in source_sets(c):
+        prof = compression_profile(c, sources, mode)
+        got = [(r.t, r.pair_count, r.min_val, r.max_val) for r in prof.rows]
+        assert got == profile_oracle(c, sources, mode)
+
+
+def test_out_of_range_source_rejected():
+    c = build_zm_cover(named_graph("k4"), 3)
+    for bad in (-1, c.graph.vertex_count):
+        with pytest.raises(IndexError):
+            verify_compare(c, [0, bad])
