@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cover import CoverGraph, build_zm_cover
-from .errors import SizeCapExceeded
+from .errors import InvalidParameter, SizeCapExceeded
 from .graph import MultiGraph, _girth_from_roots, cayley_zm_power
 from .trees import tree_counts
 
@@ -57,9 +57,9 @@ def build_tower(rank: int, m: int, levels: int,
     gracefully with the truncation recorded on the result.
     """
     if rank < 2:
-        raise ValueError("rank must be at least 2")
+        raise InvalidParameter("rank must be at least 2")
     if levels < 1:
-        raise ValueError("need at least one level")
+        raise InvalidParameter("need at least one level")
     seed = cayley_zm_power(rank, m, size_cap)  # SizeCapExceeded propagates
     built = [TowerLevel(1, seed, girth_vertex_transitive(seed), None,
                         _check_ne(seed))]

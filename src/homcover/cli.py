@@ -3,10 +3,16 @@
 Verbs: ``cover build``, ``trees count``, ``metrics profile``,
 ``embed export``, ``tower build``, ``suite run``.
 
+Each verb accepts only the flags it reads; any other flag is a usage
+error.
+
 Exit codes: 0 = success / all checks pass, 1 = mathematical violations
-found, 2 = usage or I/O error.  The environment variable ``HOMCOVER_OUT``
-names a default output directory; relative ``--out`` paths are resolved
-against it.
+found, 2 = usage or I/O error (a bad flag or value, a ``HomcoverError``
+such as a malformed document or a rejected input, invalid JSON, or a
+failed file operation), 3 = internal error (any other exception: a bug,
+reported as ``internal error:`` after its traceback).  The environment
+variable ``HOMCOVER_OUT`` names a default output directory; relative
+``--out`` paths are resolved against it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,11 +31,14 @@ from .cover import CoverGraph, build_zm_cover
 from .embed import embed_point_l1
 from .errors import HomcoverError, ParseError
 from .graph import DEFAULT_SIZE_CAP, graph_document, load_graph
-from .harness import SuiteConfig, run_suite
+from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
 from .metrics import compression_profile
 from .trees import DEFAULT_TREE_CAP, _tree_from_edge_set, tree_counts
 
 OUT_DIR_ENV = "HOMCOVER_OUT"
+
+EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _resolve_out(path: str) -> Path:
@@ -65,15 +75,25 @@ def cover_document(c: CoverGraph) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
+    if not isinstance(doc, dict):
+        raise ParseError("cover document must be a JSON object")
     for key in ("base", "m", "cotree"):
         if key not in doc:
             raise ParseError(f"cover document missing {key!r}")
     base = load_graph(doc["base"])
+    if not _is_int(doc["m"]):
+        raise ParseError("cover document 'm' must be an integer")
+    if not isinstance(doc["cotree"], list) or not all(map(_is_int, doc["cotree"])):
+        raise ParseError("cover document 'cotree' must be a list of edge ids")
     cotree = set(doc["cotree"])
     tree_edges = [e for e in range(base.edge_count) if e not in cotree]
     tree = _tree_from_edge_set(base, tree_edges)
-    c = build_zm_cover(base, int(doc["m"]), tree=tree, size_cap=size_cap)
+    c = build_zm_cover(base, doc["m"], tree=tree, size_cap=size_cap)
     rebuilt = graph_document(c.graph)
     if rebuilt["vertices"] != doc["vertices"] or rebuilt["edges"] != doc["edges"]:
         raise ParseError("cover document does not match its base/m/cotree data")
@@ -83,12 +103,23 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
 # -- subcommand implementations ---------------------------------------------
 
 
+def _tree_arg(g, text: str):
+    """The spanning tree named by a --tree value of comma-separated edge ids."""
+    try:
+        ids = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ParseError(f"--tree must be 'auto' or comma-separated edge ids, "
+                         f"got {text!r}") from None
+    for e in ids:
+        if not 0 <= e < g.edge_count:
+            raise ParseError(f"--tree edge id {e} out of range "
+                             f"0..{g.edge_count - 1}")
+    return _tree_from_edge_set(g, ids)
+
+
 def _cmd_cover_build(args) -> int:
     g = load_graph(_read_json(args.graph))
-    tree = None
-    if args.tree != "auto":
-        ids = [int(t) for t in args.tree.split(",")]
-        tree = _tree_from_edge_set(g, ids)
+    tree = None if args.tree == "auto" else _tree_arg(g, args.tree)
     c = build_zm_cover(g, args.m, tree=tree, size_cap=args.size_cap)
     text = json.dumps(cover_document(c), sort_keys=True) + "\n"
     if args.out:
@@ -206,13 +237,29 @@ def _cmd_suite_run(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+#: Flags shared by several verbs; each verb registers only those it reads.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=7),
+    "--threads": dict(type=int, default=1),
+    "--size-cap": dict(type=int, default=DEFAULT_SIZE_CAP),
+    "--tree-cap": dict(type=int, default=DEFAULT_TREE_CAP),
+    "--samples": dict(type=_count, default=100),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,28 +272,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tree", default="auto",
                    help="'auto' or comma-separated spanning-tree edge ids")
-    _add_common(p)
+    _add_shared(p, "--size-cap", "--out")
     p.set_defaults(func=_cmd_cover_build)
 
     trees = groups.add_parser("trees").add_subparsers(dest="verb", required=True)
     p = trees.add_parser("count")
     p.add_argument("--graph", required=True)
     p.add_argument("--per-edge", action="store_true")
-    _add_common(p)
+    _add_shared(p, "--out")
     p.set_defaults(func=_cmd_trees_count)
 
     metrics = groups.add_parser("metrics").add_subparsers(dest="verb", required=True)
     p = metrics.add_parser("profile")
     p.add_argument("--cover", required=True)
     p.add_argument("--mode", choices=("dq", "l2"), default="dq")
-    p.add_argument("--samples", type=int, default=100)
-    _add_common(p)
+    _add_shared(p, "--samples", "--seed", "--size-cap", "--out")
     p.set_defaults(func=_cmd_metrics_profile)
 
     embed = groups.add_parser("embed").add_subparsers(dest="verb", required=True)
     p = embed.add_parser("export")
     p.add_argument("--cover", required=True)
-    _add_common(p)
+    _add_shared(p, "--format", "--size-cap", "--out")
     p.set_defaults(func=_cmd_embed_export)
 
     tower = groups.add_parser("tower").add_subparsers(dest="verb", required=True)
@@ -256,20 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_TOWER_CAP)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_tower_build)
 
     suite = groups.add_parser("suite").add_subparsers(dest="verb", required=True)
     p = suite.add_parser("run")
     p.add_argument("--graphs", default="doubled_edge,k4,c5,petersen")
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--checks",
-                   default="compare,conglifts,isometry,treeavg,l2,"
-                           "girth_growth,ne_constant")
+    p.add_argument("--checks", default=",".join(DEFAULT_CHECKS))
     p.add_argument("--fault", default=None,
                    help="inject a fault into the named check (self-test)")
-    _add_common(p)
+    _add_shared(p, "--samples", "--seed", "--threads", "--size-cap",
+                "--tree-cap", "--out")
     p.set_defaults(func=_cmd_suite_run)
 
     return parser
@@ -280,10 +323,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HomcoverError, ValueError, IndexError, OSError) as exc:
-        # ParseError and JSONDecodeError are ValueError subclasses
+    except (HomcoverError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
+    except Exception as exc:  # a bug, not a usage error: keep the traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

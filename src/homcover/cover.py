@@ -266,8 +266,9 @@ def cloud_map(c: CoverGraph, tree: SpanningTree | None = None) -> np.ndarray:
     """Cloud label of every cover vertex with respect to a base tree.
 
     Labels are signed counts mod m of the tree's cotree edges along cover
-    paths from the basepoint; shape (|V~|, r), with the dtype of
-    base_profiles.  For the construction tree this reproduces the layout
+    paths from the basepoint, i.e. the cotree columns of base_profiles;
+    shape (|V~|, r), with the dtype of base_profiles.  The result is a
+    fresh array.  For the construction tree this reproduces the layout
     labels.
     """
     if tree is None:
@@ -276,33 +277,7 @@ def cloud_map(c: CoverGraph, tree: SpanningTree | None = None) -> np.ndarray:
         got = _tree_from_edge_set(c.base, tree.tree_edges)
         if got.cotree != tree.cotree:
             raise NotSpanningTree("inconsistent cotree ordering")
-    cotree_pos = {e: i for i, e in enumerate(tree.cotree)}
-    r = len(tree.cotree)
-    m = c.m
-    deck = c.deck_size
-    n = c.graph.vertex_count
-    labels = np.zeros((n, r), dtype=_residue_dtype(m))
-    seen = np.zeros(n, dtype=bool)
-    seen[c.basepoint] = True
-    indptr, ae, asg, ah = c.graph.arcs()
-    frontier = [c.basepoint]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lu = labels[u]
-            for i in range(indptr[u], indptr[u + 1]):
-                w = int(ah[i])
-                if seen[w]:
-                    continue
-                seen[w] = True
-                base_e = int(ae[i]) // deck
-                pos = cotree_pos.get(base_e)
-                labels[w] = lu
-                if pos is not None:
-                    labels[w, pos] = (int(lu[pos]) + int(asg[i])) % m
-                nxt.append(w)
-        frontier = nxt
-    return labels
+    return c.base_profiles()[:, list(tree.cotree)]
 
 
 # -- chains, congruence, boundary ----------------------------------------
@@ -359,34 +334,14 @@ def phi_profile(c: CoverGraph, x: int, y: int) -> EdgeChainModM:
     """Signed mod-m traversal counts of base-edge lifts along a cover
     path from x to y.
 
-    Values are canonical residues in 0..m-1; the value is independent of
-    the chosen path, so a BFS-tree path is used.  The direction-free
-    traversal cost of an edge with residue z is min(z, m - z).
+    Values are canonical residues in 0..m-1, the row difference
+    (base_profiles()[y] - base_profiles()[x]) mod m; the value is
+    independent of the chosen path.  The direction-free traversal cost of
+    an edge with residue z is min(z, m - z).
     """
     n = c.graph.vertex_count
     if not 0 <= x < n or not 0 <= y < n:
         raise IndexError("cover vertex out of range")
-    m = c.m
-    deck = c.deck_size
-    counts = np.zeros(c.base.edge_count, dtype=np.int64)
-    if x == y:
-        return EdgeChainModM(tuple(int(v) for v in counts), m)
-    indptr, ae, asg, ah = c.graph.arcs()
-    parent_arc = {x: None}
-    frontier = [x]
-    while y not in parent_arc:
-        nxt = []
-        for u in frontier:
-            for i in range(indptr[u], indptr[u + 1]):
-                w = int(ah[i])
-                if w not in parent_arc:
-                    parent_arc[w] = (u, int(ae[i]), int(asg[i]))
-                    nxt.append(w)
-        frontier = nxt
-    cur = y
-    while cur != x:
-        u, e, sgn = parent_arc[cur]
-        counts[e // deck] += sgn
-        cur = u
-    counts %= m
-    return EdgeChainModM(tuple(int(v) for v in counts), m)
+    prof = c.base_profiles()
+    counts = (prof[y].astype(np.int64) - prof[x].astype(np.int64)) % c.m
+    return EdgeChainModM(tuple(int(v) for v in counts), c.m)

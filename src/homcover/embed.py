@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (LengthMismatch, NonBinaryCoordinates, NonConstantNe,
                      SizeCapExceeded)
-from .cover import CoverGraph, cloud_map
+from .cover import CoverGraph
 from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees, tree_counts
 
 
@@ -98,6 +98,14 @@ def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
                                    _edge_block_layout(c))
 
 
+def _arc_table(m: int) -> np.ndarray:
+    """Row k is the doubled cycle cut embedding of residue k; (m, m) uint8."""
+    arcs = np.zeros((m, m), dtype=np.uint8)
+    for k in range(m):
+        arcs[k, cycle_cut_arc(k, m)] = 1
+    return arcs
+
+
 def binary_embed_matrix(c: CoverGraph) -> np.ndarray:
     """Doubled coordinates of embed_point_l1 for every vertex.
 
@@ -106,12 +114,8 @@ def binary_embed_matrix(c: CoverGraph) -> np.ndarray:
     rows equals the squared l2 distance after l1_to_l2.
     """
     prof = c.base_profiles()
-    m = c.m
     n, ne = prof.shape
-    arcs = np.zeros((m, m), dtype=np.uint8)
-    for k in range(m):
-        arcs[k, cycle_cut_arc(k, m)] = 1
-    return arcs[prof.reshape(-1)].reshape(n, ne * m)
+    return _arc_table(c.m)[prof].reshape(n, ne * c.m)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,9 @@ class PsiEmbedding:
 
     Stored entries are half-integers; the 1/N weight is applied at norm
     evaluation time.  Distances equal d_Q exactly (the bi-Lipschitz
-    constant of the cut embedding is 1).
+    constant of the cut embedding is 1).  The cloud labels of every tree
+    are the tree's cotree columns of base_profiles, held side by side in
+    `labels`, shape (|V~|, tau * r).
     """
 
     def __init__(self, c: CoverGraph, cap: int = DEFAULT_TREE_CAP):
@@ -158,31 +164,23 @@ class PsiEmbedding:
         self.cover = c
         self.n_avoid = counts.common
         self.trees = list(enumerate_spanning_trees(c.base, cap))
-        self.labels = [cloud_map(c, t) for t in self.trees]
         self.r = len(self.trees[0].cotree)
-        self.dim = len(self.trees) * self.r * c.m
+        cols = [e for t in self.trees for e in t.cotree]
+        self.labels = c.base_profiles()[:, cols]
+        self.dim = len(cols) * c.m
+        self.block_layout = tuple(
+            (f"tree{ti}_factor{i}", (ti * self.r + i) * c.m, c.m)
+            for ti in range(len(self.trees)) for i in range(self.r))
+        self._arcs = _arc_table(c.m)
 
     def vector(self, x: int) -> HalfIntVector:
-        m = self.cover.m
-        entries = {}
-        layout = []
-        for ti, lab in enumerate(self.labels):
-            for i in range(self.r):
-                start = (ti * self.r + i) * m
-                layout.append((f"tree{ti}_factor{i}", start, m))
-                for t in cycle_cut_arc(int(lab[x, i]), m):
-                    entries[start + t] = 1
-        return HalfIntVector.from_dict(entries, self.dim, layout)
+        coords = np.flatnonzero(self._arcs[self.labels[x]])
+        return HalfIntVector(tuple((int(k), 1) for k in coords), self.dim,
+                             self.block_layout)
 
     def matrix(self) -> np.ndarray:
         """Doubled coordinates for all vertices; shape (|V~|, dim)."""
-        m = self.cover.m
-        arcs = np.zeros((m, m), dtype=np.uint8)
-        for k in range(m):
-            arcs[k, cycle_cut_arc(k, m)] = 1
-        lab = np.concatenate([l for l in self.labels], axis=1)
-        n = lab.shape[0]
-        return arcs[lab.reshape(-1)].reshape(n, self.dim)
+        return self._arcs[self.labels].reshape(self.labels.shape[0], self.dim)
 
     def distance(self, x: int, y: int) -> Fraction:
         """(1/N)-weighted l1 distance between psi images."""

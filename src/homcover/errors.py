@@ -6,7 +6,7 @@ class HomcoverError(Exception):
 
 
 class ParseError(HomcoverError, ValueError):
-    """Malformed graph or cover document."""
+    """Malformed input: a graph or cover document, or a command-line value."""
 
 
 class NotConnected(HomcoverError):
@@ -51,3 +51,11 @@ class NonBinaryCoordinates(HomcoverError, ValueError):
 
 class UnsupportedModulus(HomcoverError, ValueError):
     """Cover modulus m outside the supported range."""
+
+
+class InvalidParameter(HomcoverError, ValueError):
+    """Numeric parameter outside its valid range."""
+
+
+class EndpointOutOfRange(HomcoverError, IndexError):
+    """Edge endpoint is not a vertex of the graph."""

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import ParseError, PathMismatch, SizeCapExceeded
+from .errors import (EndpointOutOfRange, InvalidParameter, ParseError,
+                     PathMismatch, SizeCapExceeded)
 
 #: Sentinel stored in distance arrays for unreachable vertices.
 UNREACHABLE = 1 << 62
@@ -61,7 +62,7 @@ class MultiGraph:
             raise ParseError("tails and heads must be 1-d arrays of equal length")
         if tails.size and (tails.min() < 0 or heads.min() < 0
                            or tails.max() >= vertex_count or heads.max() >= vertex_count):
-            raise IndexError("edge endpoint out of range")
+            raise EndpointOutOfRange("edge endpoint out of range")
         if labels is not None and len(labels) != tails.size:
             raise ParseError("labels length must equal edge count")
         self.vertex_count = int(vertex_count)
@@ -268,7 +269,11 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
         idx = sources[lo:lo + chunk]
         d = shortest_path(mat, method="D", unweighted=True, indices=idx)
         d = np.atleast_2d(d)
-        out[lo:lo + len(idx)] = np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
+        # in place, cast on assignment: no further row-block-sized
+        # temporaries, which left the heap, and so the peak RSS of the
+        # next call, depending on the process's address layout
+        d[np.isinf(d)] = UNREACHABLE  # 2**62 is exact in float64
+        out[lo:lo + len(idx)] = d
     return out
 
 
@@ -449,7 +454,7 @@ def cayley_zm_power(n: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> MultiGr
     single edge (n-regular).
     """
     if n < 1 or m < 2:
-        raise ValueError("need n >= 1 and m >= 2")
+        raise InvalidParameter("need n >= 1 and m >= 2")
     size = m ** n
     if size > size_cap:
         raise SizeCapExceeded(f"{m}^{n} = {size} exceeds cap {size_cap}")

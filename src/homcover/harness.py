@@ -22,7 +22,7 @@ import numpy as np
 from .cover import (CoverGraph, build_zm_cover, cover_girth, is_m_congruent,
                     lift_path)
 from .embed import binary_embed_matrix
-from .errors import CapExceeded, HomcoverError
+from .errors import CapExceeded, HomcoverError, ParseError
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
                     girth, named_graph, reverse_walk)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
@@ -298,12 +298,30 @@ def check_ne_constant(c: CoverGraph, instance: str,
 # -- suite driver ----------------------------------------------------------
 
 
+#: Check name -> (check function, builder of the arguments between
+#: (cover, instance) and fault from the config and the derived seed).
+CHECKS = {
+    "compare": (check_compare, lambda cfg, seed: (cfg.samples, seed)),
+    "conglifts": (check_conglifts, lambda cfg, seed: (1000, seed)),
+    "isometry": (check_isometry, lambda cfg, seed: (cfg.samples, seed)),
+    "treeavg": (check_treeavg, lambda cfg, seed: (cfg.tree_cap,)),
+    "l2": (check_l2, lambda cfg, seed: (cfg.samples, seed)),
+    "girth_growth": (check_girth_growth, lambda cfg, seed: ()),
+    "ne_constant": (check_ne_constant, lambda cfg, seed: ()),
+}
+
+
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Execute the configured checks; deterministic given the seed.
 
     Check tasks run on a thread pool but results are assembled in a fixed
-    order, so the report is identical for any thread count.
+    order, so the report is identical for any thread count.  An unknown
+    check name raises ParseError before any cover is built.
     """
+    for check in cfg.checks:
+        if check not in CHECKS:
+            raise ParseError(f"unknown check {check!r}; known checks: "
+                             f"{', '.join(CHECKS)}")
     covers = {}
     for name in cfg.graphs:
         g = named_graph(name)
@@ -315,24 +333,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     for name in cfg.graphs:
         c = covers[name]
         for check in cfg.checks:
-            fault = cfg.fault == check
+            fn, extra = CHECKS[check]
             seed = _derive_seed(cfg.seed, name, check)
-            if check == "compare":
-                tasks.append((check_compare, (c, name, cfg.samples, seed, fault)))
-            elif check == "conglifts":
-                tasks.append((check_conglifts, (c, name, 1000, seed, fault)))
-            elif check == "isometry":
-                tasks.append((check_isometry, (c, name, cfg.samples, seed, fault)))
-            elif check == "l2":
-                tasks.append((check_l2, (c, name, cfg.samples, seed, fault)))
-            elif check == "treeavg":
-                tasks.append((check_treeavg, (c, name, cfg.tree_cap, fault)))
-            elif check == "girth_growth":
-                tasks.append((check_girth_growth, (c, name, fault)))
-            elif check == "ne_constant":
-                tasks.append((check_ne_constant, (c, name, fault)))
-            else:
-                raise ValueError(f"unknown check {check!r}")
+            tasks.append((fn, (c, name, *extra(cfg, seed), cfg.fault == check)))
 
     if cfg.threads > 1 and tasks:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

@@ -163,6 +163,54 @@ class TestErrorPaths:
             main(["cover", "build"])  # missing required args
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tree", ["1,x,5", "1,3,99", "-1,3,5"])
+    def test_bad_tree_ids(self, k4_file, tree, capsys):
+        assert main(["cover", "build", "--graph", k4_file, "--m", "3",
+                     f"--tree={tree}"]) == 2
+        assert "--tree" in capsys.readouterr().err
+
+    def test_unknown_check(self, capsys):
+        assert main(["suite", "run", "--graphs", "doubled_edge",
+                     "--checks", "compare,nope"]) == 2
+        assert "unknown check 'nope'" in capsys.readouterr().err
+
+    def test_endpoint_out_of_range(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"vertices": 2, "edges": [[0, 2]]}))
+        assert main(["trees", "count", "--graph", str(p)]) == 2
+
+    def test_bad_cover_modulus(self, k4, tmp_path):
+        doc = cover_document(build_zm_cover(k4, 3))
+        doc["m"] = "3"
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps(doc))
+        assert main(["embed", "export", "--cover", str(p)]) == 2
+
+    def test_tower_rank_rejected(self, tmp_path):
+        assert main(["tower", "build", "--rank", "1", "--m", "3",
+                     "--levels", "1", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tower", "build", "--rank", "2", "--m", "2", "--levels", "1",
+         "--out-dir", "tw", "--size-cap", "5"],
+        ["trees", "count", "--graph", "g.json", "--format", "csv"],
+        ["cover", "build", "--graph", "g.json", "--m", "3", "--seed", "1"],
+        ["embed", "export", "--cover", "c.json", "--threads", "2"],
+        ["metrics", "profile", "--cover", "c.json", "--tree-cap", "9"],
+        ["metrics", "profile", "--cover", "c.json", "--samples", "-1"],
+    ])
+    def test_unread_or_invalid_flag_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_internal_error(self, k4_file, monkeypatch, capsys):
+        def broken(g):
+            raise ValueError("bug")
+        monkeypatch.setattr("homcover.cli.tree_counts", broken)
+        assert main(["trees", "count", "--graph", k4_file]) == 3
+        assert "internal error: ValueError: bug" in capsys.readouterr().err
+
 
 def test_out_dir_env_var(tmp_path, k4_file, monkeypatch):
     monkeypatch.setenv("HOMCOVER_OUT", str(tmp_path / "outputs"))

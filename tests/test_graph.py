@@ -86,6 +86,14 @@ class TestDistances:
         g = MultiGraph(3, [[0, 1]])
         assert bfs_distances(g, 0).distance(2) == math.inf
 
+    def test_matrix_marks_unreachable_exactly(self):
+        from homcover.graph import UNREACHABLE
+        g = MultiGraph(4, [[0, 1], [2, 3]])
+        mat = bfs_distance_matrix(g, [0, 3])
+        assert mat.dtype == np.int64
+        assert mat.tolist() == [[0, 1, UNREACHABLE, UNREACHABLE],
+                                [UNREACHABLE, UNREACHABLE, 1, 0]]
+
     @given(connected_multigraphs())
     @settings(max_examples=40, deadline=None)
     def test_matrix_matches_networkx(self, g):

@@ -1,0 +1,233 @@
+"""Cloud labels and traversal profiles are selects of base_profiles.
+
+`cloud_map(c, T)` is the cotree columns of `c.base_profiles()` and
+`phi_profile(c, x, y)` is the row difference mod m.  The breadth-first
+constructions below walk the cover itself and are kept as independent
+oracles for both, and for the tree-averaged embedding built from them.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homcover import (MultiGraph, PsiEmbedding, build_zm_cover, cloud_map,
+                      cycle_graph, enumerate_spanning_trees, named_graph,
+                      phi_profile)
+from homcover.embed import cycle_cut_arc
+from homcover.errors import NotSpanningTree
+
+from conftest import two_edge_connected_multigraphs
+
+
+def bfs_cloud_map(c, tree):
+    """Cloud labels by a breadth-first search over the whole cover.
+
+    Each step across a lift of cotree edge i adds its sign to coordinate i.
+    """
+    cotree_pos = {e: i for i, e in enumerate(tree.cotree)}
+    m = c.m
+    deck = c.deck_size
+    n = c.graph.vertex_count
+    labels = np.zeros((n, len(tree.cotree)),
+                      dtype=np.uint8 if m <= 256 else np.uint16)
+    seen = np.zeros(n, dtype=bool)
+    seen[c.basepoint] = True
+    indptr, ae, asg, ah = c.graph.arcs()
+    frontier = [c.basepoint]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            lu = labels[u]
+            for i in range(indptr[u], indptr[u + 1]):
+                w = int(ah[i])
+                if seen[w]:
+                    continue
+                seen[w] = True
+                pos = cotree_pos.get(int(ae[i]) // deck)
+                labels[w] = lu
+                if pos is not None:
+                    labels[w, pos] = (int(lu[pos]) + int(asg[i])) % m
+                nxt.append(w)
+        frontier = nxt
+    return labels
+
+
+def bfs_phi_profile(c, x, y):
+    """Signed mod-m base-edge counts along a BFS-tree path from x to y."""
+    deck = c.deck_size
+    counts = np.zeros(c.base.edge_count, dtype=np.int64)
+    indptr, ae, asg, ah = c.graph.arcs()
+    parent_arc = {x: None}
+    frontier = [x]
+    while y not in parent_arc:
+        nxt = []
+        for u in frontier:
+            for i in range(indptr[u], indptr[u + 1]):
+                w = int(ah[i])
+                if w not in parent_arc:
+                    parent_arc[w] = (u, int(ae[i]), int(asg[i]))
+                    nxt.append(w)
+        frontier = nxt
+    cur = y
+    while cur != x:
+        u, e, sgn = parent_arc[cur]
+        counts[e // deck] += sgn
+        cur = u
+    return tuple(int(v) for v in counts % c.m)
+
+
+def per_tree_psi(c, trees):
+    """The tree-averaged embedding assembled one tree block at a time.
+
+    Returns (vector(x), matrix) built from per-tree BFS labels, the
+    construction PsiEmbedding replaces with one gather.
+    """
+    m = c.m
+    labels = [bfs_cloud_map(c, t) for t in trees]
+    r = len(trees[0].cotree)
+    dim = len(trees) * r * m
+
+    def vector(x):
+        entries = {}
+        layout = []
+        for ti, lab in enumerate(labels):
+            for i in range(r):
+                start = (ti * r + i) * m
+                layout.append((f"tree{ti}_factor{i}", start, m))
+                for t in cycle_cut_arc(int(lab[x, i]), m):
+                    entries[start + t] = 1
+        return tuple(sorted(entries.items())), dim, tuple(layout)
+
+    arcs = np.zeros((m, m), dtype=np.uint8)
+    for k in range(m):
+        arcs[k, cycle_cut_arc(k, m)] = 1
+    lab = np.concatenate(labels, axis=1)
+    matrix = arcs[lab.reshape(-1)].reshape(lab.shape[0], dim)
+    return vector, matrix
+
+
+def assert_select_matches(c, tree):
+    got = cloud_map(c, tree)
+    want = bfs_cloud_map(c, tree)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def with_loop_and_parallel(g):
+    """g plus a loop at vertex 0 and a parallel copy of edge 0."""
+    edges = [list(g.endpoints(e)) for e in range(g.edge_count)]
+    return MultiGraph(g.vertex_count, edges + [[0, 0], edges[0]])
+
+
+class TestCloudMapSelect:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["doubled_edge", "k4", "c5"])
+    def test_every_tree(self, name, m):
+        g = named_graph(name)
+        c = build_zm_cover(g, m)
+        for tree in enumerate_spanning_trees(g):
+            assert_select_matches(c, tree)
+
+    def test_every_petersen_tree_m2(self):
+        g = named_graph("petersen")
+        c = build_zm_cover(g, 2)
+        trees = list(enumerate_spanning_trees(g))
+        assert len(trees) == 2000
+        for tree in trees:
+            assert_select_matches(c, tree)
+
+    def test_wide_residues(self):
+        g = named_graph("c5")
+        c = build_zm_cover(g, 257)
+        for tree in enumerate_spanning_trees(g):
+            assert_select_matches(c, tree)
+        assert cloud_map(c).dtype == np.uint16
+
+    @given(two_edge_connected_multigraphs(max_vertices=4, max_extra_edges=3),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_multigraphs_with_loops_and_parallel_edges(self, g, m):
+        g = with_loop_and_parallel(g)
+        c = build_zm_cover(g, m)
+        for tree in itertools.islice(enumerate_spanning_trees(g), 10):
+            assert_select_matches(c, tree)
+
+    def test_result_is_a_copy(self, k4):
+        c = build_zm_cover(k4, 3)
+        before = c.base_profiles().copy()
+        for tree in (None, *itertools.islice(enumerate_spanning_trees(k4), 3)):
+            lab = cloud_map(c, tree)
+            lab += 1
+            assert np.array_equal(c.base_profiles(), before)
+
+    def test_inconsistent_cotree_rejected(self, k4):
+        c = build_zm_cover(k4, 3)
+        tree = next(enumerate_spanning_trees(k4))
+        bad = dataclasses.replace(tree, cotree=tree.cotree[::-1])
+        with pytest.raises(NotSpanningTree):
+            cloud_map(c, bad)
+
+
+class TestPhiProfileSelect:
+    @pytest.mark.parametrize("name,m", [("doubled_edge", 5), ("k4", 2),
+                                        ("k4", 3), ("c5", 5),
+                                        ("petersen", 3)])
+    def test_matches_bfs(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        n = c.graph.vertex_count
+        rng = random.Random(11)
+        for _ in range(40):
+            x, y = rng.randrange(n), rng.randrange(n)
+            got = phi_profile(c, x, y)
+            assert got.m == m
+            assert got.coeffs == bfs_phi_profile(c, x, y)
+
+    def test_wide_residues(self):
+        c = build_zm_cover(cycle_graph(3), 257)
+        n = c.graph.vertex_count
+        for x, y in [(0, n - 1), (n - 1, 0), (5, 700), (300, 300)]:
+            assert phi_profile(c, x, y).coeffs == bfs_phi_profile(c, x, y)
+
+    @given(two_edge_connected_multigraphs(max_vertices=4, max_extra_edges=3),
+           st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_multigraphs(self, g, m, rng):
+        c = build_zm_cover(with_loop_and_parallel(g), m)
+        n = c.graph.vertex_count
+        for _ in range(5):
+            x, y = rng.randrange(n), rng.randrange(n)
+            assert phi_profile(c, x, y).coeffs == bfs_phi_profile(c, x, y)
+
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, 108), (108, 0)])
+    def test_range_check(self, k4, x, y):
+        c = build_zm_cover(k4, 3)
+        with pytest.raises(IndexError):
+            phi_profile(c, x, y)
+
+
+class TestPsiGather:
+    @pytest.mark.parametrize("name,m", [("doubled_edge", 3), ("k4", 3),
+                                        ("c5", 2), ("k4", 5)])
+    def test_matches_per_tree_construction(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        psi = PsiEmbedding(c)
+        vector, matrix = per_tree_psi(c, psi.trees)
+        assert psi.matrix().dtype == np.uint8
+        assert np.array_equal(psi.matrix(), matrix)
+        for x in range(c.graph.vertex_count):
+            v = psi.vector(x)
+            assert (v.entries, v.dim, v.block_layout) == vector(x)
+
+    def test_petersen_m2_sample(self):
+        c = build_zm_cover(named_graph("petersen"), 2)
+        psi = PsiEmbedding(c)
+        vector, matrix = per_tree_psi(c, psi.trees)
+        assert np.array_equal(psi.matrix(), matrix)
+        for x in random.Random(3).sample(range(c.graph.vertex_count), 5):
+            v = psi.vector(x)
+            assert (v.entries, v.dim, v.block_layout) == vector(x)
