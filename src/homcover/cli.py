@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .boxspace import DEFAULT_TOWER_CAP, build_tower
 from .cover import CoverGraph, build_zm_cover
-from .embed import embed_point_l1
+from .embed import _edge_block_layout, embed_point_l1
 from .errors import HomcoverError, ParseError
 from .graph import DEFAULT_SIZE_CAP, graph_document, load_graph
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
@@ -57,6 +57,14 @@ def _read_json(path: str) -> dict:
 
 def _write_text(path: str, text: str) -> None:
     _resolve_out(path).write_text(text, encoding="utf-8")
+
+
+def _emit(out, text: str) -> None:
+    """Write text to the --out file if one is given, else to stdout."""
+    if out:
+        _write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _frac_str(x) -> str:
@@ -122,10 +130,7 @@ def _cmd_cover_build(args) -> int:
     tree = None if args.tree == "auto" else _tree_arg(g, args.tree)
     c = build_zm_cover(g, args.m, tree=tree, size_cap=args.size_cap)
     text = json.dumps(cover_document(c), sort_keys=True) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 
@@ -137,10 +142,7 @@ def _cmd_trees_count(args) -> int:
         body.update({"avoiding": list(tc.avoiding), "constant": tc.constant,
                      "N": tc.common})
     text = json.dumps(body, sort_keys=True) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 
@@ -157,36 +159,30 @@ def _cmd_metrics_profile(args) -> int:
     for r in prof.rows:
         rows.append(f"{r.t},{r.pair_count},{_frac_str(r.min_val)},{_frac_str(r.max_val)}")
     text = "\n".join(rows) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 
 def _cmd_embed_export(args) -> int:
     c = load_cover(_read_json(args.cover), size_cap=args.size_cap)
     n = c.graph.vertex_count
+    layout = _edge_block_layout(c)
+    dim = c.base.edge_count * c.m
     if args.format == "json":
         vectors = {str(x): [[coord, d] for coord, d in embed_point_l1(c, x).entries]
                    for x in range(n)}
-        layout = embed_point_l1(c, 0).block_layout
         body = {"m": c.m, "blocks": [list(b) for b in layout],
-                "dim": c.base.edge_count * c.m, "vectors": vectors}
+                "dim": dim, "vectors": vectors}
         text = json.dumps(body, sort_keys=True) + "\n"
     else:
-        layout = embed_point_l1(c, 0).block_layout
         blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
-        lines = [f"# m={c.m} dim={c.base.edge_count * c.m} blocks={blocks}"]
+        lines = [f"# m={c.m} dim={dim} blocks={blocks}"]
         for x in range(n):
             vec = embed_point_l1(c, x)
             parts = [str(x)] + [f"{coord}:{d}" for coord, d in vec.entries]
             lines.append(",".join(parts))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 
@@ -226,10 +222,7 @@ def _cmd_suite_run(args) -> int:
         fault=args.fault,
     )
     report = run_suite(cfg)
-    if args.out:
-        _write_text(args.out, report.to_json())
-    else:
-        sys.stdout.write(report.to_json())
+    _emit(args.out, report.to_json())
     sys.stdout.write(report.summary() + "\n")
     return 0 if report.passed else 1
 

@@ -8,6 +8,12 @@ d_Q(x, y) exactly.  The tree-averaged embedding psi (one block per
 spanning tree and Z_m factor, scaled by 1/N at norm time) is retained as
 a cross-check; both are exact isometries for d_Q.
 
+Every cut coordinate -- `cycle_cut_arc`, `embed_point_l1`,
+`binary_embed_matrix` and `PsiEmbedding` -- comes from one rule,
+`_cut_bits`: bit t of residue k is set iff (k - t) mod m < floor(m/2).
+The per-residue and per-edge loop constructions it replaced are kept as
+independent oracles in tests/test_selects.py.
+
 All coordinates are stored doubled, as integers, so every norm is an
 exact rational with denominator at most 2.
 """
@@ -20,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (LengthMismatch, NonBinaryCoordinates, NonConstantNe,
-                     SizeCapExceeded)
+from .errors import (InvalidParameter, LengthMismatch, NonBinaryCoordinates,
+                     NonConstantNe, SizeCapExceeded)
 from .cover import CoverGraph
 from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees, tree_counts
 
@@ -61,20 +67,40 @@ class HalfIntVector:
         return Fraction(total, 2)
 
 
+def _cut_bits(residues, m: int) -> np.ndarray:
+    """The cut rule: bit t of residue k is set iff (k - t) mod m < floor(m/2).
+
+    Bit t is the arc {t, ..., t + floor(m/2) - 1} of the m-cycle, so the
+    set bits of k are the arcs containing k.  The result has the shape of
+    `residues` plus a last axis of length m, dtype bool.
+    """
+    k = np.asarray(residues, dtype=np.int64)
+    return (k[..., None] - np.arange(m)) % m < m // 2
+
+
+def _cut_vector(bits: np.ndarray, layout) -> HalfIntVector:
+    """Doubled value 1 on the set bits of a (blocks, m) cut-bit array.
+
+    Flattening row-major puts bit t of block b at coordinate b * m + t,
+    already in sorted order.
+    """
+    coords = np.flatnonzero(bits).tolist()
+    return HalfIntVector(tuple((k, 1) for k in coords), bits.size, layout)
+
+
 def cycle_cut_arc(k: int, m: int) -> list[int]:
     """Coordinates t with k in the arc {t, ..., t + floor(m/2) - 1} mod m."""
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InvalidParameter("m must be at least 2")
     if not 0 <= k < m:
-        raise ValueError(f"residue {k} out of range for m = {m}")
-    half = m // 2
-    return sorted((k - j) % m for j in range(half))
+        raise InvalidParameter(f"residue {k} out of range for m = {m}")
+    return np.flatnonzero(_cut_bits(k, m)).tolist()
 
 
 def cycle_cut_embed(k: int, m: int) -> HalfIntVector:
     """Isometric embedding of the m-cycle into l1 via arc cuts."""
-    return HalfIntVector.from_dict({t: 1 for t in cycle_cut_arc(k, m)}, m,
-                                   ((f"cut_m{m}", 0, m),))
+    return HalfIntVector(tuple((t, 1) for t in cycle_cut_arc(k, m)), m,
+                         ((f"cut_m{m}", 0, m),))
 
 
 def _edge_block_layout(c: CoverGraph) -> tuple[tuple[str, int, int], ...]:
@@ -84,26 +110,18 @@ def _edge_block_layout(c: CoverGraph) -> tuple[tuple[str, int, int], ...]:
 def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
     """Per-base-edge cut embedding of a cover vertex.
 
-    l1 distances between images equal d_Q exactly.
+    l1 distances between images equal d_Q exactly.  Built from the one
+    profile row, O(|E(X)| * m), with no (m, m) table.
     """
     prof = c.base_profiles()
     if not 0 <= x < c.graph.vertex_count:
         raise IndexError(f"cover vertex {x} out of range")
-    m = c.m
-    entries = {}
-    for e in range(c.base.edge_count):
-        for t in cycle_cut_arc(int(prof[x, e]), m):
-            entries[e * m + t] = 1
-    return HalfIntVector.from_dict(entries, c.base.edge_count * m,
-                                   _edge_block_layout(c))
+    return _cut_vector(_cut_bits(prof[x], c.m), _edge_block_layout(c))
 
 
 def _arc_table(m: int) -> np.ndarray:
     """Row k is the doubled cycle cut embedding of residue k; (m, m) uint8."""
-    arcs = np.zeros((m, m), dtype=np.uint8)
-    for k in range(m):
-        arcs[k, cycle_cut_arc(k, m)] = 1
-    return arcs
+    return _cut_bits(np.arange(m), m).astype(np.uint8)
 
 
 def binary_embed_matrix(c: CoverGraph) -> np.ndarray:
@@ -171,16 +189,15 @@ class PsiEmbedding:
         self.block_layout = tuple(
             (f"tree{ti}_factor{i}", (ti * self.r + i) * c.m, c.m)
             for ti in range(len(self.trees)) for i in range(self.r))
-        self._arcs = _arc_table(c.m)
 
     def vector(self, x: int) -> HalfIntVector:
-        coords = np.flatnonzero(self._arcs[self.labels[x]])
-        return HalfIntVector(tuple((int(k), 1) for k in coords), self.dim,
-                             self.block_layout)
+        return _cut_vector(_cut_bits(self.labels[x], self.cover.m),
+                           self.block_layout)
 
     def matrix(self) -> np.ndarray:
         """Doubled coordinates for all vertices; shape (|V~|, dim)."""
-        return self._arcs[self.labels].reshape(self.labels.shape[0], self.dim)
+        return _arc_table(self.cover.m)[self.labels].reshape(
+            self.labels.shape[0], self.dim)
 
     def distance(self, x: int, y: int) -> Fraction:
         """(1/N)-weighted l1 distance between psi images."""

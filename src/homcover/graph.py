@@ -484,16 +484,19 @@ _NAMED = {
 }
 
 
+_SIZED = {"cycle": cycle_graph, "complete": complete_graph, "path": path_graph}
+
+
 def named_graph(name: str) -> MultiGraph:
-    """Look up a named test graph; supports cycle:<n> and complete:<n>."""
+    """Look up a named test graph; supports cycle:<n>, complete:<n> and path:<n>.
+
+    A size that is not an integer >= 1 raises ParseError.
+    """
     if name in _NAMED:
         return _NAMED[name]()
-    if ":" in name:
-        kind, _, arg = name.partition(":")
-        if kind == "cycle":
-            return cycle_graph(int(arg))
-        if kind == "complete":
-            return complete_graph(int(arg))
-        if kind == "path":
-            return path_graph(int(arg))
+    kind, _, arg = name.partition(":")
+    if kind in _SIZED:
+        if not arg.isdecimal() or int(arg) < 1:
+            raise ParseError(f"graph size in {name!r} must be an integer >= 1")
+        return _SIZED[kind](int(arg))
     raise ParseError(f"unknown graph name: {name!r}")

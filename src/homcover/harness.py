@@ -316,12 +316,16 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
 
     Check tasks run on a thread pool but results are assembled in a fixed
     order, so the report is identical for any thread count.  An unknown
-    check name raises ParseError before any cover is built.
+    check name, or a fault that names no configured check, raises
+    ParseError before any cover is built.
     """
     for check in cfg.checks:
         if check not in CHECKS:
             raise ParseError(f"unknown check {check!r}; known checks: "
                              f"{', '.join(CHECKS)}")
+    if cfg.fault is not None and cfg.fault not in cfg.checks:
+        raise ParseError(f"fault {cfg.fault!r} names no configured check; "
+                         f"checks: {', '.join(cfg.checks)}")
     covers = {}
     for name in cfg.graphs:
         g = named_graph(name)

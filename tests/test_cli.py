@@ -174,6 +174,20 @@ class TestErrorPaths:
                      "--checks", "compare,nope"]) == 2
         assert "unknown check 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["nope", "l2"])
+    def test_fault_outside_checks(self, fault, capsys):
+        assert main(["suite", "run", "--graphs", "doubled_edge",
+                     "--checks", "compare", "--fault", fault]) == 2
+        assert f"fault {fault!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["cycle:x", "cycle:0", "cycle:-2",
+                                      "complete:x", "complete:0", "path:-1",
+                                      "cycle:"])
+    def test_bad_graph_size(self, name, capsys):
+        assert main(["suite", "run", "--graphs", name,
+                     "--checks", "compare"]) == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+
     def test_endpoint_out_of_range(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"vertices": 2, "edges": [[0, 2]]}))

@@ -6,6 +6,7 @@ import pytest
 from homcover import (MultiGraph, SuiteConfig, build_zm_cover, fingerprint,
                       is_m_congruent, make_congruence_pair, named_graph,
                       run_suite, some_spanning_tree)
+from homcover.errors import ParseError
 from homcover.graph import cycle_graph
 from homcover.trees import _tree_from_edge_set
 
@@ -54,6 +55,17 @@ class TestSuite:
     def test_unknown_check(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(graphs=("k4",), checks=("nope",)))
+
+    @pytest.mark.parametrize("fault,checks", [("nope", ("compare",)),
+                                              ("l2", ("compare",)),
+                                              ("compare", ())])
+    def test_fault_outside_checks_rejected(self, fault, checks, monkeypatch):
+        def no_cover(*args, **kwargs):
+            raise AssertionError("a cover was built")
+        monkeypatch.setattr("homcover.harness.build_zm_cover", no_cover)
+        cfg = SuiteConfig(graphs=("doubled_edge",), checks=checks, fault=fault)
+        with pytest.raises(ParseError, match=repr(fault)):
+            run_suite(cfg)
 
     @pytest.mark.parametrize("check", ["compare", "conglifts", "isometry",
                                        "treeavg", "l2", "girth_growth",

@@ -4,11 +4,18 @@
 `phi_profile(c, x, y)` is the row difference mod m.  The breadth-first
 constructions below walk the cover itself and are kept as independent
 oracles for both, and for the tree-averaged embedding built from them.
+
+Every cut coordinate comes from one vectorised rule, `embed._cut_bits`.
+The per-residue list and the per-edge loop it replaced are kept below as
+oracles for `cycle_cut_arc`, `_arc_table`, `embed_point_l1` and the
+`embed export` text.
 """
 
 import dataclasses
 import itertools
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +25,9 @@ from hypothesis import strategies as st
 from homcover import (MultiGraph, PsiEmbedding, build_zm_cover, cloud_map,
                       cycle_graph, enumerate_spanning_trees, named_graph,
                       phi_profile)
-from homcover.embed import cycle_cut_arc
-from homcover.errors import NotSpanningTree
+from homcover.cli import cover_document, main
+from homcover.embed import _arc_table, cycle_cut_arc, embed_point_l1
+from homcover.errors import InvalidParameter, NotSpanningTree
 
 from conftest import two_edge_connected_multigraphs
 
@@ -81,6 +89,23 @@ def bfs_phi_profile(c, x, y):
     return tuple(int(v) for v in counts % c.m)
 
 
+def oracle_cycle_cut_arc(k, m):
+    """The floor(m/2) arcs containing residue k, listed one by one."""
+    return sorted((k - j) % m for j in range(m // 2))
+
+
+def oracle_embed_point_l1(c, x):
+    """(entries, dim, block_layout) of embed_point_l1, one base edge at a time."""
+    prof = c.base_profiles()
+    m = c.m
+    entries = {}
+    for e in range(c.base.edge_count):
+        for t in oracle_cycle_cut_arc(int(prof[x, e]), m):
+            entries[e * m + t] = 1
+    layout = tuple((f"edge{e}", e * m, m) for e in range(c.base.edge_count))
+    return tuple(sorted(entries.items())), c.base.edge_count * m, layout
+
+
 def per_tree_psi(c, trees):
     """The tree-averaged embedding assembled one tree block at a time.
 
@@ -99,13 +124,13 @@ def per_tree_psi(c, trees):
             for i in range(r):
                 start = (ti * r + i) * m
                 layout.append((f"tree{ti}_factor{i}", start, m))
-                for t in cycle_cut_arc(int(lab[x, i]), m):
+                for t in oracle_cycle_cut_arc(int(lab[x, i]), m):
                     entries[start + t] = 1
         return tuple(sorted(entries.items())), dim, tuple(layout)
 
     arcs = np.zeros((m, m), dtype=np.uint8)
     for k in range(m):
-        arcs[k, cycle_cut_arc(k, m)] = 1
+        arcs[k, oracle_cycle_cut_arc(k, m)] = 1
     lab = np.concatenate(labels, axis=1)
     matrix = arcs[lab.reshape(-1)].reshape(lab.shape[0], dim)
     return vector, matrix
@@ -231,3 +256,80 @@ class TestPsiGather:
         for x in random.Random(3).sample(range(c.graph.vertex_count), 5):
             v = psi.vector(x)
             assert (v.entries, v.dim, v.block_layout) == vector(x)
+
+
+class TestCutRule:
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_arc_and_table_match_oracle(self, m):
+        table = np.zeros((m, m), dtype=np.uint8)
+        for k in range(m):
+            want = oracle_cycle_cut_arc(k, m)
+            got = cycle_cut_arc(k, m)
+            assert got == want and all(type(t) is int for t in got)
+            table[k, want] = 1
+        got = _arc_table(m)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, table)
+
+    @pytest.mark.parametrize("k,m", [(0, 1), (3, 3), (-1, 3), (5, 4)])
+    def test_range_errors_are_typed(self, k, m):
+        with pytest.raises(InvalidParameter):
+            cycle_cut_arc(k, m)
+
+
+def assert_embeds_like_oracle(c, vertices):
+    for x in vertices:
+        v = embed_point_l1(c, x)
+        assert (v.entries, v.dim, v.block_layout) == oracle_embed_point_l1(c, x)
+
+
+class TestEmbedPointL1:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["doubled_edge", "k4", "c5"])
+    def test_every_vertex(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        assert_embeds_like_oracle(c, range(c.graph.vertex_count))
+
+    def test_wide_residues(self):
+        c = build_zm_cover(named_graph("c5"), 257)
+        assert_embeds_like_oracle(c, range(c.graph.vertex_count))
+
+    def test_largest_modulus_needs_no_square_table(self):
+        m = 1 << 16
+        c = build_zm_cover(cycle_graph(1), m)
+        c.base_profiles()
+        tracemalloc.start()
+        try:
+            assert_embeds_like_oracle(c, [0, 1, m // 2, m - 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an (m, m) table would be 4 GiB; one (|E|, m) row is a few MB
+        assert peak < 64 << 20
+
+
+def oracle_export_text(c, fmt):
+    """The `embed export` text of a cover, built from the oracle vectors."""
+    n = c.graph.vertex_count
+    _, dim, layout = oracle_embed_point_l1(c, 0)
+    if fmt == "json":
+        vectors = {str(x): [list(p) for p in oracle_embed_point_l1(c, x)[0]]
+                   for x in range(n)}
+        body = {"m": c.m, "blocks": [list(b) for b in layout], "dim": dim,
+                "vectors": vectors}
+        return json.dumps(body, sort_keys=True) + "\n"
+    blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
+    lines = [f"# m={c.m} dim={dim} blocks={blocks}"]
+    for x in range(n):
+        entries = oracle_embed_point_l1(c, x)[0]
+        lines.append(",".join([str(x)] + [f"{k}:{d}" for k, d in entries]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_embed_export_golden(fmt, tmp_path, capsys):
+    c = build_zm_cover(named_graph("k4"), 3)
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover_document(c)))
+    assert main(["embed", "export", "--cover", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == oracle_export_text(c, fmt)
