@@ -9,6 +9,7 @@ per-edge tree-avoidance count N_e to be constant.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,21 +43,29 @@ def d_q(c: CoverGraph, x: int, y: int) -> int:
     n = c.graph.vertex_count
     if not 0 <= x < n or not 0 <= y < n:
         raise IndexError("cover vertex out of range")
-    diff = (prof[y].astype(np.int64) - prof[x].astype(np.int64)) % c.m
-    return int(np.minimum(diff, c.m - diff).sum())
+    return int(_cyclic_distance(prof[x], prof[y], c.m).sum(dtype=np.int64))
 
 
 def d_q_from(c: CoverGraph, x: int) -> np.ndarray:
     """d_Q from x to every cover vertex, as one vectorised row."""
     prof = c.base_profiles()
-    wide = _signed(prof.dtype)
-    diff = (prof.astype(wide) - prof[x].astype(wide)) % c.m
-    return np.minimum(diff, c.m - diff).sum(axis=1, dtype=np.int64)
+    # einsum's row sum is about twice as fast as sum(axis=1) on these
+    # short |E(X)|-long rows
+    return np.einsum("ij->i", _cyclic_distance(prof, prof[x], c.m),
+                     dtype=np.int64)
 
 
-def _signed(residues: np.dtype) -> np.dtype:
-    """Signed dtype wide enough for differences of two residues."""
-    return np.promote_types(residues, np.int8)
+def _cyclic_distance(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """min(z, m - z) for z = |a - b|, elementwise over residues mod m.
+
+    Stays in the unsigned residue dtype: m - z is taken as (m - 1 - z) + 1,
+    where m - 1 always fits.  At m = 2**bits the + 1 wraps z = 0 to 0,
+    which is min(0, m) anyway.
+    """
+    z = np.maximum(a, b)
+    z -= np.minimum(a, b)
+    np.minimum(z, (m - 1) - z + 1, out=z)
+    return z
 
 
 @dataclass(frozen=True)
@@ -114,9 +123,8 @@ def tree_average_numerators(c: CoverGraph,
     m = c.m
     for tree in enumerate_spanning_trees(c.base, cap):
         lab = cloud_map(c, tree)
-        lab = lab.astype(_signed(lab.dtype))
-        diff = (lab[:, None, :] - lab[None, :, :]) % m
-        total += np.minimum(diff, m - diff).sum(axis=2, dtype=np.int64)
+        total += _cyclic_distance(lab[:, None, :], lab[None, :, :],
+                                  m).sum(axis=2, dtype=np.int64)
     return total, counts.common
 
 
@@ -128,10 +136,11 @@ class CompareReport:
     """Outcome of checking the girth comparison between d and d_Q.
 
     Violations are data, not exceptions; all three counts must be zero
-    for the cover to verify.
+    for the cover to verify.  `girth_base` is math.inf for a base with no
+    cycle, where every pair is below the girth and d_Q must equal d.
     """
 
-    girth_base: int
+    girth_base: int | float
     pairs_checked: int = 0
     iff_violations: int = 0
     equality_violations: int = 0
@@ -150,17 +159,21 @@ def _default_sources(c: CoverGraph, sources) -> list[int]:
     return list(sources)
 
 
+#: Sources whose BFS rows are held at once.
+_ROW_CHUNK = 32
+
+
 def _fiber_rows(c: CoverGraph, srcs: list[int], with_dq: bool = True):
     """Yield (source, d row, d_Q row or None) for each source, in order.
 
-    Per 32-source chunk, BFS and d_Q rows are computed once for each
-    distinct fiber representative (v, 0); the rows of (v, k) are the
+    Per chunk of _ROW_CHUNK sources, BFS and d_Q rows are computed once for
+    each distinct fiber representative (v, 0); the rows of (v, k) are the
     representative's rows gathered through c.deck_permutation(k).
     """
     deck = c.deck_size
     n_base = c.base.vertex_count
-    for lo in range(0, len(srcs), 32):
-        chunk = srcs[lo:lo + 32]
+    for lo in range(0, len(srcs), _ROW_CHUNK):
+        chunk = srcs[lo:lo + _ROW_CHUNK]
         fibers = list(dict.fromkeys(s // deck for s in chunk))
         reps = [v * deck for v in fibers]
         dmat = bfs_distance_matrix(c.graph, reps)
@@ -183,7 +196,7 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
     `_dq_perturb` is a fault-injection hook for harness self-tests only.
     """
     g0 = girth(c.base)
-    report = CompareReport(girth_base=int(g0))
+    report = CompareReport(girth_base=g0)
     for s, d_row, dq_row in _fiber_rows(c, _default_sources(c, sources)):
         if _dq_perturb:
             dq_row = dq_row + np.where(np.arange(len(dq_row)) != s,
@@ -236,27 +249,42 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     mode "dq" compares d_Q; mode "l2" compares the squared Euclidean
     distance of the binary embedding images (kept squared so the profile
     stays in exact integers).
+
+    In mode "dq" each distinct fiber is reduced once: a deck translation
+    permutes a source's d and d_Q rows together, so every source in the
+    fiber of v has the (d, d_Q) pair multiset of the representative (v, 0).
     """
     if mode not in ("dq", "l2"):
         raise ValueError(f"unknown mode {mode!r}")
     srcs = _default_sources(c, sources)
-    binary = None
-    if mode == "l2":
-        from .embed import binary_embed_matrix
-        binary = binary_embed_matrix(c)
     diam_bound = c.graph.vertex_count + 1
     mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)
     maxs = np.full(diam_bound, -1, dtype=np.int64)
     counts = np.zeros(diam_bound, dtype=np.int64)
-    for s, d_row, val in _fiber_rows(c, srcs, with_dq=mode == "dq"):
-        if mode == "l2":
+    if mode == "dq":
+        fibers = list(Counter(s // c.deck_size for s in srcs).items())
+        for lo in range(0, len(fibers), _ROW_CHUNK):
+            chunk = [(v * c.deck_size, weight)
+                     for v, weight in fibers[lo:lo + _ROW_CHUNK]]
+            dmat = bfs_distance_matrix(c.graph, [x for x, _ in chunk])
+            for (x, weight), d_row in zip(chunk, dmat):
+                _reduce_row(counts, mins, maxs, d_row, d_q_from(c, x), weight)
+    else:
+        from .embed import binary_embed_matrix
+        binary = binary_embed_matrix(c)
+        for s, d_row, _ in _fiber_rows(c, srcs, with_dq=False):
             # squared Euclidean distance of 0/1 vectors = Hamming; taken
             # directly, since this row is what the l2 profile tests
             val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
-        counts += np.bincount(d_row, minlength=diam_bound)
-        np.minimum.at(mins, d_row, val)
-        np.maximum.at(maxs, d_row, val)
+            _reduce_row(counts, mins, maxs, d_row, val, 1)
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))
                  for t in range(diam_bound) if counts[t] > 0)
     return CompressionProfile("dQ_vs_d" if mode == "dq" else "l2_vs_d", rows)
+
+
+def _reduce_row(counts, mins, maxs, d_row, val, weight):
+    """Fold `weight` sources with this (d, value) row into the profile."""
+    counts += weight * np.bincount(d_row, minlength=counts.size)
+    np.minimum.at(mins, d_row, val)
+    np.maximum.at(maxs, d_row, val)

@@ -74,6 +74,18 @@ def girth_oracle(g: MultiGraph):
 
 
 @st.composite
+def multigraphs(draw, max_vertices=12, max_edges=24):
+    """Multigraphs with loops, parallel edges, isolated vertices and any
+    number of components."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=max_edges))
+    if edges and draw(st.booleans()):
+        edges.append(edges[0])  # a parallel pair, or a doubled loop
+    return MultiGraph(n, edges)
+
+
+@st.composite
 def connected_multigraphs(draw, max_vertices=6, max_extra_edges=5):
     """Small connected multigraphs: a random spanning tree plus extras."""
     n = draw(st.integers(min_value=2, max_value=max_vertices))

@@ -1,0 +1,153 @@
+"""The bit-parallel BFS engine against two independent oracles.
+
+`bfs_distance_matrix` runs up to 64 sources per pass, one bit each, and
+switches between pulling at every vertex and pushing from the frontier.
+The oracles know nothing of either: a pure-Python deque BFS over
+`adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import homcover
+from homcover import (MultiGraph, bfs_distance_matrix, build_zm_cover,
+                      named_graph)
+from homcover.graph import UNREACHABLE
+
+from conftest import multigraphs
+
+#: Source counts at and around the 64-source pass boundaries.
+CHUNK_EDGES = (0, 1, 63, 64, 65, 130)
+
+
+def deque_oracle(g: MultiGraph, sources) -> np.ndarray:
+    out = np.full((len(sources), g.vertex_count), UNREACHABLE, dtype=np.int64)
+    for i, s in enumerate(sources):
+        out[i, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for _e, _d, w in g.adjacency_of(u):
+                if out[i, w] == UNREACHABLE:
+                    out[i, w] = out[i, u] + 1
+                    queue.append(w)
+    return out
+
+
+def scipy_oracle(g: MultiGraph, sources) -> np.ndarray:
+    from scipy.sparse.csgraph import shortest_path
+    out = np.empty((len(sources), g.vertex_count), dtype=np.int64)
+    if len(sources):
+        d = np.atleast_2d(shortest_path(g.spmatrix(), method="D",
+                                        unweighted=True, indices=sources))
+        d[np.isinf(d)] = UNREACHABLE  # 2**62 is exact in float64
+        out[:] = d
+    return out
+
+
+@st.composite
+def graphs_and_sources(draw):
+    g = draw(multigraphs())
+    count = draw(st.one_of(st.sampled_from(CHUNK_EDGES),
+                           st.integers(min_value=0, max_value=8)))
+    ids = st.integers(min_value=0, max_value=g.vertex_count - 1)
+    return g, draw(st.lists(ids, min_size=count, max_size=count))
+
+
+@given(graphs_and_sources())
+@settings(max_examples=150, deadline=None)
+def test_matches_deque_oracle(case):
+    g, sources = case
+    assert np.array_equal(bfs_distance_matrix(g, sources),
+                          deque_oracle(g, sources))
+
+
+@given(graphs_and_sources())
+@settings(max_examples=150, deadline=None)
+def test_matches_scipy_oracle(case):
+    g, sources = case
+    got = bfs_distance_matrix(g, sources)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, scipy_oracle(g, sources))
+
+
+@pytest.mark.parametrize("count", CHUNK_EDGES)
+def test_chunk_boundaries(count):
+    rng = random.Random(count)
+    # 90 vertices and 70 edges: many components and isolated vertices
+    edges = [(rng.randrange(90), rng.randrange(90)) for _ in range(70)]
+    g = MultiGraph(90, edges + edges[:3] + [(0, 0)])
+    sources = [rng.randrange(g.vertex_count) for _ in range(count)]
+    sources[:2] = [5, 5][:count]  # a duplicate inside the first pass
+    got = bfs_distance_matrix(g, sources)
+    assert got.shape == (count, g.vertex_count) and got.dtype == np.int64
+    assert np.array_equal(got, scipy_oracle(g, sources))
+    assert np.array_equal(got, deque_oracle(g, sources))
+
+
+def test_trailing_arcless_vertices():
+    # the pulled segments must end at the last arc, not one before it
+    g = MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    sources = list(range(8))  # a frontier holding every arc: the first level pulls
+    assert np.array_equal(bfs_distance_matrix(g, sources),
+                          deque_oracle(g, sources))
+
+
+@pytest.mark.parametrize("name,m", [("petersen", 3), ("k4", 3)])
+def test_cover_rows_push_and_pull(name, m):
+    # large frontiers pull, small ones push: a cover level has both
+    c = build_zm_cover(named_graph(name), m)
+    rng = random.Random(m)
+    sources = rng.sample(range(c.graph.vertex_count), 65)
+    assert np.array_equal(bfs_distance_matrix(c.graph, sources),
+                          scipy_oracle(c.graph, sources))
+
+
+def test_long_cycle():
+    # thousands of levels, each pushing a two-vertex frontier
+    n = 4001
+    g = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    sources = [0, 1, 2000, n - 1]
+    gap = np.abs(np.arange(n)[None, :] - np.array(sources)[:, None])
+    assert np.array_equal(bfs_distance_matrix(g, sources),
+                          np.minimum(gap, n - gap))
+
+
+def test_zero_vertex_graph():
+    g = MultiGraph(0)
+    got = bfs_distance_matrix(g, [])
+    assert got.shape == (0, 0) and got.dtype == np.int64
+    with pytest.raises(IndexError):
+        bfs_distance_matrix(g, [0])
+
+
+def test_no_arcs():
+    g = MultiGraph(3)
+    assert bfs_distance_matrix(g, [2, 0, 2]).tolist() == [
+        [UNREACHABLE, UNREACHABLE, 0],
+        [0, UNREACHABLE, UNREACHABLE],
+        [UNREACHABLE, UNREACHABLE, 0]]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_source(bad):
+    with pytest.raises(IndexError):
+        bfs_distance_matrix(MultiGraph(4, [(0, 1)]), [0, bad])
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    src = os.path.dirname(os.path.dirname(homcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, homcover; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "scipy.sparse" not in out

@@ -128,6 +128,13 @@ class TestVerbs:
                      "--m", "3", "--samples", "10", "--fault", "compare"])
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["complete:1", "path:1"])
+    def test_suite_compare_base_without_cycle(self, name, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["suite", "run", "--graphs", name, "--checks", "compare",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["overall"] == "pass"
+
     def test_suite_thread_invariance(self, tmp_path):
         outs = []
         for threads in ("1", "3"):

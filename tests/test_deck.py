@@ -176,3 +176,22 @@ def test_out_of_range_source_rejected():
     for bad in (-1, c.graph.vertex_count):
         with pytest.raises(IndexError):
             verify_compare(c, [0, bad])
+
+
+def test_compression_profile_many_fibers():
+    # 40 fibers cross the 32-representative chunk; repeats weigh a fiber
+    c = build_zm_cover(named_graph("cycle:40"), 3)
+    n = c.graph.vertex_count
+    rng = random.Random(40)
+    for sources in (list(range(n)), rng.choices(range(n), k=90)):
+        prof = compression_profile(c, sources, "dq")
+        got = [(r.t, r.pair_count, r.min_val, r.max_val) for r in prof.rows]
+        assert got == profile_oracle(c, sources, "dq")
+
+
+@pytest.mark.parametrize("mode", ["dq", "l2"])
+def test_compression_profile_out_of_range_source(mode):
+    c = build_zm_cover(named_graph("k4"), 3)
+    for bad in (-1, c.graph.vertex_count):
+        with pytest.raises(IndexError):
+            compression_profile(c, [0, bad], mode)

@@ -11,8 +11,10 @@ from homcover import (MultiGraph, ParseError, Walk, bfs_distance_matrix,
                       is_connected, is_two_edge_connected, load_graph,
                       named_graph, path_graph, reverse_walk)
 from homcover.errors import PathMismatch, SizeCapExceeded
+from homcover.graph import _has_parallel_pair
 
-from conftest import connected_multigraphs, girth_oracle, to_networkx
+from conftest import (connected_multigraphs, girth_oracle, multigraphs,
+                      to_networkx)
 
 
 class TestDocumentRoundTrip:
@@ -132,6 +134,15 @@ class TestGirth:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, g):
         assert girth(g) == girth_oracle(g)
+
+    @given(multigraphs(max_vertices=8, max_edges=12))
+    @settings(max_examples=150, deadline=None)
+    def test_parallel_pair_matches_unique_oracle(self, g):
+        mask = g.tails != g.heads
+        lo = np.minimum(g.tails[mask], g.heads[mask])
+        hi = np.maximum(g.tails[mask], g.heads[mask])
+        code = lo * g.vertex_count + hi
+        assert _has_parallel_pair(g) == (len(np.unique(code)) < len(code))
 
 
 class TestConnectivity:

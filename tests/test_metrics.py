@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from homcover import (MultiGraph, build_zm_cover, compression_profile,
                       d_T_distance, d_q, d_q_from, d_q_tree_average,
                       named_graph, tree_average_numerators, verify_compare)
+from homcover.cover import _residue_dtype
 from homcover.errors import LengthMismatch, NonConstantNe
 from homcover.graph import bfs_distance_matrix
+from homcover.metrics import _cyclic_distance
 
 from conftest import two_edge_connected_multigraphs
 
@@ -86,6 +88,40 @@ class TestDQ:
                 c.base_profiles()[x] == c.base_profiles()[y]).all()
 
 
+def signed_mod_row(c, x):
+    """d_Q row through a signed difference taken mod m."""
+    prof = c.base_profiles().astype(np.int64)
+    diff = (prof - prof[x]) % c.m
+    return np.minimum(diff, c.m - diff).sum(axis=1)
+
+
+class TestResidueWidth:
+    """d_Q stays in the unsigned residue dtype, whose top value is m - 1:
+    uint8 up to m = 256 and uint16 up to m = 65,536."""
+
+    MODULI = (2, 3, 4, 5, 255, 256, 257, 65536)
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_row_matches_signed_mod(self, double, m):
+        c = build_zm_cover(double, m)  # 2m vertices, residues 0..m-1
+        n = c.graph.vertex_count
+        for x in sorted({0, 1, m // 2, m - 1, m, n - 1}):
+            want = signed_mod_row(c, x)
+            row = d_q_from(c, x)
+            assert row.dtype == np.int64 and np.array_equal(row, want)
+            for y in (0, m // 2, m - 1, n - 1):
+                assert d_q(c, x, y) == int(want[y])
+
+    @pytest.mark.parametrize("m", MODULI)
+    def test_every_residue_pair(self, m):
+        vals = np.arange(m) if m <= 257 else np.array(
+            [0, 1, 2, m // 2 - 1, m // 2, m // 2 + 1, m - 2, m - 1])
+        a = vals.astype(_residue_dtype(m))
+        got = _cyclic_distance(a[:, None], a[None, :], m).astype(np.int64)
+        z = (vals[:, None] - vals[None, :]) % m
+        assert np.array_equal(got, np.minimum(z, m - z))
+
+
 class TestTreeAverage:
     def test_k4_random_pairs(self, k4):
         c = build_zm_cover(k4, 3)
@@ -154,6 +190,13 @@ class TestCompare:
         assert not rep.passed
         assert rep.monotone_violations > 0
         assert len(rep.details) > 0
+
+    @pytest.mark.parametrize("name", ["complete:1", "path:1"])
+    def test_base_without_cycle(self, name):
+        # infinite base girth: every pair is below it, so d_Q must equal d
+        rep = verify_compare(build_zm_cover(named_graph(name), 3))
+        assert rep.girth_base == math.inf
+        assert rep.pairs_checked == 1 and rep.passed
 
     @given(two_edge_connected_multigraphs())
     @settings(max_examples=15, deadline=None)
