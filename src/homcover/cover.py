@@ -7,7 +7,8 @@ the lift of cotree generator i adds one to the i-th Z_m coordinate.
 
 Vertex (v, k) is stored at index v * m^r + rank(k) where rank is the
 mixed-radix value of k, little-endian in cotree order; edge (e, k) is
-stored at index e * m^r + rank(k).
+stored at index e * m^r + rank(k).  `_shift` is the one rule that moves a
+label digit of a rank: edge heads, deck permutations and lifts all use it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, _girth_from_roots,
                     is_two_edge_connected)
-from .trees import SpanningTree, _tree_from_edge_set, some_spanning_tree
+from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
+                    some_spanning_tree, tree_counts)
 
 #: Largest supported m: residues are stored as uint8 up to m = 256 and as
 #: uint16 up to this bound.
@@ -30,6 +32,13 @@ MAX_M = 1 << 16
 def _residue_dtype(m: int) -> np.dtype:
     """Narrowest unsigned dtype holding every residue mod m."""
     return np.dtype(np.uint8 if m <= 256 else np.uint16)
+
+
+def _shift(rank, stride: int, m: int, delta: int):
+    """Label rank(s) `rank` with the digit of weight `stride` (m**i for
+    cotree position i) moved by `delta` mod m."""
+    digit = (rank // stride) % m
+    return rank + ((digit + delta) % m - digit) * stride
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,9 @@ class CoverGraph:
         self.deck_size = m ** self.r
         self.graph = graph
         self.basepoint = 0  # vertex (0, 0)
-        self._cotree_pos = {e: i for i, e in enumerate(self.cotree)}
+        self._cotree_stride = {e: m ** i for i, e in enumerate(self.cotree)}
         self._profiles = None
+        self._tree_counts = None
 
     # -- index bijections ------------------------------------------------
 
@@ -142,6 +152,12 @@ class CoverGraph:
             self._profiles = prof
         return self._profiles
 
+    def tree_counts(self) -> TreeCounts:
+        """tree_counts(base), computed once per cover."""
+        if self._tree_counts is None:
+            self._tree_counts = tree_counts(self.base)
+        return self._tree_counts
+
     # -- deck group ----------------------------------------------------------
 
     def deck_permutation(self, k: int) -> np.ndarray:
@@ -152,11 +168,9 @@ class CoverGraph:
         rows from (v, 0) gathered through perm within each fiber:
         ``row.reshape(|V(X)|, deck_size)[:, perm].ravel()``.
         """
-        ranks = np.arange(self.deck_size, dtype=np.int64)
-        perm = np.zeros(self.deck_size, dtype=np.int64)
+        perm = np.arange(self.deck_size, dtype=np.int64)
         for i, shift in enumerate(self.label_of(k)):
-            stride = self.m ** i
-            perm += ((ranks // stride - shift) % self.m) * stride
+            perm = _shift(perm, self.m ** i, self.m, -shift)
         return perm
 
     def __repr__(self):
@@ -186,7 +200,7 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     if n_cover > size_cap:
         raise SizeCapExceeded(
             f"cover would have {n_cover} vertices, cap is {size_cap}")
-    cotree_pos = {e: i for i, e in enumerate(tree.cotree)}
+    stride = {e: m ** i for i, e in enumerate(tree.cotree)}
     ranks = np.arange(deck, dtype=np.int64)
     tails = np.empty(g.edge_count * deck, dtype=np.int64)
     heads = np.empty(g.edge_count * deck, dtype=np.int64)
@@ -194,13 +208,8 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
         t, h = g.endpoints(e)
         lo = e * deck
         tails[lo:lo + deck] = t * deck + ranks
-        if e in cotree_pos:
-            stride = m ** cotree_pos[e]
-            digit = (ranks // stride) % m
-            shifted = ranks + np.where(digit < m - 1, stride, -(m - 1) * stride)
-            heads[lo:lo + deck] = h * deck + shifted
-        else:
-            heads[lo:lo + deck] = h * deck + ranks
+        heads[lo:lo + deck] = h * deck + (
+            _shift(ranks, stride[e], m, 1) if e in stride else ranks)
     cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
     return CoverGraph(g, m, tree, cover_graph)
 
@@ -231,32 +240,25 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
     """Lift a base walk to the cover starting at `start`.
 
     Returns (endpoint, cover edge ids of the lift).  The start vertex must
-    lie over the walk's origin.
+    lie over the walk's origin.  The lift carries the current label rank.
     """
-    v, label = c.decode_vertex(start)
+    if not 0 <= start < c.graph.vertex_count:
+        raise IndexError(f"cover vertex {start} out of range")
+    deck = c.deck_size
+    v, rank = divmod(int(start), deck)
     if v != base_walk.start:
         raise PathMismatch(
             f"start vertex lies over {v}, walk begins at {base_walk.start}")
-    base_walk.vertices(c.base)  # validates contiguity
-    g = c.base
-    m = c.m
-    label = list(label)
-    cur = v
+    verts = base_walk.vertices(c.base)  # validates contiguity
     edges = []
     for e, d in base_walk.steps:
-        t, h = g.endpoints(e)
-        pos = c._cotree_pos.get(e)
-        if d == 1:
-            edges.append(c.encode_edge(e, label))
-            if pos is not None:
-                label[pos] = (label[pos] + 1) % m
-            cur = h
-        else:
-            if pos is not None:
-                label[pos] = (label[pos] - 1) % m
-            edges.append(c.encode_edge(e, label))
-            cur = t
-    return c.encode_vertex(cur, label), edges
+        stride = c._cotree_stride.get(e)
+        if stride is not None and d == -1:
+            rank = _shift(rank, stride, c.m, -1)
+        edges.append(e * deck + rank)
+        if stride is not None and d == 1:
+            rank = _shift(rank, stride, c.m, 1)
+    return verts[-1] * deck + rank, edges
 
 
 # -- clouds ---------------------------------------------------------------

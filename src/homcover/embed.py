@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (InvalidParameter, LengthMismatch, NonBinaryCoordinates,
                      NonConstantNe, SizeCapExceeded)
 from .cover import CoverGraph
-from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees, tree_counts
+from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class PsiEmbedding:
     """
 
     def __init__(self, c: CoverGraph, cap: int = DEFAULT_TREE_CAP):
-        counts = tree_counts(c.base)
+        counts = c.tree_counts()
         if not counts.constant or counts.common in (None, 0):
             raise NonConstantNe("psi requires constant nonzero N_e")
         self.cover = c

@@ -26,7 +26,7 @@ from .errors import CapExceeded, HomcoverError, ParseError
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
                     girth, named_graph, reverse_walk)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
-from .trees import DEFAULT_TREE_CAP, SpanningTree, tree_counts
+from .trees import DEFAULT_TREE_CAP, SpanningTree
 
 DEFAULT_CHECKS = ("compare", "conglifts", "isometry", "treeavg", "l2",
                   "girth_growth", "ne_constant")
@@ -34,6 +34,10 @@ DEFAULT_GRAPHS = ("doubled_edge", "k4", "c5", "petersen")
 
 #: Covers above this size are sampled instead of checked exhaustively.
 SAMPLE_THRESHOLD = 2_000
+
+#: Note of the checks that need a cycle in the base: the only connected,
+#: bridgeless base with r = 0 is the one vertex with no edges.
+_ACYCLIC_NOTE = "skipped: base has no cycle"
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,8 @@ def check_compare(c: CoverGraph, instance: str, samples: int, seed: int,
 
 def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
                     fault: bool = False) -> CheckRecord:
+    if c.r == 0:
+        return CheckRecord("conglifts", instance, 0, 0, note=_ACYCLIC_NOTE)
     rng = random.Random(seed)
     g = c.base
     tree = c.tree0
@@ -278,6 +284,8 @@ def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
 
 def check_girth_growth(c: CoverGraph, instance: str,
                        fault: bool = False) -> CheckRecord:
+    if c.r == 0:
+        return CheckRecord("girth_growth", instance, 0, 0, note=_ACYCLIC_NOTE)
     g_base = girth(c.base)
     g_cover = cover_girth(c)
     if fault:
@@ -289,7 +297,7 @@ def check_girth_growth(c: CoverGraph, instance: str,
 
 def check_ne_constant(c: CoverGraph, instance: str,
                       fault: bool = False) -> CheckRecord:
-    constant = tree_counts(c.base).constant
+    constant = c.tree_counts().constant
     if fault:
         constant = not constant
     return CheckRecord("ne_constant", instance, 1, 0 if constant else 1)

@@ -9,7 +9,6 @@ per-edge tree-avoidance count N_e to be constant.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,10 +19,7 @@ from .errors import CapExceeded, LengthMismatch, NonConstantNe
 from .graph import bfs_distance_matrix, girth
 from .cover import CoverGraph, cloud_map
 from .trees import (DEFAULT_TREE_CAP, enumerate_spanning_trees,
-                    sample_uniform_tree, tree_counts)
-
-#: Covers at or below this vertex count get exhaustive all-pairs checks.
-EXHAUSTIVE_LIMIT = 20_000
+                    sample_uniform_tree)
 
 
 def d_T_distance(a, b, m: int) -> int:
@@ -85,7 +81,7 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
     with `sample` set, a seeded uniform-tree sample is used instead and
     the (tau/N)-scaled sample mean is returned.
     """
-    counts = tree_counts(c.base)
+    counts = c.tree_counts()
     if not counts.constant or counts.common in (None, 0):
         raise NonConstantNe("tree average requires constant nonzero N_e")
     n_avoid = counts.common
@@ -115,7 +111,7 @@ def tree_average_numerators(c: CoverGraph,
     Returns (S, N) with S[x, y] = sum_T d_T(C^T_x, C^T_y); the exact tree
     average for a pair is S[x, y] / N.  Intended for small covers.
     """
-    counts = tree_counts(c.base)
+    counts = c.tree_counts()
     if not counts.constant or counts.common in (None, 0):
         raise NonConstantNe("tree average requires constant nonzero N_e")
     n = c.graph.vertex_count
@@ -159,33 +155,35 @@ def _default_sources(c: CoverGraph, sources) -> list[int]:
     return list(sources)
 
 
-#: Sources whose BFS rows are held at once.
+#: Fiber representatives whose BFS rows are held at once.
 _ROW_CHUNK = 32
 
 
-def _fiber_rows(c: CoverGraph, srcs: list[int], with_dq: bool = True):
-    """Yield (source, d row, d_Q row or None) for each source, in order.
-
-    Per chunk of _ROW_CHUNK sources, BFS and d_Q rows are computed once for
-    each distinct fiber representative (v, 0); the rows of (v, k) are the
-    representative's rows gathered through c.deck_permutation(k).
+def _fibers(c: CoverGraph, srcs: list[int]):
+    """Per distinct fiber of the whole source list, yield (representative
+    (v, 0), its BFS row, label ranks of its sources, repeats kept).  Deck
+    translations keep d and d_Q, so (v, k) has the representative's rows
+    gathered through c.deck_permutation(k).
     """
-    deck = c.deck_size
-    n_base = c.base.vertex_count
-    for lo in range(0, len(srcs), _ROW_CHUNK):
-        chunk = srcs[lo:lo + _ROW_CHUNK]
-        fibers = list(dict.fromkeys(s // deck for s in chunk))
-        reps = [v * deck for v in fibers]
-        dmat = bfs_distance_matrix(c.graph, reps)
-        dq = [d_q_from(c, x) for x in reps] if with_dq else None
-        for s in chunk:
-            v, k = divmod(s, deck)
-            i = fibers.index(v)
-            perm = c.deck_permutation(k)
-            d_row = dmat[i].reshape(n_base, deck)[:, perm].ravel()
-            dq_row = (dq[i].reshape(n_base, deck)[:, perm].ravel()
-                      if with_dq else None)
-            yield s, d_row, dq_row
+    fibers = {}
+    for s in srcs:
+        fibers.setdefault(s - s % c.deck_size, []).append(s % c.deck_size)
+    groups = list(fibers.items())
+    for lo in range(0, len(groups), _ROW_CHUNK):
+        chunk = groups[lo:lo + _ROW_CHUNK]
+        dmat = bfs_distance_matrix(c.graph, [rep for rep, _ in chunk])
+        for (rep, ranks), d_row in zip(chunk, dmat):
+            yield rep, d_row, ranks
+
+
+def _compare_row(c: CoverGraph, x: int, d_row: np.ndarray, g0, perturb: int):
+    """d_Q row from x (perturbed off x) and verify_compare's three masks."""
+    dq_row = d_q_from(c, x)
+    if perturb:
+        dq_row = dq_row + np.where(np.arange(len(dq_row)) != x, perturb, 0)
+    below = d_row < g0
+    return dq_row, (dq_row > d_row, (dq_row < g0) != below,
+                    below & (dq_row != d_row))
 
 
 def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
@@ -193,25 +191,32 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
     """Check, over (source, all-target) pairs, that d_Q <= d, that
     d_Q < girth iff d < girth, and that below the girth the metrics agree.
 
+    Counts come from each distinct fiber's rows, weighed by its source
+    count; details from the own rows of the first violating sources.
+
     `_dq_perturb` is a fault-injection hook for harness self-tests only.
     """
     g0 = girth(c.base)
     report = CompareReport(girth_base=g0)
-    for s, d_row, dq_row in _fiber_rows(c, _default_sources(c, sources)):
-        if _dq_perturb:
-            dq_row = dq_row + np.where(np.arange(len(dq_row)) != s,
-                                       _dq_perturb, 0)
-        report.pairs_checked += len(d_row)
-        mono = dq_row > d_row
-        iff = (dq_row < g0) != (d_row < g0)
-        below = d_row < g0
-        eq = below & (dq_row != d_row)
-        report.monotone_violations += int(mono.sum())
-        report.iff_violations += int(iff.sum())
-        report.equality_violations += int(eq.sum())
-        if len(report.details) < max_details:
-            bad = np.nonzero(mono | iff | eq)[0]
-            for t in bad[:max_details - len(report.details)]:
+    srcs = _default_sources(c, sources)
+    bad_fibers = set()
+    for rep, d_row, ranks in _fibers(c, srcs):
+        mono, iff, eq = _compare_row(c, rep, d_row, g0, _dq_perturb)[1]
+        w = len(ranks)
+        report.pairs_checked += w * len(d_row)
+        report.monotone_violations += w * int(mono.sum())
+        report.iff_violations += w * int(iff.sum())
+        report.equality_violations += w * int(eq.sum())
+        if (mono | iff | eq).any():
+            bad_fibers.add(rep)
+    for s in srcs if bad_fibers else ():
+        room = max_details - len(report.details)
+        if room <= 0:
+            break
+        if s - s % c.deck_size in bad_fibers:
+            d_row = bfs_distance_matrix(c.graph, [s])[0]
+            dq_row, masks = _compare_row(c, s, d_row, g0, _dq_perturb)
+            for t in np.flatnonzero(np.logical_or.reduce(masks))[:room]:
                 report.details.append(
                     {"source": int(s), "target": int(t),
                      "d": int(d_row[t]), "d_q": int(dq_row[t])})
@@ -250,9 +255,9 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     distance of the binary embedding images (kept squared so the profile
     stays in exact integers).
 
-    In mode "dq" each distinct fiber is reduced once: a deck translation
-    permutes a source's d and d_Q rows together, so every source in the
-    fiber of v has the (d, d_Q) pair multiset of the representative (v, 0).
+    Mode "dq" weighs each distinct fiber's (d, d_Q) row by its source
+    count; mode "l2" translates the d row to each source and computes that
+    source's Hamming row, since that row is what it tests.
     """
     if mode not in ("dq", "l2"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -261,25 +266,21 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)
     maxs = np.full(diam_bound, -1, dtype=np.int64)
     counts = np.zeros(diam_bound, dtype=np.int64)
-    if mode == "dq":
-        fibers = list(Counter(s // c.deck_size for s in srcs).items())
-        for lo in range(0, len(fibers), _ROW_CHUNK):
-            chunk = [(v * c.deck_size, weight)
-                     for v, weight in fibers[lo:lo + _ROW_CHUNK]]
-            dmat = bfs_distance_matrix(c.graph, [x for x, _ in chunk])
-            for (x, weight), d_row in zip(chunk, dmat):
-                _reduce_row(counts, mins, maxs, d_row, d_q_from(c, x), weight)
-    else:
+    if mode == "l2":
         from .embed import binary_embed_matrix
         binary = binary_embed_matrix(c)
-        for s, d_row, _ in _fiber_rows(c, srcs, with_dq=False):
-            # squared Euclidean distance of 0/1 vectors = Hamming; taken
-            # directly, since this row is what the l2 profile tests
-            val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
-            _reduce_row(counts, mins, maxs, d_row, val, 1)
+    for rep, d_row, ranks in _fibers(c, srcs):
+        if mode == "dq":
+            _reduce_row(counts, mins, maxs, d_row, d_q_from(c, rep), len(ranks))
+            continue
+        for k in ranks:
+            d_k = d_row.reshape(-1, c.deck_size)[:, c.deck_permutation(k)]
+            # squared Euclidean distance of 0/1 vectors = Hamming
+            val = (binary != binary[rep + k]).sum(axis=1, dtype=np.int64)
+            _reduce_row(counts, mins, maxs, d_k.ravel(), val, 1)
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))
-                 for t in range(diam_bound) if counts[t] > 0)
+                 for t in np.flatnonzero(counts))
     return CompressionProfile("dQ_vs_d" if mode == "dq" else "l2_vs_d", rows)
 
 

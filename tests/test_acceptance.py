@@ -184,6 +184,11 @@ def test_criterion_7_tower_desk_scale():
             if row.t < base_girth:
                 assert row.min_val == row.max_val == Fraction(row.t)
 
+        # every pair of the level, one BFS and d_Q row per fiber
+        rep = verify_compare(c)
+        assert rep.pairs_checked == 531441 ** 2
+        assert rep.passed
+
 
 def test_criterion_8_m2_regression():
     with _Budget("criterion 8 (m=2 tower regression)", 120.0):

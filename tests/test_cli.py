@@ -135,6 +135,18 @@ class TestVerbs:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["overall"] == "pass"
 
+    @pytest.mark.parametrize("name", ["complete:1", "path:1"])
+    def test_suite_defaults_base_without_cycle(self, name, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["suite", "run", "--graphs", name, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["overall"] == "pass"
+        skipped = {r["check"]: r for r in report["checks"]
+                   if r["note"] == "skipped: base has no cycle"}
+        assert sorted(skipped) == ["conglifts", "girth_growth"]
+        assert all(r["trials"] == r["violations"] == 0
+                   for r in skipped.values())
+
     def test_suite_thread_invariance(self, tmp_path):
         outs = []
         for threads in ("1", "3"):

@@ -2,7 +2,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homcover import (MultiGraph, Walk, boundary_mod_m, build_zm_cover,
                       chain_mod_m, cloud_map, cycle_graph, girth,
@@ -31,6 +32,41 @@ def random_base_walk(g, rng, length):
         steps.append((e, d))
         cur = nbr
     return Walk(start, tuple(steps))
+
+
+def label_list_lift_path(c, base_walk, start):
+    """Walk lifting on label lists, re-encoding every edge: the lift
+    before it carried an integer rank, kept as an oracle."""
+    v, label = c.decode_vertex(start)
+    assert v == base_walk.start
+    cotree_pos = {e: i for i, e in enumerate(c.cotree)}
+    label = list(label)
+    cur = v
+    edges = []
+    for e, d in base_walk.steps:
+        t, h = c.base.endpoints(e)
+        pos = cotree_pos.get(e)
+        if d == 1:
+            edges.append(c.encode_edge(e, label))
+            if pos is not None:
+                label[pos] = (label[pos] + 1) % c.m
+            cur = h
+        else:
+            if pos is not None:
+                label[pos] = (label[pos] - 1) % c.m
+            edges.append(c.encode_edge(e, label))
+            cur = t
+    return c.encode_vertex(cur, label), edges
+
+
+def assert_lifts_match_oracle(c, rng, walks):
+    for _ in range(walks):
+        w = random_base_walk(c.base, rng, rng.randrange(0, 30))
+        start = c.encode_vertex(w.start,
+                                [rng.randrange(c.m) for _ in range(c.r)])
+        got = lift_path(c, w, start)
+        assert got == label_list_lift_path(c, w, start)
+        assert all(type(x) is int for x in (got[0], *got[1]))
 
 
 class TestConstruction:
@@ -152,6 +188,29 @@ class TestLifting:
                 assert {cur} <= {t, h}
                 cur = h if cur == t and t != h else (t if cur == h else cur)
             assert cur == end
+
+    @given(two_edge_connected_multigraphs(max_vertices=4, max_extra_edges=2),
+           st.sampled_from([2, 3, 5]), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_label_list_oracle(self, g, m, seed):
+        # a loop at vertex 0 and a parallel copy of edge 0
+        edges = [list(g.endpoints(e)) for e in range(g.edge_count)]
+        g = MultiGraph(g.vertex_count, edges + [[0, 0], edges[0]])
+        assume(g.vertex_count * m ** (g.edge_count - g.vertex_count + 1)
+               <= 20_000)
+        assert_lifts_match_oracle(build_zm_cover(g, m), random.Random(seed),
+                                  20)
+
+    def test_matches_label_list_oracle_wide_residues(self):
+        # two parallel edges and a loop: r = 2, so 257**2 labels per vertex
+        c = build_zm_cover(MultiGraph(2, [[0, 1], [0, 1], [1, 1]]), 257)
+        assert_lifts_match_oracle(c, random.Random(257), 200)
+
+    def test_start_out_of_range(self, k4):
+        c = build_zm_cover(k4, 3)
+        for bad in (-1, c.graph.vertex_count):
+            with pytest.raises(IndexError):
+                lift_path(c, Walk(0, ()), bad)
 
 
 class TestCloudMap:

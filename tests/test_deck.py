@@ -161,6 +161,35 @@ def test_verify_compare_matches_oracle(name, m, perturb):
         assert rep.passed == (not perturb)
 
 
+def many_fiber_cases():
+    """(name, sources, max_details) on the 120-vertex cycle:40 cover at
+    m = 3, whose 40 fibers cross the 32-representative chunk."""
+    n = 120
+    rng = random.Random(40)
+    return [("all", list(range(n)), 10),
+            ("repeats", rng.choices(range(n), k=90) + [3, 4, 5, 3, 100, 3], 10),
+            ("no details", list(range(n - 1, -1, -1)), 0),
+            ("25 details", rng.sample(range(n), 60), 25)]
+
+
+@pytest.mark.parametrize("perturb", [0, 1])
+@pytest.mark.parametrize("case", range(4))
+def test_verify_compare_many_fibers(case, perturb):
+    c = build_zm_cover(named_graph("cycle:40"), 3)
+    _, sources, max_details = many_fiber_cases()[case]
+    rep = verify_compare(c, sources, max_details=max_details,
+                         _dq_perturb=perturb)
+    want = compare_oracle(c, sources, max_details=max_details,
+                          dq_perturb=perturb)
+    assert rep.pairs_checked == want["pairs"] == len(sources) * 120
+    assert rep.monotone_violations == want["mono"]
+    assert rep.iff_violations == want["iff"]
+    assert rep.equality_violations == want["eq"]
+    assert rep.details == want["details"]
+    assert len(rep.details) == (min(max_details, 25) if perturb else 0)
+    assert rep.passed == (not perturb)
+
+
 @pytest.mark.parametrize("mode", ["dq", "l2"])
 @pytest.mark.parametrize("name,m", COVERS)
 def test_compression_profile_matches_oracle(name, m, mode):

@@ -152,6 +152,30 @@ class TestTreeAverage:
         assert avg.sampled and avg.trees_used == 8
         assert avg.value >= 0
 
+    def test_trees_counted_once_per_cover(self, k4, monkeypatch):
+        import homcover.trees
+        from homcover.embed import PsiEmbedding
+        from homcover.harness import check_ne_constant
+        avoid = homcover.trees.count_trees_avoiding
+        calls = []
+
+        def counted(g, e):
+            calls.append(e)
+            return avoid(g, e)
+
+        monkeypatch.setattr(homcover.trees, "count_trees_avoiding", counted)
+        c = build_zm_cover(k4, 3)
+        for x, y in [(0, 1), (5, 90), (7, 7)]:
+            assert d_q_tree_average(c, x, y, cap=100).value \
+                == Fraction(d_q(c, x, y))
+        d_q_tree_average(c, 5, 90, cap=100, sample=4, seed=1)
+        tree_average_numerators(c, cap=100)
+        PsiEmbedding(c, cap=100)
+        assert check_ne_constant(c, "k4").passed
+        assert calls == list(range(k4.edge_count))
+        d_q_tree_average(build_zm_cover(k4, 2), 0, 1, cap=100)
+        assert len(calls) == 2 * k4.edge_count
+
     def test_nonconstant_rejected(self):
         # two triangles sharing a vertex: N_e differs between triangles? no;
         # use a triangle with one doubled edge instead
