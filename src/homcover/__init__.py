@@ -11,10 +11,11 @@ from .embed import (BinaryVector, EmbeddedFamily, HalfIntVector,
                     cycle_cut_embed, embed_point_l1, embed_point_psi,
                     l1_to_l2)
 from .errors import (CapExceeded, EndpointMismatch, EndpointOutOfRange,
-                     HomcoverError, InvalidParameter, LengthMismatch,
-                     NonBinaryCoordinates, NonConstantNe, NotConnected,
-                     NotSpanningTree, NotTwoEdgeConnected, ParseError,
-                     PathMismatch, SizeCapExceeded, UnsupportedModulus)
+                     FaultNotInjected, HomcoverError, InvalidParameter,
+                     LengthMismatch, NonBinaryCoordinates, NonConstantNe,
+                     NotConnected, NotSpanningTree, NotTwoEdgeConnected,
+                     ParseError, PathMismatch, SizeCapExceeded,
+                     UnsupportedModulus)
 from .graph import (MultiGraph, Walk, bfs_distance_matrix, bfs_distances,
                     cayley_zm_power, complete_graph, concat_walks,
                     cycle_graph, doubled_edge, girth, graph_document,

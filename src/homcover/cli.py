@@ -8,11 +8,14 @@ error.
 
 Exit codes: 0 = success / all checks pass, 1 = mathematical violations
 found, 2 = usage or I/O error (a bad flag or value, a ``HomcoverError``
-such as a malformed document or a rejected input, invalid JSON, or a
-failed file operation), 3 = internal error (any other exception: a bug,
-reported as ``internal error:`` after its traceback).  The environment
+such as a malformed document, a rejected input or a ``suite run --fault``
+that poisons nothing, invalid JSON, or a failed file operation),
+3 = internal error (any other exception: a bug, reported as
+``internal error:`` after its traceback).  The environment
 variable ``HOMCOVER_OUT`` names a default output directory; relative
-``--out`` paths are resolved against it.
+``--out`` paths are resolved against it.  Run it as ``homcover`` once
+installed, or as ``python -m homcover`` from a source checkout with
+``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .boxspace import DEFAULT_TOWER_CAP, build_tower
 from .cover import CoverGraph, build_zm_cover
-from .embed import _edge_block_layout, embed_point_l1
+from .embed import _edge_block_layout, cut_coordinates
 from .errors import HomcoverError, ParseError
 from .graph import DEFAULT_SIZE_CAP, graph_document, load_graph
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
@@ -39,6 +45,9 @@ OUT_DIR_ENV = "HOMCOVER_OUT"
 
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+#: Vertices formatted per write of ``embed export``.
+_EXPORT_BLOCK = 4096
 
 
 def _resolve_out(path: str) -> Path:
@@ -55,16 +64,13 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_text(path: str, text: str) -> None:
-    _resolve_out(path).write_text(text, encoding="utf-8")
-
-
-def _emit(out, text: str) -> None:
-    """Write text to the --out file if one is given, else to stdout."""
+def _emit(out, chunks: Iterable[str]) -> None:
+    """Write text chunks to the --out file if one is given, else to stdout."""
     if out:
-        _write_text(out, text)
+        with open(_resolve_out(out), "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _frac_str(x) -> str:
@@ -102,8 +108,13 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
     tree_edges = [e for e in range(base.edge_count) if e not in cotree]
     tree = _tree_from_edge_set(base, tree_edges)
     c = build_zm_cover(base, doc["m"], tree=tree, size_cap=size_cap)
-    rebuilt = graph_document(c.graph)
-    if rebuilt["vertices"] != doc["vertices"] or rebuilt["edges"] != doc["edges"]:
+    # compared pair by pair: a second list of |E~| edge lists would double
+    # the peak memory of loading a large cover
+    g, edges = c.graph, doc.get("edges")
+    if (doc.get("vertices") != g.vertex_count or not isinstance(edges, list)
+            or len(edges) != g.edge_count
+            or any(pair != [t, h] for pair, t, h
+                   in zip(edges, map(int, g.tails), map(int, g.heads)))):
         raise ParseError("cover document does not match its base/m/cotree data")
     return c
 
@@ -129,8 +140,7 @@ def _cmd_cover_build(args) -> int:
     g = load_graph(_read_json(args.graph))
     tree = None if args.tree == "auto" else _tree_arg(g, args.tree)
     c = build_zm_cover(g, args.m, tree=tree, size_cap=args.size_cap)
-    text = json.dumps(cover_document(c), sort_keys=True) + "\n"
-    _emit(args.out, text)
+    _emit(args.out, [json.dumps(cover_document(c), sort_keys=True) + "\n"])
     return 0
 
 
@@ -141,8 +151,7 @@ def _cmd_trees_count(args) -> int:
     if args.per_edge:
         body.update({"avoiding": list(tc.avoiding), "constant": tc.constant,
                      "N": tc.common})
-    text = json.dumps(body, sort_keys=True) + "\n"
-    _emit(args.out, text)
+    _emit(args.out, [json.dumps(body, sort_keys=True) + "\n"])
     return 0
 
 
@@ -158,31 +167,59 @@ def _cmd_metrics_profile(args) -> int:
     rows = ["t,pairs,min,max"]
     for r in prof.rows:
         rows.append(f"{r.t},{r.pair_count},{_frac_str(r.min_val)},{_frac_str(r.max_val)}")
-    text = "\n".join(rows) + "\n"
-    _emit(args.out, text)
+    _emit(args.out, ["\n".join(rows) + "\n"])
     return 0
+
+
+def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, sep: str,
+                 row_text) -> Iterable[str]:
+    """Text of the cut coordinates of the vertices in `order`, in blocks.
+
+    Each block of `_EXPORT_BLOCK` vertices is one `cut_coordinates` array.
+    Coordinate k prints as `cell.format(k)`, read from a per-coordinate
+    string table; a row prints as `row_text(x, cells)`, and rows are
+    joined by `sep`, across blocks too.
+    """
+    dim = c.base.edge_count * c.m
+    table = np.array([cell.format(k) for k in range(dim)], dtype=object)
+    for start in range(0, len(order), _EXPORT_BLOCK):
+        rows = order[start:start + _EXPORT_BLOCK]
+        cells = table[cut_coordinates(c, rows)].tolist()
+        text = sep.join(map(row_text, rows.tolist(), cells))
+        yield text if start == 0 else sep + text
+
+
+def _export_csv(c: CoverGraph, layout, dim: int) -> Iterable[str]:
+    blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
+    yield f"# m={c.m} dim={dim} blocks={blocks}\n"
+    yield from _export_rows(c, np.arange(c.graph.vertex_count), "{}:1", "\n",
+                            lambda x, cells: ",".join([str(x), *cells]))
+    yield "\n"
+
+
+def _export_json(c: CoverGraph, layout, dim: int) -> Iterable[str]:
+    """`json.dumps(body, sort_keys=True)` of the export body, in pieces.
+
+    The text around `vectors` is json's own rendering of the body with an
+    empty `vectors`; its entries follow in `sort_keys` order, the vertex
+    ids sorted as strings.
+    """
+    body = {"m": c.m, "blocks": [list(b) for b in layout], "dim": dim,
+            "vectors": {}}
+    head, tail = json.dumps(body, sort_keys=True).rsplit("{}", 1)
+    yield head + "{"
+    order = np.array(sorted(range(c.graph.vertex_count), key=str))
+    yield from _export_rows(c, order, "[{}, 1]", ", ",
+                            lambda x, cells: f'"{x}": [{", ".join(cells)}]')
+    yield "}" + tail + "\n"
 
 
 def _cmd_embed_export(args) -> int:
     c = load_cover(_read_json(args.cover), size_cap=args.size_cap)
-    n = c.graph.vertex_count
-    layout = _edge_block_layout(c)
+    layout = _edge_block_layout(c.base.edge_count, c.m)
     dim = c.base.edge_count * c.m
-    if args.format == "json":
-        vectors = {str(x): [[coord, d] for coord, d in embed_point_l1(c, x).entries]
-                   for x in range(n)}
-        body = {"m": c.m, "blocks": [list(b) for b in layout],
-                "dim": dim, "vectors": vectors}
-        text = json.dumps(body, sort_keys=True) + "\n"
-    else:
-        blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
-        lines = [f"# m={c.m} dim={dim} blocks={blocks}"]
-        for x in range(n):
-            vec = embed_point_l1(c, x)
-            parts = [str(x)] + [f"{coord}:{d}" for coord, d in vec.entries]
-            lines.append(",".join(parts))
-        text = "\n".join(lines) + "\n"
-    _emit(args.out, text)
+    export = _export_json if args.format == "json" else _export_csv
+    _emit(args.out, export(c, layout, dim))
     return 0
 
 
@@ -222,7 +259,7 @@ def _cmd_suite_run(args) -> int:
         fault=args.fault,
     )
     report = run_suite(cfg)
-    _emit(args.out, report.to_json())
+    _emit(args.out, [report.to_json()])
     sys.stdout.write(report.summary() + "\n")
     return 0 if report.passed else 1
 

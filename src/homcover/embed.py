@@ -14,6 +14,13 @@ Every cut coordinate -- `cycle_cut_arc`, `embed_point_l1`,
 The per-residue and per-edge loop constructions it replaced are kept as
 independent oracles in tests/test_selects.py.
 
+Every vertex image has exactly |E(X)| * floor(m/2) set coordinates, so
+the images of a block of vertices are one integer array,
+`cut_coordinates(c, rows)`.  `embed_point_l1` is that reader on one row,
+and `embed export` streams blocks of rows of it straight to text: the
+output bytes are those of the per-vertex construction, and memory holds
+one block of rows at a time, not the whole text.
+
 All coordinates are stored doubled, as integers, so every norm is an
 exact rational with denominator at most 2.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -78,16 +86,6 @@ def _cut_bits(residues, m: int) -> np.ndarray:
     return (k[..., None] - np.arange(m)) % m < m // 2
 
 
-def _cut_vector(bits: np.ndarray, layout) -> HalfIntVector:
-    """Doubled value 1 on the set bits of a (blocks, m) cut-bit array.
-
-    Flattening row-major puts bit t of block b at coordinate b * m + t,
-    already in sorted order.
-    """
-    coords = np.flatnonzero(bits).tolist()
-    return HalfIntVector(tuple((k, 1) for k in coords), bits.size, layout)
-
-
 def cycle_cut_arc(k: int, m: int) -> list[int]:
     """Coordinates t with k in the arc {t, ..., t + floor(m/2) - 1} mod m."""
     if m < 2:
@@ -103,20 +101,39 @@ def cycle_cut_embed(k: int, m: int) -> HalfIntVector:
                          ((f"cut_m{m}", 0, m),))
 
 
-def _edge_block_layout(c: CoverGraph) -> tuple[tuple[str, int, int], ...]:
-    return tuple((f"edge{e}", e * c.m, c.m) for e in range(c.base.edge_count))
+@cache
+def _edge_block_layout(edges: int, m: int) -> tuple[tuple[str, int, int], ...]:
+    """One (name, start, width) block per base edge; built once per (|E(X)|, m)."""
+    return tuple((f"edge{e}", e * m, m) for e in range(edges))
+
+
+def cut_coordinates(c: CoverGraph, rows) -> np.ndarray:
+    """Set coordinates of the cut embedding of the vertices `rows`.
+
+    `rows` is anything that selects rows of `base_profiles()` (a slice,
+    an index array).  Every image has exactly |E(X)| * floor(m/2) set
+    coordinates, each with doubled value 1, so the result is one int64
+    array with a row per selected vertex and |E(X)| * floor(m/2)
+    columns, ascending along each row.
+    """
+    prof = c.base_profiles()[rows]
+    n, ne = prof.shape
+    bits = _cut_bits(prof, c.m).reshape(n, ne * c.m)
+    return np.nonzero(bits)[1].reshape(n, ne * (c.m // 2))
 
 
 def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
     """Per-base-edge cut embedding of a cover vertex.
 
-    l1 distances between images equal d_Q exactly.  Built from the one
-    profile row, O(|E(X)| * m), with no (m, m) table.
+    l1 distances between images equal d_Q exactly.  One row of
+    `cut_coordinates`, O(|E(X)| * m), with no (m, m) table.
     """
-    prof = c.base_profiles()
     if not 0 <= x < c.graph.vertex_count:
         raise IndexError(f"cover vertex {x} out of range")
-    return _cut_vector(_cut_bits(prof[x], c.m), _edge_block_layout(c))
+    ne, m = c.base.edge_count, c.m
+    coords = cut_coordinates(c, [x])[0].tolist()
+    return HalfIntVector(tuple((k, 1) for k in coords), ne * m,
+                         _edge_block_layout(ne, m))
 
 
 def _arc_table(m: int) -> np.ndarray:
@@ -191,8 +208,10 @@ class PsiEmbedding:
             for ti in range(len(self.trees)) for i in range(self.r))
 
     def vector(self, x: int) -> HalfIntVector:
-        return _cut_vector(_cut_bits(self.labels[x], self.cover.m),
-                           self.block_layout)
+        # row-major: bit t of block b is coordinate b * m + t, in sorted order
+        coords = np.flatnonzero(_cut_bits(self.labels[x], self.cover.m)).tolist()
+        return HalfIntVector(tuple((k, 1) for k in coords), self.dim,
+                             self.block_layout)
 
     def matrix(self) -> np.ndarray:
         """Doubled coordinates for all vertices; shape (|V~|, dim)."""

@@ -59,3 +59,7 @@ class InvalidParameter(HomcoverError, ValueError):
 
 class EndpointOutOfRange(HomcoverError, IndexError):
     """Edge endpoint is not a vertex of the graph."""
+
+
+class FaultNotInjected(HomcoverError):
+    """A self-test fault left every record of its check without a violation."""

@@ -4,7 +4,8 @@ Every check reports violation counts instead of raising: a falsified
 invariant is data.  Reports are deterministic for a fixed seed and
 independent of the worker count.  The `fault` field of SuiteConfig
 injects a deliberate error into the named check so the suite's own
-sensitivity can be tested.
+sensitivity can be tested; a fault that gives its check no violation
+raises FaultNotInjected instead of passing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .cover import (CoverGraph, build_zm_cover, cover_girth, is_m_congruent,
                     lift_path)
 from .embed import binary_embed_matrix
-from .errors import CapExceeded, HomcoverError, ParseError
+from .errors import CapExceeded, FaultNotInjected, HomcoverError, ParseError
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
                     girth, named_graph, reverse_walk)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
@@ -325,7 +326,10 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     Check tasks run on a thread pool but results are assembled in a fixed
     order, so the report is identical for any thread count.  An unknown
     check name, or a fault that names no configured check, raises
-    ParseError before any cover is built.
+    ParseError before any cover is built.  A fault that leaves every
+    record of its check without a violation (say, a check skipped on a
+    base with no cycle) raises FaultNotInjected: the self-test showed
+    nothing.
     """
     for check in cfg.checks:
         if check not in CHECKS:
@@ -354,6 +358,10 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
             records = list(pool.map(lambda t: t[0](*t[1]), tasks))
     else:
         records = [fn(*args) for fn, args in tasks]
+    if cfg.fault is not None and not any(
+            r.violations for r in records if r.check == cfg.fault):
+        raise FaultNotInjected(f"fault {cfg.fault!r} poisoned nothing: no "
+                               f"{cfg.fault} record has a violation")
     return VerificationReport(cfg, records)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,19 @@ class TestCoverDocument:
         doc = cover_document(build_zm_cover(k4, 3))
         doc["edges"] = doc["edges"][:-1]
         with pytest.raises(ParseError):
+            load_cover(doc)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda doc: doc.pop("edges"),
+        lambda doc: doc.pop("vertices"),
+        lambda doc: doc.update(edges={}),
+        lambda doc: doc["edges"][5].reverse(),
+        lambda doc: doc.update(vertices=doc["vertices"] + 1),
+    ])
+    def test_cover_edges_checked_pair_by_pair(self, k4, tamper):
+        doc = cover_document(build_zm_cover(k4, 3))
+        tamper(doc)
+        with pytest.raises(ParseError, match="does not match"):
             load_cover(doc)
 
 
@@ -127,6 +144,17 @@ class TestVerbs:
         code = main(["suite", "run", "--graphs", "doubled_edge",
                      "--m", "3", "--samples", "10", "--fault", "compare"])
         assert code == 1
+
+    @pytest.mark.parametrize("check", ["compare", "conglifts", "girth_growth"])
+    def test_fault_that_poisons_nothing(self, check, tmp_path, capsys):
+        # one vertex and no cycle: compare has the single pair (0, 0), and
+        # conglifts and girth_growth are skipped, so no fault can show
+        out = tmp_path / "rep.json"
+        assert main(["suite", "run", "--graphs", "complete:1", "--checks",
+                     check, "--fault", check, "--out", str(out)]) == 2
+        assert (f"fault {check!r} poisoned nothing"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["complete:1", "path:1"])
     def test_suite_compare_base_without_cycle(self, name, tmp_path, capsys):
@@ -251,3 +279,20 @@ def test_out_dir_env_var(tmp_path, k4_file, monkeypatch):
                  "--out", "counts.json"]) == 0
     body = json.loads((tmp_path / "outputs" / "counts.json").read_text())
     assert body["total"] == 16
+
+
+def test_python_m_homcover(tmp_path, k4_cover_file, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "homcover", "embed", "export", "--cover",
+         k4_cover_file, "--format", "csv"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert main(["embed", "export", "--cover", k4_cover_file,
+                 "--format", "csv"]) == 0
+    assert run.stdout == capsys.readouterr().out
+    usage = subprocess.run([sys.executable, "-m", "homcover", "cover"],
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path, timeout=120)
+    assert usage.returncode == 2 and usage.stderr.startswith("usage: homcover")

@@ -6,7 +6,7 @@ import pytest
 from homcover import (MultiGraph, SuiteConfig, build_zm_cover, fingerprint,
                       is_m_congruent, make_congruence_pair, named_graph,
                       run_suite, some_spanning_tree)
-from homcover.errors import ParseError
+from homcover.errors import FaultNotInjected, ParseError
 from homcover.graph import cycle_graph
 from homcover.trees import _tree_from_edge_set
 
@@ -77,6 +77,18 @@ class TestSuite:
         assert not report.passed
         failing = [r for r in report.records if not r.passed]
         assert [r.check for r in failing] == [check]
+
+    @pytest.mark.parametrize("check", ["compare", "conglifts", "girth_growth"])
+    def test_fault_that_poisons_nothing_rejected(self, check):
+        cfg = SuiteConfig(graphs=("complete:1",), checks=(check,), fault=check)
+        with pytest.raises(FaultNotInjected, match=repr(check)):
+            run_suite(cfg)
+
+    def test_fault_shown_on_one_instance_suffices(self):
+        cfg = SuiteConfig(graphs=("complete:1", "doubled_edge"), samples=10,
+                          checks=("compare",), fault="compare")
+        report = run_suite(cfg)
+        assert [r.passed for r in report.records] == [True, False]
 
     def test_thread_count_invariance(self):
         base = dict(graphs=("doubled_edge", "k4"), m=3, seed=11, samples=15)

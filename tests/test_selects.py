@@ -8,7 +8,7 @@ oracles for both, and for the tree-averaged embedding built from them.
 Every cut coordinate comes from one vectorised rule, `embed._cut_bits`.
 The per-residue list and the per-edge loop it replaced are kept below as
 oracles for `cycle_cut_arc`, `_arc_table`, `embed_point_l1` and the
-`embed export` text.
+`embed export` text, which is streamed in blocks of `cut_coordinates` rows.
 """
 
 import dataclasses
@@ -326,10 +326,82 @@ def oracle_export_text(c, fmt):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_embed_export_golden(fmt, tmp_path, capsys):
-    c = build_zm_cover(named_graph("k4"), 3)
+def export_text(c, fmt, tmp_path, capsys):
+    """stdout of `embed export` for the cover c, written to a document first."""
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(cover_document(c)))
     assert main(["embed", "export", "--cover", str(path), "--format", fmt]) == 0
-    assert capsys.readouterr().out == oracle_export_text(c, fmt)
+    return capsys.readouterr().out
+
+
+class TestEmbedExport:
+    """`embed export` streams blocks of `cut_coordinates` rows as text.
+
+    The oracle builds the whole text at once from the per-edge vectors;
+    the streamed text must equal it byte for byte.
+    """
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["doubled_edge", "c5", "k4"])
+    def test_matches_oracle(self, name, m, fmt, tmp_path, capsys):
+        c = build_zm_cover(named_graph(name), m)
+        assert export_text(c, fmt, tmp_path, capsys) == oracle_export_text(c, fmt)
+
+    @pytest.mark.parametrize("fmt,want", [
+        ("csv", "# m=3 dim=0 blocks=\n0\n"),
+        ("json", '{"blocks": [], "dim": 0, "m": 3, "vectors": {"0": []}}\n'),
+    ])
+    def test_no_edges(self, fmt, want, tmp_path, capsys):
+        c = build_zm_cover(named_graph("complete:1"), 3)
+        got = export_text(c, fmt, tmp_path, capsys)
+        assert got == want == oracle_export_text(c, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_small_blocks(self, fmt, tmp_path, capsys, monkeypatch):
+        # 108 vertices in blocks of 7: JSON's string-sorted ids ("0", "1",
+        # "10", "100", ...) cross block boundaries in a different order
+        monkeypatch.setattr("homcover.cli._EXPORT_BLOCK", 7)
+        c = build_zm_cover(named_graph("k4"), 3)
+        assert export_text(c, fmt, tmp_path, capsys) == oracle_export_text(c, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_equals_stdout(self, fmt, tmp_path, capsys):
+        c = build_zm_cover(named_graph("c5"), 4)
+        stdout = export_text(c, fmt, tmp_path, capsys)
+        out = tmp_path / f"embedding.{fmt}"
+        assert main(["embed", "export", "--cover", str(tmp_path / "cover.json"),
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    def test_rejected_cover_leaves_no_file(self, tmp_path, capsys):
+        doc = cover_document(build_zm_cover(named_graph("k4"), 3))
+        doc["edges"] = doc["edges"][:-1]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "embedding.json"
+        assert main(["embed", "export", "--cover", str(path),
+                     "--out", str(out)]) == 2
+        assert "does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_text(self, tmp_path):
+        # Petersen m = 4: 40,960 vertices and an 11.3 MB JSON text.  Loading
+        # the cover document holds about 9 MB of parsed JSON; holding the
+        # whole text, or every row's coordinates at once, would exceed the
+        # bound.
+        c = build_zm_cover(named_graph("petersen"), 4)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(cover_document(c)))
+        del c
+        out = tmp_path / "embedding.json"
+        tracemalloc.start()
+        try:
+            assert main(["embed", "export", "--cover", str(path),
+                         "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 11_294_167
+        assert peak < 16 << 20
