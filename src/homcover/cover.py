@@ -80,9 +80,14 @@ class CoverGraph:
     def encode_vertex(self, v: int, label) -> int:
         return v * self.deck_size + self.rank_of(label)
 
+    def require_vertices(self, *xs: int) -> None:
+        """IndexError unless each x is in 0..|V~|-1 (no negative wrap)."""
+        for x in xs:
+            if not 0 <= x < self.graph.vertex_count:
+                raise IndexError(f"cover vertex {x} out of range")
+
     def decode_vertex(self, idx: int) -> tuple[int, tuple[int, ...]]:
-        if not 0 <= idx < self.graph.vertex_count:
-            raise IndexError(f"cover vertex {idx} out of range")
+        self.require_vertices(idx)
         v, rank = divmod(idx, self.deck_size)
         return v, self.label_of(rank)
 
@@ -242,8 +247,7 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
     Returns (endpoint, cover edge ids of the lift).  The start vertex must
     lie over the walk's origin.  The lift carries the current label rank.
     """
-    if not 0 <= start < c.graph.vertex_count:
-        raise IndexError(f"cover vertex {start} out of range")
+    c.require_vertices(start)
     deck = c.deck_size
     v, rank = divmod(int(start), deck)
     if v != base_walk.start:
@@ -341,9 +345,7 @@ def phi_profile(c: CoverGraph, x: int, y: int) -> EdgeChainModM:
     independent of the chosen path.  The direction-free traversal cost of
     an edge with residue z is min(z, m - z).
     """
-    n = c.graph.vertex_count
-    if not 0 <= x < n or not 0 <= y < n:
-        raise IndexError("cover vertex out of range")
+    c.require_vertices(x, y)
     prof = c.base_profiles()
     counts = (prof[y].astype(np.int64) - prof[x].astype(np.int64)) % c.m
     return EdgeChainModM(tuple(int(v) for v in counts), c.m)

@@ -35,8 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidParameter, LengthMismatch, NonBinaryCoordinates,
-                     NonConstantNe, SizeCapExceeded)
+                     SizeCapExceeded)
 from .cover import CoverGraph
+from .metrics import avoidance_count
 from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees
 
 
@@ -128,8 +129,7 @@ def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
     l1 distances between images equal d_Q exactly.  One row of
     `cut_coordinates`, O(|E(X)| * m), with no (m, m) table.
     """
-    if not 0 <= x < c.graph.vertex_count:
-        raise IndexError(f"cover vertex {x} out of range")
+    c.require_vertices(x)
     ne, m = c.base.edge_count, c.m
     coords = cut_coordinates(c, [x])[0].tolist()
     return HalfIntVector(tuple((k, 1) for k in coords), ne * m,
@@ -193,11 +193,8 @@ class PsiEmbedding:
     """
 
     def __init__(self, c: CoverGraph, cap: int = DEFAULT_TREE_CAP):
-        counts = c.tree_counts()
-        if not counts.constant or counts.common in (None, 0):
-            raise NonConstantNe("psi requires constant nonzero N_e")
         self.cover = c
-        self.n_avoid = counts.common
+        self.n_avoid = avoidance_count(c)
         self.trees = list(enumerate_spanning_trees(c.base, cap))
         self.r = len(self.trees[0].cotree)
         cols = [e for t in self.trees for e in t.cotree]
@@ -208,6 +205,7 @@ class PsiEmbedding:
             for ti in range(len(self.trees)) for i in range(self.r))
 
     def vector(self, x: int) -> HalfIntVector:
+        self.cover.require_vertices(x)
         # row-major: bit t of block b is coordinate b * m + t, in sorted order
         coords = np.flatnonzero(_cut_bits(self.labels[x], self.cover.m)).tolist()
         return HalfIntVector(tuple((k, 1) for k in coords), self.dim,
@@ -219,10 +217,11 @@ class PsiEmbedding:
             self.labels.shape[0], self.dim)
 
     def distance(self, x: int, y: int) -> Fraction:
-        """(1/N)-weighted l1 distance between psi images."""
-        vx = self.vector(x)
-        vy = self.vector(y)
-        return vx.l1_distance(vy) / self.n_avoid
+        """(1/N)-weighted l1 distance between psi images: the number of
+        differing cut bits of the two label rows, over 2N."""
+        self.cover.require_vertices(x, y)
+        bx, by = (_cut_bits(self.labels[v], self.cover.m) for v in (x, y))
+        return Fraction(int((bx != by).sum()), 2 * self.n_avoid)
 
 
 def embed_point_psi(c: CoverGraph, x: int,

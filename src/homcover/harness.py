@@ -23,7 +23,8 @@ import numpy as np
 from .cover import (CoverGraph, build_zm_cover, cover_girth, is_m_congruent,
                     lift_path)
 from .embed import binary_embed_matrix
-from .errors import CapExceeded, FaultNotInjected, HomcoverError, ParseError
+from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
+                     ParseError)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
                     girth, named_graph, reverse_walk)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
@@ -195,35 +196,24 @@ def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
     if c.r == 0:
         return CheckRecord("conglifts", instance, 0, 0, note=_ACYCLIC_NOTE)
     rng = random.Random(seed)
-    g = c.base
-    tree = c.tree0
     violations = 0
     details = []
-    distinct_noncongruent = 0
-    for k in range(trials):
-        # under fault injection, mislabel a non-congruent pair as congruent
-        w1, w2 = make_congruence_pair(g, tree, c.m, rng,
-                                      congruent=not (fault and k == 0))
-        start = c.encode_vertex(w1.start,
-                                [rng.randrange(c.m) for _ in range(c.r)])
-        e1, _ = lift_path(c, w1, start)
-        e2, _ = lift_path(c, w2, start)
-        if e1 != e2:
-            violations += 1
-            if len(details) < 10:
-                details.append({"trial": k, "end1": e1, "end2": e2})
-    for k in range(trials):
-        w1, w2 = make_congruence_pair(g, tree, c.m, rng, congruent=False)
-        if is_m_congruent(g, w1, w2, c.m):
+    # trials congruent pairs, which must lift together, then trials
+    # non-congruent ones: those differ by one generator loop and must lift
+    # apart.  Under fault injection the first pair is mislabelled.
+    for k in range(2 * trials):
+        congruent = k < trials and not (fault and k == 0)
+        w1, w2 = make_congruence_pair(c.base, c.tree0, c.m, rng, congruent)
+        if k >= trials and is_m_congruent(c.base, w1, w2, c.m):
             violations += 1
             continue
         start = c.encode_vertex(w1.start,
                                 [rng.randrange(c.m) for _ in range(c.r)])
-        if lift_path(c, w1, start)[0] != lift_path(c, w2, start)[0]:
-            distinct_noncongruent += 1
-    if distinct_noncongruent == 0:
-        violations += 1
-        details.append({"note": "no non-congruent pair lifted apart"})
+        e1, e2 = (lift_path(c, w, start)[0] for w in (w1, w2))
+        if (e1 == e2) != (k < trials):
+            violations += 1
+            if len(details) < 10:
+                details.append({"trial": k, "end1": e1, "end2": e2})
     return CheckRecord("conglifts", instance, 2 * trials, violations, details)
 
 
@@ -272,7 +262,7 @@ def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
                            note="skipped: cover too large for enumeration")
     try:
         numer, n_avoid = tree_average_numerators(c, tree_cap)
-    except (CapExceeded, HomcoverError) as exc:
+    except HomcoverError as exc:
         return CheckRecord("treeavg", instance, 0, 0, note=f"skipped: {exc}")
     n = c.graph.vertex_count
     dq = np.stack([d_q_from(c, x) for x in range(n)])
@@ -331,6 +321,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     base with no cycle) raises FaultNotInjected: the self-test showed
     nothing.
     """
+    if cfg.threads < 1 or cfg.samples < 0:
+        raise InvalidParameter(f"threads must be at least 1 and samples at "
+                               f"least 0, got {cfg.threads} and {cfg.samples}")
     for check in cfg.checks:
         if check not in CHECKS:
             raise ParseError(f"unknown check {check!r}; known checks: "

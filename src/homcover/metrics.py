@@ -2,9 +2,12 @@
 
 The production formula for d_Q is the collapsed edge sum
 sum_e min(phi_e, m - phi_e): the tree-weighted double sum telescopes to
-one per edge whenever the base is bridgeless.  The tree-average form
-(1/N) sum_T d_T is kept as an exact cross-check and requires the
-per-edge tree-avoidance count N_e to be constant.
+one per edge whenever the base is bridgeless.  The tree average
+(1/N) sum_T d_T, an exact cross-check, is the weighted edge sum
+sum_e w_e min(z_e, m - z_e): z_e is the residue difference on base edge
+e and w_e counts the given trees that leave e out.  Over all trees w_e
+is N_e, so the suite's `treeavg` check compares the enumeration's counts
+with the matrix-tree N, which every edge, loops included, must share.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, LengthMismatch, NonConstantNe
+from .errors import InvalidParameter, LengthMismatch, NonConstantNe
 from .graph import bfs_distance_matrix, girth
-from .cover import CoverGraph, cloud_map
+from .cover import CoverGraph
 from .trees import (DEFAULT_TREE_CAP, enumerate_spanning_trees,
                     sample_uniform_tree)
 
@@ -26,24 +29,20 @@ def d_T_distance(a, b, m: int) -> int:
     """Word metric on Z_m^r with one generator per factor."""
     if len(a) != len(b):
         raise LengthMismatch("labels have different lengths")
-    total = 0
-    for x, y in zip(a, b):
-        z = (int(x) - int(y)) % m
-        total += min(z, m - z)
-    return total
+    a, b = (np.asarray(v, dtype=np.int64) % m for v in (a, b))
+    return int(_cyclic_distance(a, b, m).sum())
 
 
 def d_q(c: CoverGraph, x: int, y: int) -> int:
     """Quotient metric between two cover vertices."""
+    c.require_vertices(x, y)
     prof = c.base_profiles()
-    n = c.graph.vertex_count
-    if not 0 <= x < n or not 0 <= y < n:
-        raise IndexError("cover vertex out of range")
     return int(_cyclic_distance(prof[x], prof[y], c.m).sum(dtype=np.int64))
 
 
 def d_q_from(c: CoverGraph, x: int) -> np.ndarray:
     """d_Q from x to every cover vertex, as one vectorised row."""
+    c.require_vertices(x)
     prof = c.base_profiles()
     # einsum's row sum is about twice as fast as sum(axis=1) on these
     # short |E(X)|-long rows
@@ -64,6 +63,25 @@ def _cyclic_distance(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return z
 
 
+def avoidance_count(c: CoverGraph) -> int:
+    """The N_e that every base edge shares, or NonConstantNe.  A loop lies
+    in no tree, so its N_e is tau, and it counts like any edge."""
+    avoiding = set(c.tree_counts().avoiding)
+    if len(avoiding) != 1 or 0 in avoiding:
+        raise NonConstantNe("tree average requires constant nonzero N_e")
+    return avoiding.pop()
+
+
+def _avoidance_weights(c: CoverGraph, trees) -> tuple[np.ndarray, int]:
+    """(w, count): int64 w[e] counts the `trees` that leave base edge e
+    out, streamed with no per-tree array; count counts the trees."""
+    w = np.zeros(c.base.edge_count, dtype=np.int64)
+    count = 0
+    for count, tree in enumerate(trees, 1):
+        w[list(tree.cotree)] += 1
+    return w, count
+
+
 @dataclass(frozen=True)
 class TreeAverage:
     value: Fraction
@@ -81,27 +99,17 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
     with `sample` set, a seeded uniform-tree sample is used instead and
     the (tau/N)-scaled sample mean is returned.
     """
-    counts = c.tree_counts()
-    if not counts.constant or counts.common in (None, 0):
-        raise NonConstantNe("tree average requires constant nonzero N_e")
-    n_avoid = counts.common
-    if sample is None:
-        if counts.total > cap:
-            raise CapExceeded(f"tau = {counts.total} exceeds cap {cap}")
-        total = 0
-        used = 0
-        for tree in enumerate_spanning_trees(c.base, cap):
-            labels = cloud_map(c, tree)
-            total += d_T_distance(labels[x], labels[y], c.m)
-            used += 1
-        return TreeAverage(Fraction(total, n_avoid), used, False)
-    total = 0
-    for i in range(sample):
-        tree = sample_uniform_tree(c.base, seed + i)
-        labels = cloud_map(c, tree)
-        total += d_T_distance(labels[x], labels[y], c.m)
-    value = Fraction(counts.total * total, n_avoid * sample)
-    return TreeAverage(value, sample, True)
+    c.require_vertices(x, y)
+    if sample is not None and sample < 1:
+        raise InvalidParameter(f"sample must be at least 1, got {sample}")
+    n_avoid = avoidance_count(c)
+    trees = (enumerate_spanning_trees(c.base, cap) if sample is None else
+             (sample_uniform_tree(c.base, seed + i) for i in range(sample)))
+    w, used = _avoidance_weights(c, trees)
+    prof = c.base_profiles()
+    total = Fraction(int(_cyclic_distance(prof[x], prof[y], c.m) @ w), n_avoid)
+    scale = 1 if sample is None else Fraction(c.tree_counts().total, used)
+    return TreeAverage(scale * total, used, sample is not None)
 
 
 def tree_average_numerators(c: CoverGraph,
@@ -109,19 +117,17 @@ def tree_average_numerators(c: CoverGraph,
     """All-pairs sum over trees of d_T, plus the constant N.
 
     Returns (S, N) with S[x, y] = sum_T d_T(C^T_x, C^T_y); the exact tree
-    average for a pair is S[x, y] / N.  Intended for small covers.
+    average for a pair is S[x, y] / N.  Summed one base edge at a time,
+    with (|V~|, |V~|) temporaries; intended for small covers.
     """
-    counts = c.tree_counts()
-    if not counts.constant or counts.common in (None, 0):
-        raise NonConstantNe("tree average requires constant nonzero N_e")
-    n = c.graph.vertex_count
-    total = np.zeros((n, n), dtype=np.int64)
-    m = c.m
-    for tree in enumerate_spanning_trees(c.base, cap):
-        lab = cloud_map(c, tree)
-        total += _cyclic_distance(lab[:, None, :], lab[None, :, :],
-                                  m).sum(axis=2, dtype=np.int64)
-    return total, counts.common
+    n_avoid = avoidance_count(c)
+    w, _ = _avoidance_weights(c, enumerate_spanning_trees(c.base, cap))
+    prof = c.base_profiles()
+    total = np.zeros((len(prof), len(prof)), dtype=np.int64)
+    for e, col in enumerate(prof.T):
+        # w[e] is an int64 scalar, so the product is int64, not the residue dtype
+        total += w[e] * _cyclic_distance(col[:, None], col[None, :], c.m)
+    return total, n_avoid
 
 
 # -- comparison against the graph metric ----------------------------------

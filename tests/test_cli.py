@@ -175,6 +175,24 @@ class TestVerbs:
         assert all(r["trials"] == r["violations"] == 0
                    for r in skipped.values())
 
+    def test_suite_single_loop_runs_treeavg(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["suite", "run", "--graphs", "cycle:1", "--checks",
+                     "treeavg", "--out", str(out)]) == 0
+        [rec] = json.loads(out.read_text())["checks"]
+        assert (rec["trials"], rec["violations"], rec["note"]) == (9, 0, "")
+
+    def test_trees_count_loop_base(self, tmp_path, capsys):
+        # the loop's N_e is tau; `constant` and `N` still read the
+        # non-loop edges only
+        p = tmp_path / "loop.json"
+        p.write_text(json.dumps({"vertices": 2,
+                                 "edges": [[0, 1], [0, 1], [0, 0]]}))
+        assert main(["trees", "count", "--graph", str(p), "--per-edge"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body == {"total": 2, "avoiding": [1, 1, 2], "constant": True,
+                        "N": 1}
+
     def test_suite_thread_invariance(self, tmp_path):
         outs = []
         for threads in ("1", "3"):
@@ -259,11 +277,20 @@ class TestErrorPaths:
         ["embed", "export", "--cover", "c.json", "--threads", "2"],
         ["metrics", "profile", "--cover", "c.json", "--tree-cap", "9"],
         ["metrics", "profile", "--cover", "c.json", "--samples", "-1"],
+        ["suite", "run", "--samples", "-1"],
     ])
     def test_unread_or_invalid_flag_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert main(["suite", "run", "--graphs", "doubled_edge",
+                     "--threads", threads, "--out", str(out)]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_internal_error(self, k4_file, monkeypatch, capsys):
         def broken(g):

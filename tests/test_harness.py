@@ -6,7 +6,8 @@ import pytest
 from homcover import (MultiGraph, SuiteConfig, build_zm_cover, fingerprint,
                       is_m_congruent, make_congruence_pair, named_graph,
                       run_suite, some_spanning_tree)
-from homcover.errors import FaultNotInjected, ParseError
+from homcover.errors import FaultNotInjected, InvalidParameter, ParseError
+from homcover.harness import check_conglifts
 from homcover.graph import cycle_graph
 from homcover.trees import _tree_from_edge_set
 
@@ -90,6 +91,15 @@ class TestSuite:
         report = run_suite(cfg)
         assert [r.passed for r in report.records] == [True, False]
 
+    @pytest.mark.parametrize("bad", [dict(threads=0), dict(threads=-3),
+                                     dict(samples=-1)])
+    def test_bad_threads_or_samples_rejected(self, bad, monkeypatch):
+        def no_cover(*args, **kwargs):
+            raise AssertionError("a cover was built")
+        monkeypatch.setattr("homcover.harness.build_zm_cover", no_cover)
+        with pytest.raises(InvalidParameter):
+            run_suite(SuiteConfig(graphs=("doubled_edge",), **bad))
+
     def test_thread_count_invariance(self):
         base = dict(graphs=("doubled_edge", "k4"), m=3, seed=11, samples=15)
         a = run_suite(SuiteConfig(**base, threads=1))
@@ -106,6 +116,19 @@ class TestSuite:
         report = run_suite(SuiteConfig(graphs=("doubled_edge", "k4"), m=2,
                                        samples=10))
         assert report.passed
+
+
+class TestConglifts:
+    @pytest.mark.parametrize("name", ["k4", "petersen"])
+    def test_lift_that_ignores_a_generator_fails(self, name):
+        # congruent pairs still lift together, so only the non-congruent
+        # half sees this: each of its pairs through generator 0 lifts
+        # together and is a violation
+        c = build_zm_cover(named_graph(name), 3)
+        del c._cotree_stride[c.cotree[0]]
+        rec = check_conglifts(c, name, 1000, seed=4)
+        assert rec.violations >= 50
+        assert all(d["trial"] >= 1000 for d in rec.details)
 
 
 class TestFingerprint:

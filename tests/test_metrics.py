@@ -10,7 +10,7 @@ from homcover import (MultiGraph, build_zm_cover, compression_profile,
                       d_T_distance, d_q, d_q_from, d_q_tree_average,
                       named_graph, tree_average_numerators, verify_compare)
 from homcover.cover import _residue_dtype
-from homcover.errors import LengthMismatch, NonConstantNe
+from homcover.errors import InvalidParameter, LengthMismatch, NonConstantNe
 from homcover.graph import bfs_distance_matrix
 from homcover.metrics import _cyclic_distance
 
@@ -185,6 +185,57 @@ class TestTreeAverage:
         c = build_zm_cover(g, 3)
         with pytest.raises(NonConstantNe):
             d_q_tree_average(c, 0, 1, cap=100)
+
+
+    def test_loop_needs_the_same_count(self):
+        # a loop lies in no tree, so its N_e is tau = 2 against 1 for the
+        # doubled edge: the average is not d_Q (pair (0, 3) would give 2
+        # against 1), so every tree-averaged quantity refuses this base
+        from homcover import PsiEmbedding, tree_counts
+        from homcover.harness import check_ne_constant, check_treeavg
+        g = MultiGraph(2, [[0, 1], [0, 1], [0, 0]])
+        counts = tree_counts(g)
+        assert counts.avoiding == (1, 1, 2)
+        assert counts.constant and counts.common == 1  # non-loop edges only
+        c = build_zm_cover(g, 3)
+        for build in (lambda: d_q_tree_average(c, 0, 3),
+                      lambda: d_q_tree_average(c, 0, 3, sample=5),
+                      lambda: tree_average_numerators(c),
+                      lambda: PsiEmbedding(c)):
+            with pytest.raises(NonConstantNe):
+                build()
+        rec = check_treeavg(c, "loop", 100)
+        assert (rec.trials, rec.violations) == (0, 0)
+        assert rec.note == "skipped: tree average requires constant nonzero N_e"
+        assert check_ne_constant(c, "loop").passed
+
+    def test_single_loop(self):
+        # cycle:1 is one loop, left out by its one tree: N = 1
+        c = build_zm_cover(named_graph("cycle:1"), 5)
+        numer, n_avoid = tree_average_numerators(c)
+        assert n_avoid == 1
+        dq = np.stack([d_q_from(c, x) for x in range(5)])
+        assert np.array_equal(numer, dq)
+        assert d_q_tree_average(c, 0, 2).value == 2
+
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (108, 0), (0, 108)])
+    def test_vertex_range(self, k4, x, y):
+        from homcover import PsiEmbedding
+        c = build_zm_cover(k4, 3)
+        psi = PsiEmbedding(c, cap=100)
+        bad = x or y  # the vertex out of range
+        for call in (lambda: d_q_tree_average(c, x, y),
+                     lambda: d_q_tree_average(c, x, y, sample=2),
+                     lambda: d_q(c, x, y), lambda: d_q_from(c, bad),
+                     lambda: psi.distance(x, y), lambda: psi.vector(bad)):
+            with pytest.raises(IndexError):
+                call()
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one(self, k4, sample):
+        c = build_zm_cover(k4, 3)
+        with pytest.raises(InvalidParameter):
+            d_q_tree_average(c, 0, 1, sample=sample)
 
 
 class TestCompare:

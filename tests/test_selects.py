@@ -5,6 +5,11 @@
 constructions below walk the cover itself and are kept as independent
 oracles for both, and for the tree-averaged embedding built from them.
 
+Every tree-averaged quantity reads one per-edge count of the trees that
+leave each base edge out.  The per-tree loops it replaced (one cloud_map
+and one loop-form d_T per tree, and psi distances through HalfIntVector
+dicts) are kept below as oracles.
+
 Every cut coordinate comes from one vectorised rule, `embed._cut_bits`.
 The per-residue list and the per-edge loop it replaced are kept below as
 oracles for `cycle_cut_arc`, `_arc_table`, `embed_point_l1` and the
@@ -16,6 +21,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcover import (MultiGraph, PsiEmbedding, build_zm_cover, cloud_map,
-                      cycle_graph, enumerate_spanning_trees, named_graph,
-                      phi_profile)
+                      cycle_graph, d_q_from, d_q_tree_average, d_T_distance,
+                      enumerate_spanning_trees, named_graph, phi_profile,
+                      sample_uniform_tree, tree_average_numerators)
 from homcover.cli import cover_document, main
 from homcover.embed import _arc_table, cycle_cut_arc, embed_point_l1
 from homcover.errors import InvalidParameter, NotSpanningTree
@@ -405,3 +412,125 @@ class TestEmbedExport:
             tracemalloc.stop()
         assert out.stat().st_size == 11_294_167
         assert peak < 16 << 20
+
+
+def oracle_d_T_distance(a, b, m):
+    """Word metric on Z_m^r, one factor at a time."""
+    total = 0
+    for x, y in zip(a, b):
+        z = (int(x) - int(y)) % m
+        total += min(z, m - z)
+    return total
+
+
+def oracle_tree_average(c, x, y, sample=None, seed=0):
+    """(value, trees_used) of d_q_tree_average, one cloud_map per tree."""
+    counts = c.tree_counts()
+    if sample is None:
+        trees = enumerate_spanning_trees(c.base)
+    else:
+        trees = (sample_uniform_tree(c.base, seed + i) for i in range(sample))
+    total = used = 0
+    for tree in trees:
+        labels = cloud_map(c, tree)
+        total += oracle_d_T_distance(labels[x], labels[y], c.m)
+        used += 1
+    if sample is None:
+        return Fraction(total, counts.common), used
+    return Fraction(counts.total * total, counts.common * sample), used
+
+
+def oracle_tree_average_numerators(c):
+    """All-pairs sum of d_T, one (|V~|, |V~|, r) stack per tree."""
+    n, m = c.graph.vertex_count, c.m
+    total = np.zeros((n, n), dtype=np.int64)
+    for tree in enumerate_spanning_trees(c.base):
+        lab = cloud_map(c, tree).astype(np.int64)
+        z = (lab[:, None, :] - lab[None, :, :]) % m
+        total += np.minimum(z, m - z).sum(axis=2)
+    return total, c.tree_counts().common
+
+
+def oracle_psi_distance(psi, x, y):
+    """l1 distance of the HalfIntVector images, over N."""
+    return psi.vector(x).l1_distance(psi.vector(y)) / psi.n_avoid
+
+
+def some_pairs(n, count, seed):
+    rng = random.Random(seed)
+    return [(0, 0), (0, n - 1)] + [(rng.randrange(n), rng.randrange(n))
+                                   for _ in range(count)]
+
+
+SMALL_COVERS = [(name, m) for name in ("doubled_edge", "k4", "c5")
+                for m in (2, 3, 5)]
+
+
+class TestTreeAverageEdgeSum:
+    """Every tree average is the edge sum of the per-edge tree weights."""
+
+    @pytest.mark.parametrize("name,m", SMALL_COVERS + [("c5", 257)])
+    def test_exact_pairs(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        for x, y in some_pairs(c.graph.vertex_count, 15, seed=m):
+            got = d_q_tree_average(c, x, y)
+            assert not got.sampled
+            assert (got.value, got.trees_used) == oracle_tree_average(c, x, y)
+
+    @pytest.mark.parametrize("name,m", SMALL_COVERS + [("c5", 257)])
+    def test_sampled_pairs(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        for seed in (0, 5, 11):
+            for x, y in some_pairs(c.graph.vertex_count, 3, seed=seed):
+                got = d_q_tree_average(c, x, y, sample=7, seed=seed)
+                assert got.sampled
+                assert (got.value, got.trees_used) == \
+                    oracle_tree_average(c, x, y, sample=7, seed=seed)
+
+    @pytest.mark.parametrize("name,m", SMALL_COVERS + [("c5", 257)])
+    def test_numerators(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        numer, n_avoid = tree_average_numerators(c)
+        want, want_n = oracle_tree_average_numerators(c)
+        assert numer.dtype == np.int64 and n_avoid == want_n
+        assert np.array_equal(numer, want)
+
+    def test_petersen_m2_all_pairs_in_bounded_memory(self):
+        # tau = 2,000 and N = 800: both exceed the uint8 residue dtype
+        c = build_zm_cover(named_graph("petersen"), 2)
+        n = c.graph.vertex_count
+        c.base_profiles()
+        c.tree_counts()
+        tracemalloc.start()
+        try:
+            numer, n_avoid = tree_average_numerators(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (640, 640) int64 array is 3.3 MB; a (640, 640, 15) one is 49 MB
+        assert peak < 12 << 20
+        assert n_avoid == 800
+        dq = np.stack([d_q_from(c, x) for x in range(n)])
+        assert np.array_equal(numer, n_avoid * dq)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 257])
+    def test_d_T_distance(self, m):
+        rng = random.Random(m)
+        for _ in range(50):
+            a, b = ([rng.randrange(-3 * m, 3 * m) for _ in range(6)]
+                    for _ in range(2))
+            assert d_T_distance(a, b, m) == oracle_d_T_distance(a, b, m)
+        c = build_zm_cover(named_graph("c5"), m)
+        lab = cloud_map(c)
+        for x, y in some_pairs(c.graph.vertex_count, 10, seed=1):
+            assert d_T_distance(lab[x], lab[y], m) == \
+                oracle_d_T_distance(lab[x], lab[y], m)
+
+    @pytest.mark.parametrize("name,m", SMALL_COVERS)
+    def test_psi_distance(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        psi = PsiEmbedding(c)
+        for x, y in some_pairs(c.graph.vertex_count, 15, seed=m):
+            got = psi.distance(x, y)
+            assert type(got) is Fraction
+            assert got == oracle_psi_distance(psi, x, y)
