@@ -16,17 +16,17 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cover import (CoverGraph, build_zm_cover, cover_girth, is_m_congruent,
-                    lift_path)
+from .cover import CoverGraph, build_zm_cover, cover_girth
 from .embed import binary_embed_matrix
 from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
-                     ParseError)
+                     ParseError, PathMismatch)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
-                    girth, named_graph, reverse_walk)
+                    girth, named_graph)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
 from .trees import DEFAULT_TREE_CAP, SpanningTree
 
@@ -118,27 +118,68 @@ def _derive_seed(seed: int, *tags: str) -> int:
 
 
 # -- congruent walk generation -------------------------------------------
+#
+# Walk steps are signed arcs: 2e traverses base edge e tail -> head and
+# 2e + 1 traverses it head -> tail, so a step's reverse is step ^ 1.
 
 
-def random_walk(g: MultiGraph, rng: random.Random, start: int,
-                length: int) -> Walk:
-    steps = []
-    cur = start
-    for _ in range(length):
-        arcs = g.adjacency_of(cur)
-        e, d, nbr = arcs[rng.randrange(len(arcs))]
-        steps.append((e, d))
-        cur = nbr
-    return Walk(start, tuple(steps))
+def _step(arc: int) -> tuple[int, int]:
+    """(edge, direction) of a signed arc."""
+    return arc >> 1, -1 if arc & 1 else 1
 
 
-def _generator_loop(g: MultiGraph, tree: SpanningTree, i: int) -> Walk:
-    """Closed walk at the root crossing cotree edge i exactly once."""
-    e = tree.cotree[i]
-    t, h = g.endpoints(e)
-    down = reverse_walk(g, tree.walk_to_root(g, t))          # root -> tail
-    up = tree.walk_to_root(g, h)                             # head -> root
-    return Walk(down.start, down.steps + ((e, 1),) + up.steps)
+class _WalkTables:
+    """Signed-arc tables of a base graph and tree, built once per check:
+    the arcs and neighbours of each vertex in adjacency order, the tree
+    walk of each vertex up to the root and back, and each cotree
+    generator loop at the root."""
+
+    def __init__(self, g: MultiGraph, tree: SpanningTree):
+        self.edge_count = g.edge_count
+        self.arcs, self.nbrs = [], []
+        for v in range(g.vertex_count):
+            adj = g.adjacency_of(v)
+            self.arcs.append([2 * e + (d == -1) for e, d, _ in adj])
+            self.nbrs.append([nbr for _, _, nbr in adj])
+        self.up = [[2 * e + (d == -1) for e, d in tree.walk_to_root(g, v).steps]
+                   for v in range(g.vertex_count)]
+        self.down = [[a ^ 1 for a in reversed(up)] for up in self.up]
+        self.loops = []
+        for e in tree.cotree:
+            t, h = g.endpoints(e)
+            self.loops.append(self.down[t] + [2 * e] + self.up[h])
+
+    def draw(self, m: int, rng: random.Random, congruent: bool):
+        """One pair as (start, steps of w1, splice position, insertion):
+        w2 is w1 with the closed insertion spliced in at the position.
+
+        The insertion is a detour to the root, a cotree generator loop
+        traversed m times (congruent) or once (not congruent: the loop's
+        own cotree coordinate shifts by 1 mod m), and the way back.
+        """
+        start = cur = rng.randrange(len(self.arcs))
+        steps, verts = [], [start]
+        for _ in range(rng.randrange(0, 8)):
+            j = rng.randrange(len(self.arcs[cur]))
+            steps.append(self.arcs[cur][j])
+            cur = self.nbrs[cur][j]
+            verts.append(cur)
+        pos = rng.randrange(len(verts))
+        v = verts[pos]
+        loop = self.loops[rng.randrange(len(self.loops))]
+        insertion = self.up[v] + loop * (m if congruent else 1) + self.down[v]
+        if congruent and rng.random() < 0.5:
+            # also splice in an immediate backtrack for variety
+            arc = self.arcs[v][rng.randrange(len(self.arcs[v]))]
+            insertion = [arc, arc ^ 1] + insertion
+        return start, steps, pos, insertion
+
+    def closes_mod(self, arcs: list[int], m: int) -> bool:
+        """True iff every signed edge count of `arcs` is 0 mod m."""
+        counts = [0] * self.edge_count
+        for a in arcs:
+            counts[a >> 1] += -1 if a & 1 else 1
+        return all(x % m == 0 for x in counts)
 
 
 def make_congruence_pair(g: MultiGraph, tree: SpanningTree, m: int,
@@ -151,23 +192,61 @@ def make_congruence_pair(g: MultiGraph, tree: SpanningTree, m: int,
     congruent pair) or once (for a non-congruent pair: the loop's own
     cotree coordinate shifts by 1 mod m).
     """
-    a = rng.randrange(g.vertex_count)
-    w1 = random_walk(g, rng, a, rng.randrange(0, 8))
-    verts = w1.vertices(g)
-    pos = rng.randrange(len(verts))
-    v = verts[pos]
-    up = tree.walk_to_root(g, v)
-    down = reverse_walk(g, up)
-    loop = _generator_loop(g, tree, rng.randrange(len(tree.cotree)))
-    reps = m if congruent else 1
-    insertion = up.steps + loop.steps * reps + down.steps
-    if congruent and rng.random() < 0.5:
-        # also splice in an immediate backtrack for variety
-        arcs = g.adjacency_of(v)
-        e, d, _ = arcs[rng.randrange(len(arcs))]
-        insertion = ((e, d), (e, -d)) + insertion
-    w2 = Walk(a, w1.steps[:pos] + insertion + w1.steps[pos:])
-    return w1, w2
+    start, steps, pos, insertion = _WalkTables(g, tree).draw(m, rng, congruent)
+    return (Walk(start, tuple(map(_step, steps))),
+            Walk(start, tuple(map(_step, steps[:pos] + insertion
+                                   + steps[pos:]))))
+
+
+def _arc_ends(c: CoverGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of every signed cover arc, read off c.graph.
+
+    Arc 2i + b belongs to slot i = e * deck + k of base edge e and label
+    rank k.  Arc 2i follows cover edge i forward; arc 2i + 1 follows
+    backward the edge of block e whose head has rank k, found by an
+    inverse head index of the block.
+    """
+    g = c.graph
+    ids = np.arange(g.edge_count, dtype=np.int64)
+    inv = ids.copy()
+    inv[ids - ids % c.deck_size + g.heads % c.deck_size] = ids
+    src = np.stack([g.tails, g.heads[inv]], axis=1).ravel()
+    dst = np.stack([g.heads, g.tails[inv]], axis=1).ravel()
+    return src, dst
+
+
+def _lift_ends(c: CoverGraph, arc_ends, starts, walks) -> np.ndarray:
+    """End vertices of the lifts of signed-arc walks from cover vertices
+    `starts`, one numpy pass per step over the block of walks.
+
+    A step along base arc a from cover vertex x takes signed cover arc
+    2 * ((a >> 1) * deck + x % deck) + (a & 1); PathMismatch if x is not
+    that arc's source.  Walks are sorted by length, longest first, so the
+    walks still active at step j are a prefix of the block.
+    """
+    src, dst = arc_ends
+    deck = c.deck_size
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    total = int(lengths.sum())
+    flat = np.fromiter(chain.from_iterable(walks[i] for i in order),
+                       np.int64, total)
+    # the slot-independent part of each step's cover arc id
+    flat = (flat >> 1) * (2 * deck) + (flat & 1)
+    offsets = np.cumsum(lengths) - lengths
+    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
+    cur = np.asarray(starts, dtype=np.int64)[order]
+    for j, n in enumerate(active.tolist()):
+        x = cur[:n]
+        arc = flat[offsets[:n] + j] + 2 * (x % deck)
+        if not np.array_equal(src[arc], x):
+            raise PathMismatch(f"step {j} of a lifted walk does not start "
+                               f"at its cover vertex")
+        cur[:n] = dst[arc]
+    ends = np.empty_like(cur)
+    ends[order] = cur
+    return ends
 
 
 # -- individual checks -----------------------------------------------------
@@ -191,30 +270,61 @@ def check_compare(c: CoverGraph, instance: str, samples: int, seed: int,
                        rep.details)
 
 
+#: Trials drawn, then lifted at once, by check_conglifts.
+_LIFT_BLOCK = 250
+
+
 def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
                     fault: bool = False) -> CheckRecord:
+    """Lift `trials` congruent pairs, which must end together, then
+    `trials` non-congruent ones, which differ by one generator loop and
+    must end apart.  Under fault injection the first pair is mislabelled.
+
+    Pairs are drawn one at a time and lifted in blocks of _LIFT_BLOCK
+    trials over the edge arrays of c.graph, so the check also tests the
+    built edges.  A drawn non-congruent pair whose insertion closes mod m
+    is a violation and draws no start label.
+    """
     if c.r == 0:
         return CheckRecord("conglifts", instance, 0, 0, note=_ACYCLIC_NOTE)
     rng = random.Random(seed)
+    tables = _WalkTables(c.base, c.tree0)
+    arc_ends = _arc_ends(c)
+    weights = [c.m ** i for i in range(c.r)]
     violations = 0
     details = []
-    # trials congruent pairs, which must lift together, then trials
-    # non-congruent ones: those differ by one generator loop and must lift
-    # apart.  Under fault injection the first pair is mislabelled.
-    for k in range(2 * trials):
-        congruent = k < trials and not (fault and k == 0)
-        w1, w2 = make_congruence_pair(c.base, c.tree0, c.m, rng, congruent)
-        if k >= trials and is_m_congruent(c.base, w1, w2, c.m):
-            violations += 1
-            continue
-        start = c.encode_vertex(w1.start,
-                                [rng.randrange(c.m) for _ in range(c.r)])
-        e1, e2 = (lift_path(c, w, start)[0] for w in (w1, w2))
-        if (e1 == e2) != (k < trials):
-            violations += 1
-            if len(details) < 10:
-                details.append({"trial": k, "end1": e1, "end2": e2})
+    for lo in range(0, 2 * trials, _LIFT_BLOCK):
+        ks, starts, walks1, walks2 = [], [], [], []
+        for k in range(lo, min(lo + _LIFT_BLOCK, 2 * trials)):
+            congruent = k < trials and not (fault and k == 0)
+            a, steps, pos, insertion = tables.draw(c.m, rng, congruent)
+            if k >= trials and tables.closes_mod(insertion, c.m):
+                violations += 1
+                continue
+            ks.append(k)
+            starts.append(a * c.deck_size
+                          + sum(rng.randrange(c.m) * w for w in weights))
+            walks1.append(steps)
+            walks2.append(steps[:pos] + insertion + steps[pos:])
+        ends = _lift_ends(c, arc_ends, starts * 2, walks1 + walks2).tolist()
+        for k, e1, e2 in zip(ks, ends, ends[len(ks):]):
+            if (e1 == e2) != (k < trials):
+                violations += 1
+                if len(details) < 10:
+                    details.append({"trial": k, "end1": e1, "end2": e2})
     return CheckRecord("conglifts", instance, 2 * trials, violations, details)
+
+
+def _dq_rows(c: CoverGraph, sources):
+    """(s, d_Q row from s) per source: one d_q_from row per run of sources
+    in one fiber, gathered to (v, k) through c.deck_permutation(k)."""
+    deck = c.deck_size
+    rep = rep_row = None
+    for s in sources:
+        if s - s % deck != rep:
+            rep = s - s % deck
+            rep_row = d_q_from(c, rep).reshape(-1, deck)
+        yield s, rep_row[:, c.deck_permutation(s % deck)].ravel()
 
 
 def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
@@ -223,7 +333,8 @@ def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
 
     The Hamming distance of two rows is both the doubled l1 distance of
     the cut embedding and the squared l2 distance after l1_to_l2, so the
-    isometry and l2 checks share this body.
+    isometry and l2 checks share this body.  Hamming rows are computed
+    per source, since they are what the check tests.
     """
     sources = _sources_for(c, samples, seed)
     if sources is None:
@@ -232,12 +343,11 @@ def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
     violations = 0
     trials = 0
     details = []
-    for s in sources:
+    for s, dq_row in _dq_rows(c, sources):
         hamming = (binary != binary[s]).sum(axis=1, dtype=np.int64)
-        expected = 2 * d_q_from(c, s)
         if fault:
             hamming = hamming + 1
-        bad = np.nonzero(hamming != expected)[0]
+        bad = np.nonzero(hamming != 2 * dq_row)[0]
         trials += len(hamming)
         violations += len(bad)
         for t in bad[:max(0, 10 - len(details))]:
@@ -265,12 +375,16 @@ def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
     except HomcoverError as exc:
         return CheckRecord("treeavg", instance, 0, 0, note=f"skipped: {exc}")
     n = c.graph.vertex_count
-    dq = np.stack([d_q_from(c, x) for x in range(n)])
     if fault:
-        numer = numer + 1
-    bad = np.nonzero(numer != n_avoid * dq)
-    details = [{"x": int(x), "y": int(y)} for x, y in zip(*bad)][:10]
-    return CheckRecord("treeavg", instance, n * n, len(bad[0]), details)
+        numer += 1
+    violations = 0
+    details = []
+    for x, dq_row in _dq_rows(c, range(n)):
+        bad = np.flatnonzero(numer[x] != n_avoid * dq_row)
+        violations += len(bad)
+        details.extend({"x": x, "y": int(y)}
+                       for y in bad[:max(0, 10 - len(details))])
+    return CheckRecord("treeavg", instance, n * n, violations, details)
 
 
 def check_girth_growth(c: CoverGraph, instance: str,

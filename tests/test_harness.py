@@ -1,13 +1,19 @@
+import hashlib
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from homcover import (MultiGraph, SuiteConfig, build_zm_cover, fingerprint,
-                      is_m_congruent, make_congruence_pair, named_graph,
+from homcover import (CoverGraph, MultiGraph, SuiteConfig, Walk,
+                      build_zm_cover, fingerprint, is_m_congruent,
+                      lift_path, make_congruence_pair, named_graph,
                       run_suite, some_spanning_tree)
-from homcover.errors import FaultNotInjected, InvalidParameter, ParseError
-from homcover.harness import check_conglifts
+from homcover.cli import main
+from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
+                             PathMismatch)
+from homcover.harness import _arc_ends, _lift_ends, check_conglifts
 from homcover.graph import cycle_graph
 from homcover.trees import _tree_from_edge_set
 
@@ -125,10 +131,129 @@ class TestConglifts:
         # half sees this: each of its pairs through generator 0 lifts
         # together and is a violation
         c = build_zm_cover(named_graph(name), 3)
-        del c._cotree_stride[c.cotree[0]]
-        rec = check_conglifts(c, name, 1000, seed=4)
+        deck = c.deck_size
+        heads = c.graph.heads.copy()
+        block = slice(c.cotree[0] * deck, (c.cotree[0] + 1) * deck)
+        heads[block] += np.arange(deck) - heads[block] % deck  # unshifted
+        broken = CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
+            c.graph.vertex_count, c.graph.tails, heads))
+        rec = check_conglifts(broken, name, 1000, seed=4)
         assert rec.violations >= 50
         assert all(d["trial"] >= 1000 for d in rec.details)
+
+    def test_calls_no_per_walk_api(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("per-walk API called")
+        for target in ("homcover.cover.CoverGraph.encode_vertex",
+                       "homcover.graph.Walk.vertices"):
+            monkeypatch.setattr(target, boom)
+        for name in ("lift_path", "is_m_congruent"):
+            monkeypatch.setattr(f"homcover.cover.{name}", boom)
+            monkeypatch.setattr(f"homcover.harness.{name}", boom,
+                                raising=False)
+        c = build_zm_cover(named_graph("k4"), 3)
+        assert check_conglifts(c, "k4", 300, seed=1).violations == 0
+
+    def test_heap_peak_below_compare(self):
+        c = build_zm_cover(named_graph("petersen"), 3)
+        c.base_profiles()
+        tracemalloc.start()
+        try:
+            check_conglifts(c, "petersen", 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_800_000
+
+
+def signed_arc_walk(g, rng, length):
+    """A seeded random walk as (start, signed arcs, the same as a Walk)."""
+    start = cur = rng.randrange(g.vertex_count)
+    arcs = []
+    for _ in range(length):
+        e, d, cur = rng.choice(g.adjacency_of(cur))
+        arcs.append(2 * e + (d == -1))
+    return start, arcs, Walk(start, tuple((a >> 1, 1 - 2 * (a & 1))
+                                          for a in arcs))
+
+
+class TestBlockLift:
+    """harness._lift_ends against the per-walk oracle cover.lift_path."""
+
+    # k4 and petersen at m = 257 exceed the default size cap
+    @pytest.mark.parametrize("name,m", [
+        *((name, m) for name in ("doubled_edge", "cycle:1")
+          for m in (2, 3, 5, 257)),
+        *((name, m) for name in ("k4", "petersen") for m in (2, 3, 5))])
+    def test_matches_lift_path(self, name, m):
+        g = named_graph(name)
+        c = build_zm_cover(g, m)
+        rng = random.Random(m)
+        starts, walks, oracle = [], [], []
+        for _ in range(120):
+            a, arcs, w = signed_arc_walk(g, rng, rng.randrange(0, 40))
+            start = a * c.deck_size + rng.randrange(c.deck_size)
+            starts.append(start)
+            walks.append(arcs)
+            oracle.append(lift_path(c, w, start)[0])
+        ends = _lift_ends(c, _arc_ends(c), starts, walks)
+        assert ends.tolist() == oracle
+
+    def test_empty_walk_returns_start(self, k4):
+        c = build_zm_cover(k4, 3)
+        starts = [5, 17, 100]
+        ends = _lift_ends(c, _arc_ends(c), starts, [[], [], []])
+        assert ends.tolist() == starts
+
+    def test_discontiguous_step_raises(self, k4):
+        c = build_zm_cover(k4, 3)
+        e = k4.adjacency_of(0)[0][0]
+        t, h = k4.endpoints(e)
+        far = next(e2 for e2 in range(k4.edge_count)
+                   if h not in k4.endpoints(e2))
+        with pytest.raises(PathMismatch):
+            _lift_ends(c, _arc_ends(c), [t * c.deck_size],
+                       [[2 * e, 2 * far]])
+
+    def test_start_off_the_walk_raises(self, k4):
+        c = build_zm_cover(k4, 3)
+        e = 0
+        t, h = k4.endpoints(e)
+        with pytest.raises(PathMismatch):
+            _lift_ends(c, _arc_ends(c), [h * c.deck_size], [[2 * e]])
+
+
+#: sha256 of the `suite run --out` report for each argument list, with
+#: its exit code; a change of the walk draw order changes these.
+GOLDEN_REPORTS = [
+    (["--seed", "7"], 0,
+     "df2cb83172c589573eca163b9b743b25dc7d037a063492282cb15e2c5d8d63c0"),
+    (["--seed", "3"], 0,
+     "8709f75fc8ba5f68d61de8893d3fd200a3456058bba771f94607b37aae44a781"),
+    (["--seed", "7", "--fault", "conglifts"], 1,
+     "6d5f3b5e32c1d9534e1712bab43fa2fbd6f2cfa5fbbc3816b48e72a05ffb81ff"),
+    (["--graphs", "doubled_edge,cycle:1,k4", "--m", "5",
+      "--checks", "conglifts", "--seed", "11"], 0,
+     "16156dbdaf5b98ed5863a25f1abfc90a0d327eb0f821ed9720dff13df31c4eb3"),
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("args,code,digest", GOLDEN_REPORTS,
+                             ids=["seed7", "seed3", "fault", "conglifts-m5"])
+    def test_report_digest(self, args, code, digest, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["suite", "run", *args, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,code,digest", GOLDEN_REPORTS[:2],
+                             ids=["seed7", "seed3"])
+    def test_two_threads_same_bytes(self, args, code, digest, tmp_path,
+                                    capsys):
+        out = tmp_path / "report.json"
+        assert main(["suite", "run", *args, "--threads", "2",
+                     "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFingerprint:
