@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cover import CoverGraph, build_zm_cover
+from .cover import CoverGraph, build_zm_cover, cover_girth
 from .errors import InvalidParameter, SizeCapExceeded
-from .graph import MultiGraph, _girth_from_roots, cayley_zm_power
+from .graph import (MultiGraph, Orbits, _girth_from_roots, cayley_zm_power,
+                    label_automorphisms)
 from .trees import tree_counts
 
 DEFAULT_TOWER_CAP = 1 << 23
@@ -24,12 +25,17 @@ NE_CHECK_LIMIT = 64
 
 
 def girth_vertex_transitive(g: MultiGraph):
-    """Girth via one truncated BFS from vertex 0.
+    """Girth from one truncated BFS root per orbit of g's own checked
+    label automorphisms (`graph.label_automorphisms`).
 
-    Correct whenever the graph is vertex-transitive (every vertex lies on
-    a shortest cycle); all tower levels qualify.  math.inf for forests.
+    Exact: an automorphism moves a shortest cycle through some root.  The
+    Cayley seed of a tower is one orbit, so it takes one root; an
+    unlabelled graph takes every vertex.  math.inf for forests.
     """
-    return _girth_from_roots(g, [0])
+    orbits = Orbits(g.vertex_count)
+    for vmap, _emap, _signs in label_automorphisms(g):
+        orbits.join(vmap)
+    return _girth_from_roots(g, orbits.roots())
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ def build_tower(rank: int, m: int, levels: int,
             truncated = True
             break
         cover = build_zm_cover(prev, m, size_cap=size_cap)
-        g = girth_vertex_transitive(cover.graph)
+        g = cover_girth(cover)  # one root per orbit of the level
         assert g > built[-1].girth_value, \
             f"girth failed to grow at level {len(built) + 1}"
         built.append(TowerLevel(len(built) + 1, cover.graph, g, cover,

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, _girth_from_roots,
-                    is_two_edge_connected)
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk,
+                    _girth_from_roots, is_two_edge_connected,
+                    label_automorphisms)
 from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
                     some_spanning_tree, tree_counts)
 
@@ -74,6 +75,7 @@ class CoverGraph:
         self._cotree_stride = {e: m ** i for i, e in enumerate(self.cotree)}
         self._profiles = None
         self._tree_counts = None
+        self._orbit_reps = None
 
     # -- index bijections ------------------------------------------------
 
@@ -178,6 +180,26 @@ class CoverGraph:
             perm = _shift(perm, self.m ** i, self.m, -shift)
         return perm
 
+    def orbit_reps(self) -> np.ndarray:
+        """Per base vertex v, the cover vertex (u, 0) that represents the
+        orbit holding the fiber over v; int64, shape (|V(X)|,).
+
+        The group is the one that the deck translations and the checked
+        lifts of the base's label automorphisms generate (`_checked_lift`);
+        u is the least base vertex of the orbit.  Both kinds keep d and
+        d_Q, so the (d, d_Q) pairs from any source are those from its
+        representative.  On an unlabelled base every fiber is an orbit.
+        """
+        if self._orbit_reps is None:
+            orbits = Orbits(self.base.vertex_count)
+            for auto in label_automorphisms(self.base):
+                if orbits.find(int(auto[0][0])) == 0:
+                    continue  # already joined to the fiber over 0
+                if _checked_lift(self, *auto) is not None:
+                    orbits.join(auto[0])
+            self._orbit_reps = orbits.least() * self.deck_size
+        return self._orbit_reps
+
     def __repr__(self):
         return (f"CoverGraph(base=|V|={self.base.vertex_count},"
                 f"|E|={self.base.edge_count}, m={self.m}, r={self.r})")
@@ -219,15 +241,66 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     return CoverGraph(g, m, tree, cover_graph)
 
 
-def cover_girth(c: CoverGraph):
-    """Girth of the cover from one BFS root (v, 0) per fiber.
+def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
+                  signs: np.ndarray):
+    """Vertex map of the lift of a base automorphism if it is an
+    automorphism of c.graph, else None.
 
-    The deck group acts transitively on each fiber by automorphisms, so
-    some shortest cycle passes through a vertex (v, 0); the result equals
+    The automorphism takes base edge e to emap[e], reversed where
+    signs[e] < 0, so it acts on profiles by the signed column permutation
+    P: (P p)[emap[e]] = signs[e] * p[e].  The lift f takes the basepoint
+    to (vmap[0], 0) and x to the vertex over vmap[v_x] whose label digits
+    are the cotree columns of P(prof[x]).  It is accepted only if f is a
+    bijection and takes every cover edge over e to the cover edge over
+    emap[e] with endpoints (f(t), f(h)), swapped where signs[e] < 0;
+    checked one base-edge block at a time.  P only permutes and signs the
+    edge terms of d_Q, so an accepted f keeps d and d_Q.
+    """
+    deck, m = c.deck_size, c.m
+    inverse = np.empty_like(emap)
+    inverse[emap] = np.arange(emap.size)
+    src = inverse[list(c.cotree)]  # the base edge P moves to cotree column i
+    neg = signs[src] < 0
+    weights = m ** np.arange(c.r, dtype=np.int64)
+    prof = c.base_profiles()
+    f = np.empty(c.graph.vertex_count, dtype=np.int64)
+    for v in range(c.base.vertex_count):
+        digits = prof[v * deck:(v + 1) * deck, src].astype(np.int64)
+        digits[:, neg] = (-digits[:, neg]) % m
+        f[v * deck:(v + 1) * deck] = vmap[v] * deck + digits @ weights
+    hit = np.zeros(f.size, dtype=bool)
+    hit[f] = True
+    if not hit.all():
+        return None
+    tails, heads = c.graph.tails, c.graph.heads
+    for e in range(c.base.edge_count):
+        block = slice(e * deck, (e + 1) * deck)
+        ft, fh = f[tails[block]], f[heads[block]]
+        if signs[e] < 0:
+            ft, fh = fh, ft
+        # the edge over emap[e] with tail ft, in the construction layout
+        rank = ft % deck
+        seen = np.zeros(deck, dtype=bool)
+        seen[rank] = True
+        image = emap[e] * deck + rank
+        if not (seen.all() and np.array_equal(tails[image], ft)
+                and np.array_equal(heads[image], fh)):
+            return None
+    return f
+
+
+def cover_girth(c: CoverGraph):
+    """Girth of the cover from one BFS root (v, 0) per orbit.
+
+    The orbit group (`CoverGraph.orbit_reps`) acts by automorphisms and
+    moves every vertex into its orbit's representative, so some shortest
+    cycle passes through a representative; the result equals
     girth(c.graph) exactly.
     """
-    return _girth_from_roots(c.graph,
-                             range(0, c.graph.vertex_count, c.deck_size))
+    reps = c.orbit_reps()
+    # a representative (u, 0) is the entry of its own fiber u
+    return _girth_from_roots(
+        c.graph, reps[reps == np.arange(reps.size) * c.deck_size].tolist())
 
 
 # -- covering projection and lifting -------------------------------------

@@ -444,6 +444,138 @@ def girth(g: MultiGraph):
     return _girth_from_roots(g, range(g.vertex_count))
 
 
+# -- label symmetry -----------------------------------------------------
+
+
+def _arc_keys(g: MultiGraph):
+    """Per vertex, {(label, direction): (edge, neighbour)} over its arcs.
+
+    None when g has no labels, a label is unhashable (a list or dict read
+    from a document) or a vertex repeats a (label, direction): then the
+    labels cannot steer an automorphism.
+    """
+    if g.labels is None:
+        return None
+    indptr, ae, asg, ah = g.arcs()
+    keys = []
+    for v in range(g.vertex_count):
+        at = {}
+        for i in range(indptr[v], indptr[v + 1]):
+            e = int(ae[i])
+            try:
+                at[g.labels[e], int(asg[i])] = (e, int(ah[i]))
+            except TypeError:
+                return None
+        if len(at) != indptr[v + 1] - indptr[v]:
+            return None
+        keys.append(at)
+    return keys
+
+
+def _label_automorphism(g: MultiGraph, keys, v: int):
+    """The label-preserving automorphism of g with 0 -> v, or None.
+
+    Following arcs from 0 fixes it: the arc of (label l, direction d) at
+    u goes to the arc of (l, s_l * d) at its image.  s_l = -1 where the
+    directions of label l at v differ from those at 0 (the m = 2 Cayley
+    graph stores each involution edge once, so a translation reverses
+    some of them).  The result is checked as an automorphism of g.
+    """
+    def directions(at):
+        out = {}
+        for label, d in at:
+            out.setdefault(label, set()).add(d)
+        return out
+
+    at0 = directions(keys[0])
+    flip = {label for label, ds in at0.items()
+            if ds != directions(keys[v]).get(label)}
+    vmap = np.full(g.vertex_count, -1, dtype=np.int64)
+    emap = np.full(g.edge_count, -1, dtype=np.int64)
+    signs = np.ones(g.edge_count, dtype=np.int64)
+    vmap[0] = v
+    queue = [0]
+    for u in queue:
+        image = keys[vmap[u]]
+        for (label, d), (e, w) in keys[u].items():
+            s = -1 if label in flip else 1
+            hit = image.get((label, s * d))
+            if hit is None:
+                return None
+            emap[e], signs[e] = hit[0], s
+            if vmap[w] < 0:
+                vmap[w] = hit[1]
+                queue.append(w)
+            elif vmap[w] != hit[1]:
+                return None
+    return (vmap, emap, signs) if _is_automorphism(g, vmap, emap, signs) else None
+
+
+def _is_permutation(p: np.ndarray) -> bool:
+    hit = np.zeros(p.size, dtype=bool)
+    hit[p[(p >= 0) & (p < p.size)]] = True
+    return bool(hit.all())
+
+
+def _is_automorphism(g: MultiGraph, vmap, emap, signs) -> bool:
+    """True iff vmap and emap are bijections and edge e goes to edge
+    emap[e] with endpoints (vmap[tail], vmap[head]), swapped where
+    signs[e] < 0."""
+    if not (_is_permutation(vmap) and _is_permutation(emap)):
+        return False
+    fwd = signs > 0
+    t, h = vmap[g.tails], vmap[g.heads]
+    return bool(np.array_equal(g.tails[emap], np.where(fwd, t, h))
+                and np.array_equal(g.heads[emap], np.where(fwd, h, t)))
+
+
+def label_automorphisms(g: MultiGraph) -> list:
+    """Checked label-preserving automorphisms (vertex map, edge map, edge
+    signs) of g, one taking 0 to each neighbour of 0 where one exists.
+
+    If all exist they generate a vertex-transitive group on a connected g:
+    the group carries a path from 0 along itself, one step at a time.
+    Empty when g is unlabelled or its labels cannot steer (`_arc_keys`).
+    """
+    keys = _arc_keys(g)
+    if not keys:
+        return []
+    targets = sorted({w for _e, w in keys[0].values()} - {0})
+    return [auto for auto in (_label_automorphism(g, keys, v) for v in targets)
+            if auto is not None]
+
+
+class Orbits:
+    """Orbits of the group generated by the vertex permutations joined so
+    far, each named by its least vertex (a union-find that keeps the
+    least vertex as root)."""
+
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+
+    def find(self, u: int) -> int:
+        parent = self._parent
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    def join(self, perm: np.ndarray) -> None:
+        for u, w in enumerate(perm.tolist()):
+            a, b = self.find(u), self.find(w)
+            if a != b:
+                self._parent[max(a, b)] = min(a, b)
+
+    def least(self) -> np.ndarray:
+        """Per vertex, the least vertex of its orbit."""
+        return np.array([self.find(u) for u in range(len(self._parent))],
+                        dtype=np.int64)
+
+    def roots(self) -> list[int]:
+        """The least vertex of each orbit, ascending."""
+        return [u for u in range(len(self._parent)) if self.find(u) == u]
+
+
 # -- connectivity -------------------------------------------------------
 
 

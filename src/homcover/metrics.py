@@ -112,21 +112,33 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
     return TreeAverage(scale * total, used, sample is not None)
 
 
+#: Entries of the row block that tree_average_numerators adds per edge.
+_NUMERATOR_BLOCK = 1 << 18
+
+
 def tree_average_numerators(c: CoverGraph,
                             cap: int = DEFAULT_TREE_CAP) -> tuple[np.ndarray, int]:
     """All-pairs sum over trees of d_T, plus the constant N.
 
     Returns (S, N) with S[x, y] = sum_T d_T(C^T_x, C^T_y); the exact tree
-    average for a pair is S[x, y] / N.  Summed one base edge at a time,
-    with (|V~|, |V~|) temporaries; intended for small covers.
+    average for a pair is S[x, y] / N.  Summed into S one block of rows
+    and one base edge at a time, so beside the (|V~|, |V~|) result the
+    temporaries are about _NUMERATOR_BLOCK entries; intended for small
+    covers.
     """
     n_avoid = avoidance_count(c)
     w, _ = _avoidance_weights(c, enumerate_spanning_trees(c.base, cap))
     prof = c.base_profiles()
-    total = np.zeros((len(prof), len(prof)), dtype=np.int64)
-    for e, col in enumerate(prof.T):
-        # w[e] is an int64 scalar, so the product is int64, not the residue dtype
-        total += w[e] * _cyclic_distance(col[:, None], col[None, :], c.m)
+    n = len(prof)
+    total = np.zeros((n, n), dtype=np.int64)
+    rows = max(1, _NUMERATOR_BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        block = total[lo:lo + rows]
+        for e, col in enumerate(prof.T):
+            # w[e] is an int64 scalar, so the product is int64, not the
+            # residue dtype
+            block += w[e] * _cyclic_distance(col[lo:lo + rows, None],
+                                             col[None, :], c.m)
     return total, n_avoid
 
 
@@ -155,31 +167,43 @@ class CompareReport:
                 and self.monotone_violations == 0)
 
 
-def _default_sources(c: CoverGraph, sources) -> list[int]:
+def _source_array(c: CoverGraph, sources) -> np.ndarray:
+    """The sources as int64 (every vertex when None); IndexError if one
+    is out of range."""
+    n = c.graph.vertex_count
     if sources is None:
-        return list(range(c.graph.vertex_count))
-    return list(sources)
+        return np.arange(n, dtype=np.int64)
+    srcs = np.asarray(list(sources), dtype=np.int64).reshape(-1)
+    if srcs.size and (srcs.min() < 0 or srcs.max() >= n):
+        bad = srcs[(srcs < 0) | (srcs >= n)][0]
+        raise IndexError(f"source {bad} out of range")
+    return srcs
 
 
-#: Fiber representatives whose BFS rows are held at once.
+#: Representatives whose BFS rows are held at once.
 _ROW_CHUNK = 32
 
 
-def _fibers(c: CoverGraph, srcs: list[int]):
-    """Per distinct fiber of the whole source list, yield (representative
-    (v, 0), its BFS row, label ranks of its sources, repeats kept).  Deck
-    translations keep d and d_Q, so (v, k) has the representative's rows
-    gathered through c.deck_permutation(k).
-    """
-    fibers = {}
-    for s in srcs:
-        fibers.setdefault(s - s % c.deck_size, []).append(s % c.deck_size)
-    groups = list(fibers.items())
-    for lo in range(0, len(groups), _ROW_CHUNK):
-        chunk = groups[lo:lo + _ROW_CHUNK]
-        dmat = bfs_distance_matrix(c.graph, [rep for rep, _ in chunk])
-        for (rep, ranks), d_row in zip(chunk, dmat):
-            yield rep, d_row, ranks
+def _rep_rows(c: CoverGraph, srcs: np.ndarray, reps: np.ndarray):
+    """Per distinct representative in `reps` (one per source), yield
+    (representative, its BFS row, its sources in list order, repeats
+    kept).  Grouped in numpy, once for the whole source list."""
+    order = np.argsort(reps, kind="stable")
+    ranked = reps[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    uniq = ranked[starts]
+    members = np.split(srcs[order], starts[1:])
+    for lo in range(0, uniq.size, _ROW_CHUNK):
+        chunk = uniq[lo:lo + _ROW_CHUNK].tolist()
+        dmat = bfs_distance_matrix(c.graph, chunk)
+        yield from zip(chunk, dmat, members[lo:lo + _ROW_CHUNK])
+
+
+def _orbit_of(c: CoverGraph, srcs: np.ndarray) -> np.ndarray:
+    """Each source's orbit representative (`CoverGraph.orbit_reps`): its
+    rows hold the source's (d, d_Q) pairs, so weight-only reductions read
+    one BFS and one d_Q row per orbit."""
+    return c.orbit_reps()[srcs // c.deck_size]
 
 
 def _compare_row(c: CoverGraph, x: int, d_row: np.ndarray, g0, perturb: int):
@@ -197,35 +221,35 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
     """Check, over (source, all-target) pairs, that d_Q <= d, that
     d_Q < girth iff d < girth, and that below the girth the metrics agree.
 
-    Counts come from each distinct fiber's rows, weighed by its source
+    Counts come from each distinct orbit's rows, weighed by its source
     count; details from the own rows of the first violating sources.
 
     `_dq_perturb` is a fault-injection hook for harness self-tests only.
     """
     g0 = girth(c.base)
     report = CompareReport(girth_base=g0)
-    srcs = _default_sources(c, sources)
-    bad_fibers = set()
-    for rep, d_row, ranks in _fibers(c, srcs):
+    srcs = _source_array(c, sources)
+    reps = _orbit_of(c, srcs)
+    bad_reps = []
+    for rep, d_row, members in _rep_rows(c, srcs, reps):
         mono, iff, eq = _compare_row(c, rep, d_row, g0, _dq_perturb)[1]
-        w = len(ranks)
+        w = len(members)
         report.pairs_checked += w * len(d_row)
         report.monotone_violations += w * int(mono.sum())
         report.iff_violations += w * int(iff.sum())
         report.equality_violations += w * int(eq.sum())
         if (mono | iff | eq).any():
-            bad_fibers.add(rep)
-    for s in srcs if bad_fibers else ():
+            bad_reps.append(rep)
+    for s in srcs[np.isin(reps, bad_reps)].tolist() if bad_reps else ():
         room = max_details - len(report.details)
         if room <= 0:
             break
-        if s - s % c.deck_size in bad_fibers:
-            d_row = bfs_distance_matrix(c.graph, [s])[0]
-            dq_row, masks = _compare_row(c, s, d_row, g0, _dq_perturb)
-            for t in np.flatnonzero(np.logical_or.reduce(masks))[:room]:
-                report.details.append(
-                    {"source": int(s), "target": int(t),
-                     "d": int(d_row[t]), "d_q": int(dq_row[t])})
+        d_row = bfs_distance_matrix(c.graph, [s])[0]
+        dq_row, masks = _compare_row(c, s, d_row, g0, _dq_perturb)
+        for t in np.flatnonzero(np.logical_or.reduce(masks))[:room]:
+            report.details.append(
+                {"source": s, "target": int(t),
+                 "d": int(d_row[t]), "d_q": int(dq_row[t])})
     return report
 
 
@@ -261,29 +285,32 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     distance of the binary embedding images (kept squared so the profile
     stays in exact integers).
 
-    Mode "dq" weighs each distinct fiber's (d, d_Q) row by its source
-    count; mode "l2" translates the d row to each source and computes that
-    source's Hamming row, since that row is what it tests.
+    Mode "dq" weighs each distinct orbit's (d, d_Q) row by its source
+    count; mode "l2" translates its fiber's d row to each source and
+    computes that source's Hamming row, since that row is what it tests.
     """
     if mode not in ("dq", "l2"):
         raise ValueError(f"unknown mode {mode!r}")
-    srcs = _default_sources(c, sources)
+    srcs = _source_array(c, sources)
     diam_bound = c.graph.vertex_count + 1
     mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)
     maxs = np.full(diam_bound, -1, dtype=np.int64)
     counts = np.zeros(diam_bound, dtype=np.int64)
-    if mode == "l2":
+    if mode == "dq":
+        for rep, d_row, members in _rep_rows(c, srcs, _orbit_of(c, srcs)):
+            _reduce_row(counts, mins, maxs, d_row, d_q_from(c, rep),
+                        len(members))
+    else:
         from .embed import binary_embed_matrix
         binary = binary_embed_matrix(c)
-    for rep, d_row, ranks in _fibers(c, srcs):
-        if mode == "dq":
-            _reduce_row(counts, mins, maxs, d_row, d_q_from(c, rep), len(ranks))
-            continue
-        for k in ranks:
-            d_k = d_row.reshape(-1, c.deck_size)[:, c.deck_permutation(k)]
-            # squared Euclidean distance of 0/1 vectors = Hamming
-            val = (binary != binary[rep + k]).sum(axis=1, dtype=np.int64)
-            _reduce_row(counts, mins, maxs, d_k.ravel(), val, 1)
+        fibers = srcs - srcs % c.deck_size
+        for rep, d_row, members in _rep_rows(c, srcs, fibers):
+            for s in members.tolist():
+                d_s = d_row.reshape(-1, c.deck_size)[
+                    :, c.deck_permutation(s - rep)]
+                # squared Euclidean distance of 0/1 vectors = Hamming
+                val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+                _reduce_row(counts, mins, maxs, d_s.ravel(), val, 1)
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))
                  for t in np.flatnonzero(counts))

@@ -184,7 +184,8 @@ def test_criterion_7_tower_desk_scale():
             if row.t < base_girth:
                 assert row.min_val == row.max_val == Fraction(row.t)
 
-        # every pair of the level, one BFS and d_Q row per fiber
+        # every pair of the level, one BFS and d_Q row per orbit
+        assert np.unique(c.orbit_reps()).tolist() == [0]
         rep = verify_compare(c)
         assert rep.pairs_checked == 531441 ** 2
         assert rep.passed

@@ -22,9 +22,9 @@ class TestGirthShortcut:
         assert girth_vertex_transitive(g) == girth(g)
 
     def test_agrees_with_fiber_root_girth_on_tower(self):
-        # levels >= 2 are covers, whose girth the deck group makes exact
-        # from one root per fiber; this checks the vertex-transitivity the
-        # single root assumes
+        # levels >= 2 are covers, whose girth the orbit group makes exact
+        # from one root per orbit; the unlabelled level graphs take every
+        # vertex as a root, and the labelled seed one root
         tower = build_tower(2, 2, 3)
         girths = [lvl.girth_value for lvl in tower.levels]
         assert girths == [4, 8, 16]

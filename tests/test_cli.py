@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from homcover.cli import cover_document, load_cover, main
-from homcover import build_zm_cover, named_graph
+from homcover import build_zm_cover, cayley_zm_power, named_graph
 from homcover.errors import ParseError
 from homcover.graph import graph_document
 
@@ -94,6 +94,32 @@ class TestVerbs:
             assert int(pairs) > 0
             if int(t) < 3:
                 assert lo == hi == t
+
+    @pytest.mark.parametrize("labels", [
+        "lists", "objects", "repeated", "mixed"])
+    def test_metrics_profile_with_foreign_labels(self, tmp_path, capsys,
+                                                 labels):
+        # labels that cannot steer an automorphism skip the symmetry; the
+        # profile must equal that of the unlabelled and the Cayley-labelled
+        # documents
+        doc = cover_document(build_zm_cover(cayley_zm_power(3, 2), 2))
+        cayley = doc["base"]["labels"]
+        foreign = {"lists": [[x] for x in cayley],
+                   "objects": [{"generator": x} for x in cayley],
+                   "repeated": [0] * len(cayley),
+                   "mixed": [[0], 1, {"a": None}] * (len(cayley) // 3)}
+        outputs = []
+        for base_labels in (cayley, None, foreign[labels]):
+            doc["base"]["labels"] = base_labels
+            path = tmp_path / "cover.json"
+            path.write_text(json.dumps(doc))
+            for mode in ("dq", "l2"):
+                assert main(["metrics", "profile", "--cover", str(path),
+                             "--mode", mode, "--samples", "100",
+                             "--seed", "2"]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:4] == outputs[4:]
+        assert outputs[0].startswith("t,pairs,min,max\n")
 
     def test_metrics_profile_deterministic(self, k4_cover_file, capsys):
         args = ["metrics", "profile", "--cover", k4_cover_file,

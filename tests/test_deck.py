@@ -1,8 +1,10 @@
-"""The deck group (Z_m)^r acts on every cover by automorphisms.
+"""The deck group (Z_m)^r acts on every cover by automorphisms, and so do
+the checked lifts of a labelled base's label automorphisms.
 
-These tests check that fact on the edge arrays, and check every result
-that relies on it (fiber-root girth, rows gathered from one representative
-per fiber) against computations that do not.
+These tests check the deck fact on the edge arrays, and check every
+result that relies on the symmetry (orbit-root girth, rows gathered from
+one representative per fiber or per orbit) against computations that do
+not.
 """
 
 import random
@@ -13,10 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homcover import (bfs_distance_matrix, build_zm_cover,
+from homcover import (CoverGraph, MultiGraph, bfs_distance_matrix,
+                      build_tower, build_zm_cover, cayley_zm_power,
                       compression_profile, cover_girth, d_q_from, girth,
                       is_two_edge_connected, named_graph, verify_compare)
+from homcover.cover import _checked_lift
 from homcover.embed import binary_embed_matrix
+from homcover.graph import label_automorphisms
 
 from conftest import connected_multigraphs
 
@@ -224,3 +229,111 @@ def test_compression_profile_out_of_range_source(mode):
     for bad in (-1, c.graph.vertex_count):
         with pytest.raises(IndexError):
             compression_profile(c, [0, bad], mode)
+
+
+# -- rows from one representative per orbit ----------------------------------
+#
+# On a labelled base the checked lifts of the label automorphisms join
+# fibers into orbits; the same per-source oracles must agree.
+
+
+def labelled_prism() -> MultiGraph:
+    """Triangular prism: outer triangle label 0, inner triangle label 1,
+    spokes label 2.  The rotations are label automorphisms; no label
+    automorphism swaps the triangles, so there are two orbits."""
+    edges = ([[i, (i + 1) % 3] for i in range(3)]
+             + [[3 + i, 3 + (i + 1) % 3] for i in range(3)]
+             + [[i, 3 + i] for i in range(3)])
+    return MultiGraph(6, edges, labels=[0] * 3 + [1] * 3 + [2] * 3)
+
+
+def check_against_oracles(c, sources):
+    for perturb in (0, 1):
+        rep = verify_compare(c, sources, _dq_perturb=perturb)
+        want = compare_oracle(c, sources, dq_perturb=perturb)
+        assert (rep.pairs_checked, rep.monotone_violations,
+                rep.iff_violations, rep.equality_violations, rep.details) == (
+            want["pairs"], want["mono"], want["iff"], want["eq"],
+            want["details"])
+    for mode in ("dq", "l2"):
+        prof = compression_profile(c, sources, mode)
+        got = [(r.t, r.pair_count, r.min_val, r.max_val) for r in prof.rows]
+        assert got == profile_oracle(c, sources, mode)
+
+
+def tower_covers():
+    return [lvl.cover for lvl in build_tower(2, 2, 3).levels[1:]]
+
+
+def test_cayley_covers_are_one_orbit():
+    for c in (build_zm_cover(cayley_zm_power(3, 2), 2),
+              build_zm_cover(cayley_zm_power(2, 3), 2),
+              tower_covers()[0]):
+        assert np.unique(c.orbit_reps()).tolist() == [0]
+    # level 3 covers the unlabelled level 2: one orbit per fiber
+    c = tower_covers()[1]
+    assert c.base.labels is None
+    assert np.array_equal(c.orbit_reps(), np.arange(8) * c.deck_size)
+
+
+def test_orbits_match_oracles_cube_m2():
+    c = build_zm_cover(cayley_zm_power(3, 2), 2)
+    for sources in source_sets(c):
+        check_against_oracles(c, sources)
+
+
+def test_orbits_match_oracles_z3_squared_m2_sampled():
+    c = build_zm_cover(cayley_zm_power(2, 3), 2)
+    assert c.graph.vertex_count == 9 * 2 ** 10
+    rng = random.Random(5)
+    check_against_oracles(c, rng.sample(range(c.graph.vertex_count), 40))
+
+
+def test_orbits_match_oracles_m2_tower_levels():
+    for c in tower_covers():
+        for sources in source_sets(c):
+            check_against_oracles(c, sources)
+        assert cover_girth(c) == girth(c.graph)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_several_orbits(m):
+    c = build_zm_cover(labelled_prism(), m)
+    assert c.orbit_reps().tolist() == [0] * 3 + [3 * c.deck_size] * 3
+    for sources in source_sets(c):
+        check_against_oracles(c, sources)
+    assert cover_girth(c) == girth(c.graph)
+
+
+def test_bad_lift_falls_back_to_fibers():
+    # one moved head changes two degrees, and no fixed-point-free lift of
+    # a translation keeps them; the fiber representatives are still exact
+    # for themselves
+    c = build_zm_cover(cayley_zm_power(3, 2), 2)
+    heads = c.graph.heads.copy()
+    heads[0] = (heads[0] + 1) % c.graph.vertex_count
+    broken = CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
+        c.graph.vertex_count, c.graph.tails, heads))
+    autos = label_automorphisms(c.base)
+    assert len(autos) == 3
+    for auto in autos:
+        assert _checked_lift(c, *auto) is not None
+        assert _checked_lift(broken, *auto) is None
+    fibers = np.arange(c.base.vertex_count) * c.deck_size
+    assert np.array_equal(broken.orbit_reps(), fibers)
+    fibers = fibers.tolist()
+    for sources in (fibers, fibers[::-1] + fibers[:3]):
+        check_against_oracles(broken, sources)
+
+
+@pytest.mark.parametrize("labels", [
+    [[0]] * 18,                        # unhashable
+    [{"g": 0}] * 18,                   # unhashable
+    [0] * 18,                          # every (label, direction) repeats
+], ids=["lists", "objects", "repeated"])
+def test_labels_that_cannot_steer(labels):
+    g = cayley_zm_power(2, 3)
+    g = MultiGraph.from_arrays(g.vertex_count, g.tails, g.heads, labels)
+    assert label_automorphisms(g) == []
+    c = build_zm_cover(g, 2)
+    assert np.array_equal(c.orbit_reps(), np.arange(9) * c.deck_size)

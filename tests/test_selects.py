@@ -513,6 +513,23 @@ class TestTreeAverageEdgeSum:
         dq = np.stack([d_q_from(c, x) for x in range(n)])
         assert np.array_equal(numer, n_avoid * dq)
 
+    def test_c5_m400_numerators_in_row_blocks(self):
+        # the (2000, 2000) int64 result is 30.5 MiB; a full-size int64
+        # product per base edge would add as much again
+        c = build_zm_cover(named_graph("c5"), 400)
+        c.base_profiles()
+        c.tree_counts()
+        tracemalloc.start()
+        try:
+            numer, n_avoid = tree_average_numerators(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 << 20
+        want, want_n = oracle_tree_average_numerators(c)
+        assert n_avoid == want_n
+        assert np.array_equal(numer, want)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 257])
     def test_d_T_distance(self, m):
         rng = random.Random(m)
