@@ -14,6 +14,7 @@ label digit of a rank: edge heads, deck permutations and lifts all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,11 +36,42 @@ def _residue_dtype(m: int) -> np.dtype:
     return np.dtype(np.uint8 if m <= 256 else np.uint16)
 
 
+def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
+    """out = (a + b) mod m for residues a, b in 0..m-1, in out's dtype.
+
+    While 2(m - 1) fits the dtype the sum s is reduced as min(s, s - m):
+    s - m wraps past s exactly when s < m.  Above that (uint8 for m in
+    129..256, uint16 above m = 32,768) s itself may wrap, so m is taken
+    off where a > (m - 1) - b, again exact mod 2**bits; at m = 2**bits the
+    wrap is the reduction.
+    """
+    top = np.iinfo(out.dtype).max
+    if 2 * (m - 1) <= top:
+        np.add(a, b, out=out)
+        np.minimum(out, out - m, out=out)
+    elif m <= top:
+        over = a > (m - 1) - b
+        np.add(a, b, out=out)
+        np.subtract(out, m, out=out, where=over)
+    else:
+        np.add(a, b, out=out)
+
+
 def _shift(rank, stride: int, m: int, delta: int):
     """Label rank(s) `rank` with the digit of weight `stride` (m**i for
     cotree position i) moved by `delta` mod m."""
     digit = (rank // stride) % m
     return rank + ((digit + delta) % m - digit) * stride
+
+
+def _shifted_ranks(deck: int, stride: int, m: int, delta: int) -> np.ndarray:
+    """_shift(np.arange(deck), stride, m, delta), one pass over deck: the
+    move depends only on the digit, the middle axis of a (deck / (m *
+    stride), m, stride) view of the ranks."""
+    digits = np.arange(m, dtype=np.int64) * stride
+    move = _shift(digits, stride, m, delta) - digits
+    ranks = np.arange(deck, dtype=np.int64).reshape(-1, m, stride)
+    return (ranks + move[:, None]).reshape(deck)
 
 
 @dataclass(frozen=True)
@@ -147,15 +179,20 @@ class CoverGraph:
                 t, h = g.endpoints(e)
                 loops[i] = pv[t] - pv[h]
                 loops[i, e] += 1
-            ranks = np.arange(self.deck_size, dtype=np.int64)
-            digits = np.empty((self.deck_size, self.r), dtype=np.int64)
-            for i in range(self.r):
-                digits[:, i] = (ranks // m ** i) % m
-            deck_part = (digits @ (loops % m)) % m
-            prof = np.empty((n * self.deck_size, ne), dtype=_residue_dtype(m))
-            for v in range(n):
-                block = (pv[v][None, :] + deck_part) % m
-                prof[v * self.deck_size:(v + 1) * self.deck_size] = block
+            dtype = _residue_dtype(m)
+            # chain of the deck translation by each rank, built one digit
+            # at a time: digit 0 varies fastest, each new digit is the
+            # outer axis and adds its multiple of the generator's loop
+            deck_part = np.zeros((1, ne), dtype=dtype)
+            for loop in loops % m:
+                steps = ((np.arange(m)[:, None] * loop) % m).astype(dtype)
+                stacked = np.empty((m,) + deck_part.shape, dtype=dtype)
+                _add_mod(deck_part[None], steps[:, None], m, stacked)
+                deck_part = stacked.reshape(-1, ne)
+            prof = np.empty((n * self.deck_size, ne), dtype=dtype)
+            for v, start in enumerate((pv % m).astype(dtype)):
+                _add_mod(deck_part, start, m,
+                         prof[v * self.deck_size:(v + 1) * self.deck_size])
             self._profiles = prof
         return self._profiles
 
@@ -236,9 +273,69 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
         lo = e * deck
         tails[lo:lo + deck] = t * deck + ranks
         heads[lo:lo + deck] = h * deck + (
-            _shift(ranks, stride[e], m, 1) if e in stride else ranks)
+            _shifted_ranks(deck, stride[e], m, 1) if e in stride else ranks)
     cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
+    edge_stride = np.zeros(g.edge_count, dtype=np.int64)
+    edge_stride[list(stride)] = list(stride.values())
+    cover_graph._set_arc_source(partial(_lifted_arcs, g, m, deck, edge_stride))
     return CoverGraph(g, m, tree, cover_graph)
+
+
+def _lifted_arcs(g: MultiGraph, m: int, deck: int, stride: np.ndarray):
+    """The cover's CSR arcs (`MultiGraph.arcs`), lifted from g's arcs.
+
+    stride[e] is the label weight of cotree edge e and 0 on tree edges.
+    The arcs at (v, k) are the lifts of v's arcs, in the same order: where
+    v is the tail of e the arc takes edge e * deck + k to the head's
+    vertex at rank _shift(k, +1); where v is the head it takes edge
+    e * deck + r to the tail's vertex at rank r = _shift(k, -1) (no shift
+    on a tree edge).  A block of cover edges lies over one base edge, so
+    these are in edge-id order, except at a base loop, whose backward lift
+    e * deck + _shift(k, -1) comes first where k's digit is nonzero.
+
+    Arc a of v at rank k sits at start[a] + k * deg(v), with start[a] =
+    indptr_X[v] * deck + (a - indptr_X[v]); arcs that share a stride,
+    direction and degree are written in one pass through `_strided_rows`.
+    """
+    b_indptr, b_edge, b_sign, b_head = g.arcs()
+    deg = np.diff(b_indptr)
+    indptr = np.zeros(g.vertex_count * deck + 1, dtype=np.int64)
+    np.cumsum(np.repeat(deg, deck), out=indptr[1:])
+    step = np.repeat(deg, deg)
+    start = (b_indptr[:-1].repeat(deg) * (deck - 1)
+             + np.arange(b_edge.size, dtype=np.int64))
+    arc_stride = stride[b_edge]
+    move = np.where(arc_stride > 0, b_sign, 0)
+    edge = np.empty(b_edge.size * deck, dtype=np.int64)
+    sign = np.empty(b_edge.size * deck, dtype=np.int8)
+    head = np.empty(b_edge.size * deck, dtype=np.int64)
+    ranks = np.arange(deck, dtype=np.int64)
+    # a sorted set, not np.unique: that imports numpy.ma
+    for s, d, k in sorted(set(zip(arc_stride.tolist(), move.tolist(),
+                                  step.tolist()))):
+        sel = np.flatnonzero((arc_stride == s) & (move == d) & (step == k))
+        to = _shifted_ranks(deck, s, m, d) if d else ranks
+        at = start[sel]
+        _strided_rows(edge, k, deck)[at] = (
+            b_edge[sel, None] * deck + (to if d < 0 else ranks))
+        _strided_rows(head, k, deck)[at] = b_head[sel, None] * deck + to
+        _strided_rows(sign, k, deck)[at] = b_sign[sel, None]
+    # a base loop's lifts at (v, k) sit forward first, as its arcs at v
+    loop_arcs = (g.tails[b_edge] == g.heads[b_edge]) & (b_sign > 0)
+    for a in np.flatnonzero(loop_arcs).tolist():
+        pos = start[a] + step[a] * np.flatnonzero(ranks // arc_stride[a] % m)
+        for arr in (edge, sign, head):
+            arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
+    return indptr, edge, sign, head
+
+
+def _strided_rows(a: np.ndarray, step: int, count: int) -> np.ndarray:
+    """Writable view w of the 1-d array a with w[i, k] = a[i + step * k]
+    for k < count: row i is the run of count entries from i on, step
+    apart."""
+    return np.lib.stride_tricks.as_strided(
+        a, shape=(a.size - step * (count - 1), count),
+        strides=(a.strides[0], step * a.strides[0]))
 
 
 def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,

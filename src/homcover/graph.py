@@ -8,8 +8,9 @@ and parallel edges are allowed.
 
 Distances come from one engine, `bfs_distance_matrix`: a level-synchronous
 BFS over the CSR arcs of `MultiGraph.arcs` that runs up to 64 sources at
-once, one bit per source in a uint64 word per vertex.  scipy is imported
-only by `MultiGraph.spmatrix`, so importing the package does not load
+once, one bit per source in a uint64 word per vertex; a pass of a single
+source keeps a one-byte flag per vertex instead.  scipy is imported only
+by `MultiGraph.spmatrix`, so importing the package does not load
 `scipy.sparse`.
 
 Graphs are immutable after construction and safe to share between
@@ -37,7 +38,7 @@ DEFAULT_SIZE_CAP = 1 << 23
 class MultiGraph:
     """Finite oriented multigraph backed by numpy edge arrays."""
 
-    __slots__ = ("vertex_count", "tails", "heads", "labels",
+    __slots__ = ("vertex_count", "tails", "heads", "labels", "_arc_source",
                  "_indptr", "_arc_edge", "_arc_sign", "_arc_head", "_spmat")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
@@ -73,6 +74,7 @@ class MultiGraph:
         self.tails = tails
         self.heads = heads
         self.labels = tuple(labels) if labels is not None else None
+        self._arc_source = None
         self._indptr = None
         self._arc_edge = None
         self._arc_sign = None
@@ -99,24 +101,33 @@ class MultiGraph:
 
         Every edge contributes two arcs (one per direction); a loop
         contributes two arcs at its vertex with opposite signs.  Arcs of a
-        vertex are sorted by edge id.
+        vertex are sorted by edge id.  Built on first use, by sorting or
+        by the graph's arc source (`_set_arc_source`).
         """
         if self._indptr is None:
-            e = self.edge_count
-            src = np.concatenate([self.tails, self.heads])
-            dst = np.concatenate([self.heads, self.tails])
-            eid = np.concatenate([np.arange(e), np.arange(e)])
-            sgn = np.concatenate([np.ones(e, np.int8), -np.ones(e, np.int8)])
-            order = np.lexsort((eid, src))
-            counts = np.bincount(src, minlength=self.vertex_count)
-            indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._arc_edge = eid[order]
-            self._arc_sign = sgn[order]
-            self._arc_head = dst[order]
+            build = self._arc_source or self._sorted_arcs
+            indptr, self._arc_edge, self._arc_sign, self._arc_head = build()
             # set last: a concurrent caller that sees _indptr sees all arrays
             self._indptr = indptr
         return self._indptr, self._arc_edge, self._arc_sign, self._arc_head
+
+    def _set_arc_source(self, build) -> None:
+        """Have `arcs` call build() instead of sorting: a caller that knows
+        the graph's structure (a cover lifts them from its base's arcs)
+        returns the same four arrays."""
+        self._arc_source = build
+
+    def _sorted_arcs(self):
+        e = self.edge_count
+        src = np.concatenate([self.tails, self.heads])
+        dst = np.concatenate([self.heads, self.tails])
+        eid = np.concatenate([np.arange(e), np.arange(e)])
+        sgn = np.concatenate([np.ones(e, np.int8), -np.ones(e, np.int8)])
+        order = np.lexsort((eid, src))
+        counts = np.bincount(src, minlength=self.vertex_count)
+        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, eid[order], sgn[order], dst[order]
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
         """Arcs at v as (edge_id, direction, neighbor), edge-id order."""
@@ -264,10 +275,26 @@ class DistanceTable:
 _BFS_WORD_BITS = 64
 
 #: A level pushes from its frontier, instead of pulling at every vertex,
-#: when the frontier's arcs are at most all arcs over this ratio.  On the
-#: 531,441-vertex tower level 8, 16 and 32 run about equally fast; 4 is
-#: slower and its push temporaries add 8 MB at the peak.
+#: when the frontier's arcs are at most all arcs over this ratio.  For 32
+#: sources on the 531,441-vertex tower level 8, 16 and 32 run about
+#: equally fast; 4 is slower and its push temporaries add 8 MB at the peak.
 _PUSH_RATIO = 16
+
+#: The same switch for one source, measured on a 2-vCPU Xeon guest.  A
+#: one-byte pull costs about what a push of a quarter of the arcs does:
+#: on the tower level 1 (never pull), 2 and 4 run alike, since no
+#: frontier there holds 17% of the arcs, and 8 is 20-40% slower; on a
+#: 200,000-vertex random graph of mean degree 20, whose frontiers reach
+#: half the arcs, 4 and 8 take 31 ms and 1 takes 60 ms.
+_PUSH_RATIO_ONE = 4
+
+#: A one-source push below |V| / _CLAIM_RATIO arcs finds its new vertices
+#: through `claim`, at a cost in its own size; from there on it sets
+#: flags and scans all |V| of them, which also sorts the next frontier.
+#: On the tower level 4, 16 and 64 run alike; claiming on every level is
+#: about 40% slower there, and flagging on every level makes the 32,768
+#: levels of the 65,536-cycle take 7.3 s instead of 0.5 s.
+_CLAIM_RATIO = 16
 
 
 def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
@@ -285,7 +312,8 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     arcs it pushes them instead, at a cost in its own size rather than
     |V| (the direction switch of Beamer, Asanović and Patterson, SC 2012).
     Loops and parallel arcs only repeat a bit, so they never shorten a
-    distance.
+    distance.  A pass of one source, as the last of 1, 65, 129, ...
+    sources, runs in `_one_source_row`.
     """
     sources = list(sources)
     n = g.vertex_count
@@ -304,9 +332,15 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     # allocates nothing |V|- or arc-sized beyond its frontier, so the peak
     # RSS does not hinge on where the allocator finds room for temporaries,
     # which depends on the heap layout the process happened to leave
+    claim = np.empty(n, dtype=np.int64)
+    if len(sources) % _BFS_WORD_BITS == 1:
+        # a last pass of one source runs without words
+        _one_source_row(indptr, degree, heads, pull_end, sources.pop(),
+                        out[-1], claim)
+        if not sources:
+            return out
     # words_at is zero between levels; _merge ORs pushed bits into it
     words_at = np.zeros(n, dtype=np.uint64)
-    claim = np.empty(n, dtype=np.int64)
     unvisited = np.empty(n, dtype=np.uint64)
     # zero past pull_end for good: only arc-less vertices live there
     pulled = np.zeros(n, dtype=np.uint64)
@@ -328,9 +362,8 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
             active_degree = degree[active]
             active_arcs = int(active_degree.sum())
             if active_arcs * _PUSH_RATIO <= heads.size:
-                arc = np.repeat(indptr[active] - np.cumsum(active_degree)
-                                + active_degree, active_degree)
-                arc += np.arange(active_arcs)
+                arc = _frontier_arcs(indptr, active, active_degree,
+                                     active_arcs)
                 active, words = _merge(heads[arc],
                                        np.repeat(words, active_degree),
                                        words_at, claim, unvisited)
@@ -347,6 +380,67 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
                 words = pulled[active]
                 unvisited[active] ^= words
     return out
+
+
+def _one_source_row(indptr, degree, heads, pull_end, source, row, claim):
+    """BFS from one source into row (all UNREACHABLE on entry).
+
+    With one source a vertex's word would hold one bit, so the frontier
+    is a list of vertices, merged through a uint8 flag per vertex.  A
+    pull reads 2|E| flag bytes.  A push gathers its arcs' heads and keeps
+    each unvisited one once: below |V| / _CLAIM_RATIO arcs through one
+    `claim` slot per head, at a cost in the frontier's size, and above
+    that by setting flags and scanning all |V| of them, which leaves the
+    next frontier sorted for the gathers of the level after.  No ufunc
+    ``.at`` merge runs.
+    """
+    # arc-less vertices are reached only as the source (see above)
+    unvisited = degree != 0
+    unvisited[source] = False
+    flag = np.zeros(row.size, dtype=np.uint8)
+    gathered = np.empty(heads.size, dtype=np.uint8)
+    active = np.array([source], dtype=np.int64)
+    level = 0
+    while active.size:
+        row[active] = level
+        level += 1
+        active_degree = degree[active]
+        active_arcs = int(active_degree.sum())
+        if active_arcs * _PUSH_RATIO_ONE > heads.size:
+            flag[active] = 1
+            np.take(flag, heads, out=gathered, mode="clip")
+            # every active vertex has arcs, so this overwrites its flag
+            np.bitwise_or.reduceat(gathered, indptr[:pull_end],
+                                   out=flag[:pull_end])
+            active = _flagged(flag, unvisited)
+        else:
+            reached = heads[_frontier_arcs(indptr, active, active_degree,
+                                           active_arcs)]
+            if active_arcs * _CLAIM_RATIO < row.size:
+                reached = reached[unvisited[reached]]
+                slot = np.arange(reached.size)
+                claim[reached] = slot
+                active = reached[claim[reached] == slot]
+            else:
+                flag[reached] = 1
+                active = _flagged(flag, unvisited)
+        unvisited[active] = False
+
+
+def _frontier_arcs(indptr, active, active_degree, active_arcs):
+    """CSR indices of the arcs at the active vertices, vertex by vertex."""
+    arc = np.repeat(indptr[active] - np.cumsum(active_degree) + active_degree,
+                    active_degree)
+    arc += np.arange(active_arcs)
+    return arc
+
+
+def _flagged(flag, unvisited):
+    """The unvisited vertices whose flag is set, ascending; clears flag."""
+    flag &= unvisited.view(np.uint8)
+    found = np.flatnonzero(flag)
+    flag[found] = 0
+    return found
 
 
 def _merge(targets, values, words_at, claim, unvisited):

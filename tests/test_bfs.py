@@ -1,8 +1,9 @@
 """The bit-parallel BFS engine against two independent oracles.
 
 `bfs_distance_matrix` runs up to 64 sources per pass, one bit each, and
-switches between pulling at every vertex and pushing from the frontier.
-The oracles know nothing of either: a pure-Python deque BFS over
+switches between pulling at every vertex and pushing from the frontier;
+a pass with one source runs on a one-byte frontier flag instead.  The
+oracles know nothing of either: a pure-Python deque BFS over
 `adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
 """
 
@@ -14,7 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homcover
@@ -24,8 +25,28 @@ from homcover.graph import UNREACHABLE
 
 from conftest import multigraphs
 
-#: Source counts at and around the 64-source pass boundaries.
+#: Source counts at and around the 64-source pass boundaries; 1 and 65
+#: end in a one-source pass.
 CHUNK_EDGES = (0, 1, 63, 64, 65, 130)
+
+#: One-source inputs: trailing arc-less vertices (one of them the
+#: source), a graph with no arcs, a disconnected one, loops and parallel
+#: edges, and a hub whose frontier holds most arcs (a pull level).
+ONE_SOURCE = [
+    (MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]), [1]),
+    (MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]), [6]),
+    (MultiGraph(3), [1]),
+    (MultiGraph(7, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]), [5]),
+    (MultiGraph(4, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 3),
+                    (2, 3), (3, 0)]), [1]),
+    (MultiGraph(9, [(0, v) for v in range(1, 9)] + [(1, 2), (5, 6)]), [3]),
+]
+
+
+def one_source_examples(test):
+    for case in ONE_SOURCE:
+        test = example(case)(test)
+    return test
 
 
 def deque_oracle(g: MultiGraph, sources) -> np.ndarray:
@@ -56,7 +77,7 @@ def scipy_oracle(g: MultiGraph, sources) -> np.ndarray:
 @st.composite
 def graphs_and_sources(draw):
     g = draw(multigraphs())
-    count = draw(st.one_of(st.sampled_from(CHUNK_EDGES),
+    count = draw(st.one_of(st.just(1), st.sampled_from(CHUNK_EDGES),
                            st.integers(min_value=0, max_value=8)))
     ids = st.integers(min_value=0, max_value=g.vertex_count - 1)
     return g, draw(st.lists(ids, min_size=count, max_size=count))
@@ -64,6 +85,7 @@ def graphs_and_sources(draw):
 
 @given(graphs_and_sources())
 @settings(max_examples=150, deadline=None)
+@one_source_examples
 def test_matches_deque_oracle(case):
     g, sources = case
     assert np.array_equal(bfs_distance_matrix(g, sources),
@@ -72,6 +94,7 @@ def test_matches_deque_oracle(case):
 
 @given(graphs_and_sources())
 @settings(max_examples=150, deadline=None)
+@one_source_examples
 def test_matches_scipy_oracle(case):
     g, sources = case
     got = bfs_distance_matrix(g, sources)
@@ -119,6 +142,9 @@ def test_long_cycle():
     gap = np.abs(np.arange(n)[None, :] - np.array(sources)[:, None])
     assert np.array_equal(bfs_distance_matrix(g, sources),
                           np.minimum(gap, n - gap))
+    # and one source alone, in the one-byte frontier
+    assert np.array_equal(bfs_distance_matrix(g, [2000])[0],
+                          np.minimum(gap[2], n - gap[2]))
 
 
 def test_zero_vertex_graph():
@@ -141,6 +167,8 @@ def test_no_arcs():
 def test_out_of_range_source(bad):
     with pytest.raises(IndexError):
         bfs_distance_matrix(MultiGraph(4, [(0, 1)]), [0, bad])
+    with pytest.raises(IndexError):
+        bfs_distance_matrix(MultiGraph(4, [(0, 1)]), [bad])
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -1,0 +1,155 @@
+"""A cover's own arrays against oracles that build them another way.
+
+`CoverGraph.base_profiles` sums residues digit by digit in the residue
+dtype; the oracle is the int64 formula it replaced (a digit matrix, a
+matmul and a per-vertex int64 sum).  `build_zm_cover` lifts the cover's
+CSR arcs from the base's arcs; the oracle is `MultiGraph.arcs`, which
+sorts every arc of a graph that knows nothing of the cover.
+"""
+
+import numpy as np
+import pytest
+
+from homcover import (MultiGraph, build_tower, build_zm_cover,
+                      compression_profile, enumerate_spanning_trees,
+                      named_graph)
+from homcover.cover import MAX_M, _residue_dtype
+
+#: Vertex cap of the covers built here; it keeps each oracle's int64
+#: temporaries near 100 MB.
+CAP = 1 << 20
+
+#: Moduli on both sides of the uint8 add's wrap-around (above 128) and
+#: of the dtype's width (256).
+MODULI = (2, 3, 5, 128, 129, 255, 256, 257)
+
+#: The same edges for uint16, on the bases with one cotree edge.
+WIDE_MODULI = (32768, 32769, 65535, MAX_M)
+
+
+def int64_profiles(c) -> np.ndarray:
+    """base_profiles by the int64 formula: the chain of the tree path to
+    each base vertex plus the rank's digits times the cotree loops."""
+    g, m, deck = c.base, c.m, c.deck_size
+    pv = np.zeros((g.vertex_count, g.edge_count), dtype=np.int64)
+    for v in c.tree0.depth_order():
+        par = c.tree0.parent[v]
+        if par is None:
+            continue
+        p, e = par
+        pv[v] = pv[p]
+        pv[v, e] += 1 if g.endpoints(e)[0] == p else -1
+    loops = np.zeros((c.r, g.edge_count), dtype=np.int64)
+    for i, e in enumerate(c.cotree):
+        t, h = g.endpoints(e)
+        loops[i] = pv[t] - pv[h]
+        loops[i, e] += 1
+    ranks = np.arange(deck, dtype=np.int64)
+    digits = np.empty((deck, c.r), dtype=np.int64)
+    for i in range(c.r):
+        digits[:, i] = (ranks // m ** i) % m
+    deck_part = (digits @ (loops % m)) % m
+    prof = np.empty((g.vertex_count * deck, g.edge_count),
+                    dtype=_residue_dtype(m))
+    for v in range(g.vertex_count):
+        prof[v * deck:(v + 1) * deck] = (pv[v][None, :] + deck_part) % m
+    return prof
+
+
+def other_tree(g):
+    """A spanning tree of g other than the default one."""
+    return list(enumerate_spanning_trees(g))[-1]
+
+
+BASES = {
+    "doubled_edge": lambda: (named_graph("doubled_edge"), None),
+    "cycle:1": lambda: (named_graph("cycle:1"), None),
+    "k4": lambda: (named_graph("k4"), None),
+    "petersen": lambda: (named_graph("petersen"), None),
+    # a loop plus a parallel pair
+    "loop_pair": lambda: (MultiGraph(2, [[0, 1], [0, 1], [0, 0]]), None),
+    # two cotree loops through one tree edge: sums of two large residues
+    "theta": lambda: (MultiGraph(2, [[0, 1], [0, 1], [0, 1]]), None),
+    # a tree path against its edge: residues m - 1 in the vertex part
+    "reversed_pair": lambda: (MultiGraph(2, [[1, 0], [0, 1]]), None),
+    "k4_other_tree": lambda: (named_graph("k4"),
+                              other_tree(named_graph("k4"))),
+}
+
+
+def fitting(names, moduli):
+    """The (base, m) pairs whose cover has at most CAP vertices."""
+    pairs = []
+    for name in names:
+        g, _tree = BASES[name]()
+        r = g.edge_count - g.vertex_count + 1
+        pairs += [(name, m) for m in moduli if g.vertex_count * m ** r <= CAP]
+    return pairs
+
+
+def cover_of(name, m):
+    g, tree = BASES[name]()
+    return build_zm_cover(g, m, tree=tree, size_cap=CAP)
+
+
+def assert_same_arcs(g: MultiGraph):
+    oracle = MultiGraph.from_arrays(g.vertex_count, g.tails, g.heads)
+    for got, want in zip(g.arcs(), oracle.arcs()):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # every vertex of a small cover, about 2,000 spread over a large one
+    for v in range(0, g.vertex_count, 1 + g.vertex_count // 2000):
+        assert g.adjacency_of(v) == oracle.adjacency_of(v)
+    assert g.adjacency_of(g.vertex_count - 1) == oracle.adjacency_of(
+        g.vertex_count - 1)
+
+
+class TestBaseProfiles:
+    @pytest.mark.parametrize("name,m", fitting(sorted(BASES), MODULI))
+    def test_matches_int64_formula(self, name, m):
+        c = cover_of(name, m)
+        got = c.base_profiles()
+        want = int64_profiles(c)
+        assert got.dtype == want.dtype == _residue_dtype(m)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,m", fitting(["cycle:1", "reversed_pair"],
+                                               WIDE_MODULI))
+    def test_matches_int64_formula_uint16(self, name, m):
+        c = cover_of(name, m)
+        got = c.base_profiles()
+        assert got.dtype == np.uint16
+        assert got.tobytes() == int64_profiles(c).tobytes()
+
+
+class TestLiftedArcs:
+    @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 3, 5]))
+    def test_matches_sorted_arcs(self, name, m):
+        assert_same_arcs(cover_of(name, m).graph)
+
+    @pytest.mark.parametrize("rank,levels", [(2, 3), (3, 2)])
+    def test_m2_tower_levels(self, rank, levels):
+        tower = build_tower(rank, 2, levels)
+        assert len(tower.levels) == levels
+        for level in tower.levels[1:]:
+            assert_same_arcs(level.graph)
+
+    def test_m3_tower_level_2(self):
+        assert_same_arcs(build_tower(2, 3, 2).levels[-1].graph)
+
+    def test_tower_profile_sorts_no_cover_arcs(self, monkeypatch):
+        sorted_sizes = []
+        lexsort = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            sorted_sizes.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        tower = build_tower(2, 3, 2)
+        seed = tower.levels[0].graph
+        cover = tower.levels[-1].cover
+        compression_profile(cover, [0, 5, cover.graph.vertex_count - 1], "dq")
+        # only graphs of the Cayley seed's size, which is no cover, sort
+        assert sorted_sizes and max(sorted_sizes) <= 2 * seed.edge_count
