@@ -320,7 +320,8 @@ def _lifted_arcs(g: MultiGraph, m: int, deck: int, stride: np.ndarray):
             b_edge[sel, None] * deck + (to if d < 0 else ranks))
         _strided_rows(head, k, deck)[at] = b_head[sel, None] * deck + to
         _strided_rows(sign, k, deck)[at] = b_sign[sel, None]
-    # a base loop's lifts at (v, k) sit forward first, as its arcs at v
+    # a base loop's forward lift now sits first, as its forward arc does
+    # at v; swap where the backward lift's edge id is the smaller
     loop_arcs = (g.tails[b_edge] == g.heads[b_edge]) & (b_sign > 0)
     for a in np.flatnonzero(loop_arcs).tolist():
         pos = start[a] + step[a] * np.flatnonzero(ranks // arc_stride[a] % m)
