@@ -277,7 +277,7 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
     edge_stride = np.zeros(g.edge_count, dtype=np.int64)
     edge_stride[list(stride)] = list(stride.values())
-    cover_graph._set_arc_source(partial(_lifted_arcs, g, m, deck, edge_stride))
+    cover_graph._arc_source = partial(_lifted_arcs, g, m, deck, edge_stride)
     return CoverGraph(g, m, tree, cover_graph)
 
 

@@ -101,8 +101,10 @@ class MultiGraph:
 
         Every edge contributes two arcs (one per direction); a loop
         contributes two arcs at its vertex with opposite signs.  Arcs of a
-        vertex are sorted by edge id.  Built on first use, by sorting or
-        by the graph's arc source (`_set_arc_source`).
+        vertex are sorted by edge id.  Built on first use by sorting, or
+        by calling ``_arc_source()`` where one is set: a caller that knows
+        the graph's structure returns the same four arrays (a cover lifts
+        them from its base's arcs).
         """
         if self._indptr is None:
             build = self._arc_source or self._sorted_arcs
@@ -110,12 +112,6 @@ class MultiGraph:
             # set last: a concurrent caller that sees _indptr sees all arrays
             self._indptr = indptr
         return self._indptr, self._arc_edge, self._arc_sign, self._arc_head
-
-    def _set_arc_source(self, build) -> None:
-        """Have `arcs` call build() instead of sorting: a caller that knows
-        the graph's structure (a cover lifts them from its base's arcs)
-        returns the same four arrays."""
-        self._arc_source = build
 
     def _sorted_arcs(self):
         e = self.edge_count
