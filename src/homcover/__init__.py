@@ -16,11 +16,10 @@ from .errors import (CapExceeded, EndpointMismatch, EndpointOutOfRange,
                      NotConnected, NotSpanningTree, NotTwoEdgeConnected,
                      ParseError, PathMismatch, SizeCapExceeded,
                      UnsupportedModulus)
-from .graph import (MultiGraph, Walk, bfs_distance_matrix, bfs_distances,
-                    cayley_zm_power, complete_graph, concat_walks,
-                    cycle_graph, doubled_edge, girth, graph_document,
-                    is_connected, is_two_edge_connected, load_graph,
-                    named_graph, path_graph, petersen_graph, reverse_walk)
+from .graph import (MultiGraph, Walk, bfs_distance_matrix, cayley_zm_power,
+                    complete_graph, cycle_graph, doubled_edge, girth,
+                    graph_document, is_connected, is_two_edge_connected,
+                    load_graph, named_graph, path_graph, petersen_graph)
 from .harness import (SuiteConfig, VerificationReport, fingerprint,
                       make_congruence_pair, run_suite)
 from .metrics import (CompareReport, CompressionProfile, ProfileRow,

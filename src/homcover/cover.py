@@ -8,21 +8,28 @@ the lift of cotree generator i adds one to the i-th Z_m coordinate.
 Vertex (v, k) is stored at index v * m^r + rank(k) where rank is the
 mixed-radix value of k, little-endian in cotree order; edge (e, k) is
 stored at index e * m^r + rank(k).  `_shift` is the one rule that moves a
-label digit of a rank: edge heads, deck permutations and lifts all use it.
+label digit of a rank: edge heads and deck permutations use it.
+
+Walks are lifted over the built edges of the cover: a base walk's signed
+arcs (`graph.Walk`) pick signed cover arcs from `CoverGraph.arc_ends`,
+and `_lift_block` follows them for a block of walks at once.  Two base
+walks from one vertex lift to the same cover endpoint exactly when their
+signed edge counts agree mod m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk,
-                    _girth_from_roots, is_two_edge_connected,
-                    label_automorphisms)
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _has_loop,
+                    _least_cycle_bound, is_two_edge_connected,
+                    label_automorphisms, signed_arc_counts)
 from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
                     some_spanning_tree, tree_counts)
 
@@ -104,8 +111,8 @@ class CoverGraph:
         self.deck_size = m ** self.r
         self.graph = graph
         self.basepoint = 0  # vertex (0, 0)
-        self._cotree_stride = {e: m ** i for i, e in enumerate(self.cotree)}
         self._profiles = None
+        self._arc_ends = None
         self._tree_counts = None
         self._orbit_reps = None
 
@@ -195,6 +202,25 @@ class CoverGraph:
                          prof[v * self.deck_size:(v + 1) * self.deck_size])
             self._profiles = prof
         return self._profiles
+
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) of every signed cover arc, read off the edge
+        arrays of self.graph; built on first use.
+
+        Arc 2i + b belongs to slot i = e * deck + k of base edge e and
+        label rank k.  Arc 2i follows cover edge i forward; arc 2i + 1
+        follows backward the edge of block e whose head has rank k, found
+        by an inverse head index of the block.
+        """
+        if self._arc_ends is None:
+            g = self.graph
+            ids = np.arange(g.edge_count, dtype=np.int64)
+            inv = ids.copy()
+            inv[ids - ids % self.deck_size + g.heads % self.deck_size] = ids
+            src = np.stack([g.tails, g.heads[inv]], axis=1).ravel()
+            dst = np.stack([g.heads, g.tails[inv]], axis=1).ravel()
+            self._arc_ends = src, dst
+        return self._arc_ends
 
     def tree_counts(self) -> TreeCounts:
         """tree_counts(base), computed once per cover."""
@@ -394,10 +420,17 @@ def cover_girth(c: CoverGraph):
     moves every vertex into its orbit's representative, so some shortest
     cycle passes through a representative; the result equals
     girth(c.graph) exactly.
+
+    A cover has no loop: a tree edge joins two fibers and a cotree edge
+    moves a label digit.  It has a parallel pair exactly when m = 2 and
+    the base has a loop, whose two lifts at each vertex join the same
+    two labels.  Both are read off the base, not the cover's edges.
     """
+    if c.m == 2 and _has_loop(c.base):
+        return 2
     reps = c.orbit_reps()
     # a representative (u, 0) is the entry of its own fiber u
-    return _girth_from_roots(
+    return _least_cycle_bound(
         c.graph, reps[reps == np.arange(reps.size) * c.deck_size].tolist())
 
 
@@ -412,28 +445,65 @@ def project_edge(c: CoverGraph, e: int) -> int:
     return c.decode_edge(e)[0]
 
 
+def _lift_block(c: CoverGraph, starts, walks):
+    """Lift signed-arc walks from cover vertices `starts`, one numpy pass
+    per step over the block of walks.
+
+    Returns (end vertices, signed cover arcs): the arcs of all steps,
+    walk after walk in input order.  A step along base arc a from cover
+    vertex x takes signed cover arc 2 * ((a >> 1) * deck + x % deck) +
+    (a & 1) (`CoverGraph.arc_ends`); PathMismatch if x is not that arc's
+    source, IndexError for a base arc out of range.  The walks still
+    active at step j are the longest ones, a prefix of the block in
+    longest-first order.
+    """
+    src, dst = c.arc_ends()
+    deck = c.deck_size
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    order = np.argsort(-lengths, kind="stable")
+    arcs = np.fromiter(chain.from_iterable(walks), np.int64,
+                       int(lengths.sum()))
+    if arcs.size and not 0 <= arcs.min() <= arcs.max() < 2 * c.base.edge_count:
+        raise IndexError("base arc out of range")
+    # the slot-independent part of each step's cover arc id
+    arcs = (arcs >> 1) * (2 * deck) + (arcs & 1)
+    offsets = (np.cumsum(lengths) - lengths)[order]
+    active = np.searchsorted(-lengths[order],
+                             -np.arange(lengths.max(initial=0)))
+    cur = np.asarray(starts, dtype=np.int64)[order]
+    for j, n in enumerate(active.tolist()):
+        x = cur[:n]
+        at = offsets[:n] + j
+        arc = arcs[at] + 2 * (x % deck)
+        if not np.array_equal(src[arc], x):
+            raise PathMismatch(f"step {j} of a lifted walk does not start "
+                               f"at its cover vertex")
+        arcs[at] = arc
+        cur[:n] = dst[arc]
+    ends = np.empty_like(cur)
+    ends[order] = cur
+    return ends, arcs
+
+
 def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int]]:
     """Lift a base walk to the cover starting at `start`.
 
     Returns (endpoint, cover edge ids of the lift).  The start vertex must
-    lie over the walk's origin.  The lift carries the current label rank.
+    lie over the walk's origin.  The lift is `_lift_block` on a block of
+    one; the cover edge of a step is e * deck + the rank of its tail-side
+    vertex, the current vertex on a forward step and the next one on a
+    backward step.
     """
     c.require_vertices(start)
     deck = c.deck_size
-    v, rank = divmod(int(start), deck)
-    if v != base_walk.start:
-        raise PathMismatch(
-            f"start vertex lies over {v}, walk begins at {base_walk.start}")
-    verts = base_walk.vertices(c.base)  # validates contiguity
-    edges = []
-    for e, d in base_walk.steps:
-        stride = c._cotree_stride.get(e)
-        if stride is not None and d == -1:
-            rank = _shift(rank, stride, c.m, -1)
-        edges.append(e * deck + rank)
-        if stride is not None and d == 1:
-            rank = _shift(rank, stride, c.m, 1)
-    return verts[-1] * deck + rank, edges
+    if start // deck != base_walk.start:
+        raise PathMismatch(f"start vertex lies over {start // deck}, walk "
+                           f"begins at {base_walk.start}")
+    ends, arcs = _lift_block(c, [start], [base_walk.steps])
+    src, dst = c.arc_ends()
+    tail_side = np.where(arcs & 1, dst[arcs], src[arcs])
+    edges = (arcs >> 1) // deck * deck + tail_side % deck
+    return int(ends[0]), edges.tolist()
 
 
 # -- clouds ---------------------------------------------------------------
@@ -463,10 +533,7 @@ def cloud_map(c: CoverGraph, tree: SpanningTree | None = None) -> np.ndarray:
 def signed_edge_counts(g: MultiGraph, w: Walk) -> np.ndarray:
     """Integer signed traversal counts of a walk, one per edge of g."""
     w.vertices(g)  # validate
-    counts = np.zeros(g.edge_count, dtype=np.int64)
-    for e, d in w.steps:
-        counts[e] += d
-    return counts
+    return signed_arc_counts(w.steps, g.edge_count)
 
 
 def chain_mod_m(g: MultiGraph, w: Walk, m: int) -> EdgeChainModM:

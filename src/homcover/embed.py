@@ -282,10 +282,10 @@ def assemble_family(covers: Sequence[CoverGraph],
     """
     covers = tuple(covers)
     if not covers:
-        raise ValueError("need at least one cover")
+        raise InvalidParameter("need at least one cover")
     m = covers[0].m
     if any(c.m != m for c in covers):
-        raise ValueError("all covers must share the same m")
+        raise InvalidParameter("all covers must share the same m")
     widths = tuple(c.base.edge_count * m for c in covers)
     total = sum(widths) + 1
     if total > size_cap:

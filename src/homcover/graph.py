@@ -156,33 +156,30 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class Walk:
-    """An edge walk: a start vertex and (edge_id, direction) steps.
+    """An edge walk: a start vertex and signed-arc steps.
 
-    direction +1 traverses tail -> head, -1 traverses head -> tail.
-    Edges and vertices may repeat.
+    Step 2e traverses edge e tail -> head and step 2e + 1 traverses it
+    head -> tail, so a step's reverse is step ^ 1.  Edges and vertices
+    may repeat.
     """
 
     start: int
-    steps: tuple[tuple[int, int], ...] = ()
+    steps: tuple[int, ...] = ()
 
     def vertices(self, g: MultiGraph) -> list[int]:
-        """All vertices visited, start first; raises PathMismatch if broken."""
+        """All vertices visited, start first; raises PathMismatch if
+        broken and IndexError for an arc out of range."""
         cur = self.start
         if not 0 <= cur < g.vertex_count:
             raise PathMismatch(f"start vertex {cur} out of range")
         out = [cur]
-        for e, d in self.steps:
-            t, h = g.endpoints(e)
-            if d == 1:
-                if cur != t:
-                    raise PathMismatch(f"edge {e} does not start at {cur}")
-                cur = h
-            elif d == -1:
-                if cur != h:
-                    raise PathMismatch(f"edge {e} (reversed) does not start at {cur}")
-                cur = t
-            else:
-                raise PathMismatch(f"bad direction {d}")
+        for arc in self.steps:
+            t, h = g.endpoints(arc >> 1)
+            if arc & 1:
+                t, h = h, t
+            if cur != t:
+                raise PathMismatch(f"arc {arc} does not start at {cur}")
+            cur = h
             out.append(cur)
         return out
 
@@ -193,20 +190,13 @@ class Walk:
         return len(self.steps)
 
 
-def reverse_walk(g: MultiGraph, w: Walk) -> Walk:
-    return Walk(w.end(g), tuple((e, -d) for e, d in reversed(w.steps)))
-
-
-def concat_walks(g: MultiGraph, *walks: Walk) -> Walk:
-    cur = walks[0]
-    steps = list(cur.steps)
-    end = cur.end(g)
-    for w in walks[1:]:
-        if w.start != end:
-            raise PathMismatch("walks are not contiguous")
-        steps.extend(w.steps)
-        end = w.end(g)
-    return Walk(walks[0].start, tuple(steps))
+def signed_arc_counts(arcs, edge_count: int) -> np.ndarray:
+    """Signed traversal count of each edge along the signed arcs `arcs`
+    (each in 0..2 * edge_count - 1): +1 per forward arc, -1 per backward
+    arc; int64, shape (edge_count,)."""
+    per_arc = np.bincount(np.asarray(arcs, dtype=np.int64),
+                          minlength=2 * edge_count)
+    return per_arc[0::2] - per_arc[1::2]
 
 
 # -- documents ----------------------------------------------------------
@@ -250,21 +240,6 @@ def graph_document(g: MultiGraph) -> dict:
 
 
 # -- BFS metrics --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Single-source shortest-path distances; UNREACHABLE marks no path."""
-
-    source: int
-    dist: np.ndarray
-
-    def distance(self, v: int):
-        d = int(self.dist[v])
-        return math.inf if d >= UNREACHABLE else d
-
-    def __len__(self):
-        return len(self.dist)
 
 
 #: Sources per bit-parallel BFS pass: one bit each in a uint64 word.
@@ -459,11 +434,6 @@ def _merge(targets, values, words_at, claim, unvisited):
     return targets, words
 
 
-def bfs_distances(g: MultiGraph, source: int) -> DistanceTable:
-    """BFS distance table from one source; loops never shorten paths."""
-    return DistanceTable(source, bfs_distance_matrix(g, [source])[0])
-
-
 # -- girth --------------------------------------------------------------
 
 
@@ -520,6 +490,13 @@ def _girth_from_roots(g: MultiGraph, roots: Iterable[int]):
         return 1
     if _has_parallel_pair(g):
         return 2
+    return _least_cycle_bound(g, roots)
+
+
+def _least_cycle_bound(g: MultiGraph, roots: Iterable[int]):
+    """The least cycle bound over the roots.  The girth of g whenever g
+    has no loop and no parallel pair and some shortest cycle passes
+    through a root."""
     best = math.inf
     for root in roots:
         best = cycle_bound_from(g, root, best)
@@ -735,7 +712,7 @@ def is_two_edge_connected(g: MultiGraph) -> bool:
 def cycle_graph(n: int) -> MultiGraph:
     """C_n; n=1 is a single loop, n=2 a doubled edge."""
     if n < 1:
-        raise ValueError("cycle needs at least one vertex")
+        raise InvalidParameter("cycle needs at least one vertex")
     return MultiGraph(n, [[i, (i + 1) % n] for i in range(n)])
 
 

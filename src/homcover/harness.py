@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cover import CoverGraph, build_zm_cover, cover_girth
+from .cover import CoverGraph, _lift_block, build_zm_cover, cover_girth
 from .embed import binary_embed_matrix
 from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
-                     ParseError, PathMismatch)
+                     ParseError)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
-                    girth, named_graph)
+                    girth, named_graph, signed_arc_counts)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
 from .trees import DEFAULT_TREE_CAP, SpanningTree
 
@@ -119,13 +119,8 @@ def _derive_seed(seed: int, *tags: str) -> int:
 
 # -- congruent walk generation -------------------------------------------
 #
-# Walk steps are signed arcs: 2e traverses base edge e tail -> head and
-# 2e + 1 traverses it head -> tail, so a step's reverse is step ^ 1.
-
-
-def _step(arc: int) -> tuple[int, int]:
-    """(edge, direction) of a signed arc."""
-    return arc >> 1, -1 if arc & 1 else 1
+# Walks are drawn as lists of signed arcs, the steps of `graph.Walk`: 2e
+# traverses base edge e tail -> head and 2e + 1 traverses it head -> tail.
 
 
 class _WalkTables:
@@ -136,12 +131,13 @@ class _WalkTables:
 
     def __init__(self, g: MultiGraph, tree: SpanningTree):
         self.edge_count = g.edge_count
-        self.arcs, self.nbrs = [], []
-        for v in range(g.vertex_count):
-            adj = g.adjacency_of(v)
-            self.arcs.append([2 * e + (d == -1) for e, d, _ in adj])
-            self.nbrs.append([nbr for _, _, nbr in adj])
-        self.up = [[2 * e + (d == -1) for e, d in tree.walk_to_root(g, v).steps]
+        indptr, edge, sign, head = g.arcs()
+        arcs = (2 * edge + (sign < 0)).tolist()
+        heads = head.tolist()
+        bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
+        self.arcs = [arcs[lo:hi] for lo, hi in bounds]
+        self.nbrs = [heads[lo:hi] for lo, hi in bounds]
+        self.up = [list(tree.walk_to_root(g, v).steps)
                    for v in range(g.vertex_count)]
         self.down = [[a ^ 1 for a in reversed(up)] for up in self.up]
         self.loops = []
@@ -174,12 +170,16 @@ class _WalkTables:
             insertion = [arc, arc ^ 1] + insertion
         return start, steps, pos, insertion
 
-    def closes_mod(self, arcs: list[int], m: int) -> bool:
-        """True iff every signed edge count of `arcs` is 0 mod m."""
-        counts = [0] * self.edge_count
-        for a in arcs:
-            counts[a >> 1] += -1 if a & 1 else 1
-        return all(x % m == 0 for x in counts)
+    def closes_mod(self, walks: list[list[int]], m: int) -> np.ndarray:
+        """Per walk of signed arcs, True iff its every signed edge count
+        is 0 mod m.  Walk i's arcs count on copy i of the edges, so one
+        count serves the block."""
+        lengths = list(map(len, walks))
+        arcs = np.fromiter(chain.from_iterable(walks), np.int64, sum(lengths))
+        arcs += np.repeat(np.arange(len(walks)) * (2 * self.edge_count),
+                          lengths)
+        counts = signed_arc_counts(arcs, len(walks) * self.edge_count)
+        return ~(counts.reshape(len(walks), -1) % m).any(axis=1)
 
 
 def make_congruence_pair(g: MultiGraph, tree: SpanningTree, m: int,
@@ -190,63 +190,14 @@ def make_congruence_pair(g: MultiGraph, tree: SpanningTree, m: int,
     The second walk inserts, at a random point of the first, a detour to
     the root followed by a cotree generator loop traversed m times (for a
     congruent pair) or once (for a non-congruent pair: the loop's own
-    cotree coordinate shifts by 1 mod m).
+    cotree coordinate shifts by 1 mod m).  A base with no cycle has no
+    such loop: InvalidParameter.
     """
+    if not tree.cotree:
+        raise InvalidParameter("base has no cycle: no congruence pair to draw")
     start, steps, pos, insertion = _WalkTables(g, tree).draw(m, rng, congruent)
-    return (Walk(start, tuple(map(_step, steps))),
-            Walk(start, tuple(map(_step, steps[:pos] + insertion
-                                   + steps[pos:]))))
-
-
-def _arc_ends(c: CoverGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(source, target) of every signed cover arc, read off c.graph.
-
-    Arc 2i + b belongs to slot i = e * deck + k of base edge e and label
-    rank k.  Arc 2i follows cover edge i forward; arc 2i + 1 follows
-    backward the edge of block e whose head has rank k, found by an
-    inverse head index of the block.
-    """
-    g = c.graph
-    ids = np.arange(g.edge_count, dtype=np.int64)
-    inv = ids.copy()
-    inv[ids - ids % c.deck_size + g.heads % c.deck_size] = ids
-    src = np.stack([g.tails, g.heads[inv]], axis=1).ravel()
-    dst = np.stack([g.heads, g.tails[inv]], axis=1).ravel()
-    return src, dst
-
-
-def _lift_ends(c: CoverGraph, arc_ends, starts, walks) -> np.ndarray:
-    """End vertices of the lifts of signed-arc walks from cover vertices
-    `starts`, one numpy pass per step over the block of walks.
-
-    A step along base arc a from cover vertex x takes signed cover arc
-    2 * ((a >> 1) * deck + x % deck) + (a & 1); PathMismatch if x is not
-    that arc's source.  Walks are sorted by length, longest first, so the
-    walks still active at step j are a prefix of the block.
-    """
-    src, dst = arc_ends
-    deck = c.deck_size
-    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
-    order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    total = int(lengths.sum())
-    flat = np.fromiter(chain.from_iterable(walks[i] for i in order),
-                       np.int64, total)
-    # the slot-independent part of each step's cover arc id
-    flat = (flat >> 1) * (2 * deck) + (flat & 1)
-    offsets = np.cumsum(lengths) - lengths
-    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)))
-    cur = np.asarray(starts, dtype=np.int64)[order]
-    for j, n in enumerate(active.tolist()):
-        x = cur[:n]
-        arc = flat[offsets[:n] + j] + 2 * (x % deck)
-        if not np.array_equal(src[arc], x):
-            raise PathMismatch(f"step {j} of a lifted walk does not start "
-                               f"at its cover vertex")
-        cur[:n] = dst[arc]
-    ends = np.empty_like(cur)
-    ends[order] = cur
-    return ends
+    return (Walk(start, tuple(steps)),
+            Walk(start, tuple(steps[:pos] + insertion + steps[pos:])))
 
 
 # -- individual checks -----------------------------------------------------
@@ -282,33 +233,33 @@ def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
 
     Pairs are drawn one at a time and lifted in blocks of _LIFT_BLOCK
     trials over the edge arrays of c.graph, so the check also tests the
-    built edges.  A drawn non-congruent pair whose insertion closes mod m
-    is a violation and draws no start label.
+    built edges.  A non-congruent pair whose insertion closes mod m is a
+    violation, whatever its lift.
     """
     if c.r == 0:
         return CheckRecord("conglifts", instance, 0, 0, note=_ACYCLIC_NOTE)
     rng = random.Random(seed)
     tables = _WalkTables(c.base, c.tree0)
-    arc_ends = _arc_ends(c)
     weights = [c.m ** i for i in range(c.r)]
     violations = 0
     details = []
     for lo in range(0, 2 * trials, _LIFT_BLOCK):
-        ks, starts, walks1, walks2 = [], [], [], []
-        for k in range(lo, min(lo + _LIFT_BLOCK, 2 * trials)):
+        ks = range(lo, min(lo + _LIFT_BLOCK, 2 * trials))
+        starts, walks1, walks2, insertions = [], [], [], []
+        for k in ks:
             congruent = k < trials and not (fault and k == 0)
             a, steps, pos, insertion = tables.draw(c.m, rng, congruent)
-            if k >= trials and tables.closes_mod(insertion, c.m):
-                violations += 1
-                continue
-            ks.append(k)
             starts.append(a * c.deck_size
                           + sum(rng.randrange(c.m) * w for w in weights))
             walks1.append(steps)
             walks2.append(steps[:pos] + insertion + steps[pos:])
-        ends = _lift_ends(c, arc_ends, starts * 2, walks1 + walks2).tolist()
-        for k, e1, e2 in zip(ks, ends, ends[len(ks):]):
-            if (e1 == e2) != (k < trials):
+            insertions.append(insertion)
+        closed = tables.closes_mod(insertions, c.m).tolist()
+        ends = _lift_block(c, starts * 2, walks1 + walks2)[0].tolist()
+        for k, shut, e1, e2 in zip(ks, closed, ends, ends[len(ks):]):
+            if k >= trials and shut:
+                violations += 1
+            elif (e1 == e2) != (k < trials):
                 violations += 1
                 if len(details) < 10:
                     details.append({"trial": k, "end1": e1, "end2": e2})

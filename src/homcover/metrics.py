@@ -290,7 +290,7 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     computes that source's Hamming row, since that row is what it tests.
     """
     if mode not in ("dq", "l2"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParameter(f"unknown mode {mode!r}")
     srcs = _source_array(c, sources)
     diam_bound = c.graph.vertex_count + 1
     mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)

@@ -47,13 +47,12 @@ class SpanningTree:
         return order
 
     def walk_to_root(self, g: MultiGraph, v: int) -> Walk:
-        """Walk from v up to the root along tree edges."""
+        """Walk from v up to the root along tree edges, as signed arcs."""
         steps = []
         cur = v
         while self.parent[cur] is not None:
             p, e = self.parent[cur]
-            t, h = g.endpoints(e)
-            steps.append((e, 1 if cur == t else -1))
+            steps.append(2 * e + (cur != g.endpoints(e)[0]))
             cur = p
         return Walk(v, tuple(steps))
 

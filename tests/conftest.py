@@ -36,6 +36,33 @@ def to_networkx(g: MultiGraph) -> nx.MultiGraph:
     return h
 
 
+def label_list_lift_path(c, base_walk, start):
+    """Walk lifting on label lists, re-encoding every edge: an oracle for
+    cover.lift_path that reads neither the cover's edge arrays nor its
+    signed-arc table."""
+    v, label = c.decode_vertex(start)
+    assert v == base_walk.start
+    cotree_pos = {e: i for i, e in enumerate(c.cotree)}
+    label = list(label)
+    cur = v
+    edges = []
+    for arc in base_walk.steps:
+        e = arc >> 1
+        t, h = c.base.endpoints(e)
+        pos = cotree_pos.get(e)
+        if arc & 1 == 0:
+            edges.append(c.encode_edge(e, label))
+            if pos is not None:
+                label[pos] = (label[pos] + 1) % c.m
+            cur = h
+        else:
+            if pos is not None:
+                label[pos] = (label[pos] - 1) % c.m
+            edges.append(c.encode_edge(e, label))
+            cur = t
+    return c.encode_vertex(cur, label), edges
+
+
 def spanning_tree_sets(g: MultiGraph) -> list[frozenset]:
     """Brute-force enumeration oracle over all (|V|-1)-subsets of edges."""
     n = g.vertex_count

@@ -19,7 +19,7 @@ from homcover.metrics import (d_q, d_q_from, tree_average_numerators,
                               verify_compare)
 from homcover.trees import _tree_from_edge_set
 
-from conftest import two_edge_connected_multigraphs
+from conftest import label_list_lift_path, two_edge_connected_multigraphs
 
 
 def random_base_walk(g, rng, length):
@@ -29,34 +29,9 @@ def random_base_walk(g, rng, length):
     for _ in range(length):
         arcs = g.adjacency_of(cur)
         e, d, nbr = arcs[rng.randrange(len(arcs))]
-        steps.append((e, d))
+        steps.append(2 * e + (d == -1))
         cur = nbr
     return Walk(start, tuple(steps))
-
-
-def label_list_lift_path(c, base_walk, start):
-    """Walk lifting on label lists, re-encoding every edge: the lift
-    before it carried an integer rank, kept as an oracle."""
-    v, label = c.decode_vertex(start)
-    assert v == base_walk.start
-    cotree_pos = {e: i for i, e in enumerate(c.cotree)}
-    label = list(label)
-    cur = v
-    edges = []
-    for e, d in base_walk.steps:
-        t, h = c.base.endpoints(e)
-        pos = cotree_pos.get(e)
-        if d == 1:
-            edges.append(c.encode_edge(e, label))
-            if pos is not None:
-                label[pos] = (label[pos] + 1) % c.m
-            cur = h
-        else:
-            if pos is not None:
-                label[pos] = (label[pos] - 1) % c.m
-            edges.append(c.encode_edge(e, label))
-            cur = t
-    return c.encode_vertex(cur, label), edges
 
 
 def assert_lifts_match_oracle(c, rng, walks):
@@ -150,7 +125,7 @@ class TestProjection:
             w = random_base_walk(k4, rng, rng.randrange(1, 10))
             start = c.encode_vertex(w.start, [rng.randrange(3) for _ in range(c.r)])
             _, edges = lift_path(c, w, start)
-            assert [project_edge(c, E) for E in edges] == [e for e, _ in w.steps]
+            assert [project_edge(c, E) for E in edges] == [a >> 1 for a in w.steps]
 
 
 class TestLifting:
@@ -161,7 +136,7 @@ class TestLifting:
 
     def test_doubled_edge_monodromy(self, double):
         c = build_zm_cover(double, 3)
-        two_cycle = Walk(0, ((0, 1), (1, -1)))
+        two_cycle = Walk(0, (0, 3))  # edge 0 forward, edge 1 backward
         start = c.encode_vertex(0, [0])
         end, _ = lift_path(c, two_cycle, start)
         assert end == c.encode_vertex(0, [2])
@@ -170,7 +145,7 @@ class TestLifting:
 
     def test_wrong_start(self, k4):
         c = build_zm_cover(k4, 3)
-        w = Walk(0, ((0, 1),))
+        w = Walk(0, (0,))
         with pytest.raises(PathMismatch):
             lift_path(c, w, c.encode_vertex(1, [0, 0, 0]))
 
@@ -183,7 +158,7 @@ class TestLifting:
                                     [rng.randrange(3) for _ in range(c.r)])
             end, edges = lift_path(c, w, start)
             cur = start
-            for E, (e, d) in zip(edges, w.steps):
+            for E in edges:
                 t, h = c.graph.endpoints(E)
                 assert {cur} <= {t, h}
                 cur = h if cur == t and t != h else (t if cur == h else cur)
@@ -205,6 +180,14 @@ class TestLifting:
         # two parallel edges and a loop: r = 2, so 257**2 labels per vertex
         c = build_zm_cover(MultiGraph(2, [[0, 1], [0, 1], [1, 1]]), 257)
         assert_lifts_match_oracle(c, random.Random(257), 200)
+
+    def test_broken_walk_and_arc_out_of_range(self, k4):
+        c = build_zm_cover(k4, 3)
+        with pytest.raises(PathMismatch):
+            lift_path(c, Walk(0, (0, 0)), 0)  # edge (0,1) forward twice
+        for arc in (-1, 2 * k4.edge_count):
+            with pytest.raises(IndexError):
+                lift_path(c, Walk(0, (arc,)), 0)
 
     def test_start_out_of_range(self, k4):
         c = build_zm_cover(k4, 3)
@@ -261,7 +244,7 @@ class TestChains:
             assert list(b.coeffs) == list(expected % 3)
 
     def test_cycle_boundary_zero(self, c5):
-        w = Walk(0, tuple((e, 1) for e in range(5)))
+        w = Walk(0, tuple(2 * e for e in range(5)))
         b = boundary_mod_m(c5, chain_mod_m(c5, w, 3), 3)
         assert not any(b.coeffs)
 
@@ -283,31 +266,31 @@ class TestCongruence:
         assert is_m_congruent(k4, w, w, 3)
 
     def test_triangle_insertion(self, k4):
-        w = Walk(0, ((0, 1),))  # 0 -> 1
-        tri = ((3, 1), (5, 1), (4, -1))  # 1->2->3->1
-        w_tri = Walk(0, ((0, 1),) + tri)
+        w = Walk(0, (0,))  # 0 -> 1
+        tri = (6, 10, 9)  # 1->2->3->1: edges 3 and 5 forward, 4 backward
+        w_tri = Walk(0, (0,) + tri)
         assert not is_m_congruent(k4, w, w_tri, 3)
-        w_tri3 = Walk(0, ((0, 1),) + tri * 3)
+        w_tri3 = Walk(0, (0,) + tri * 3)
         assert is_m_congruent(k4, w, w_tri3, 3)
 
     def test_endpoint_mismatch(self, k4):
         with pytest.raises(EndpointMismatch):
-            is_m_congruent(k4, Walk(0, ((0, 1),)), Walk(0, ()), 3)
+            is_m_congruent(k4, Walk(0, (0,)), Walk(0, ()), 3)
 
     def test_m_repeated_edge(self, k4):
-        assert not has_m_repeated_edge(k4, Walk(0, ((0, 1), (3, 1))), 3)
-        w = Walk(0, ((0, 1), (0, -1)) * 3)
+        assert not has_m_repeated_edge(k4, Walk(0, (0, 6)), 3)
+        w = Walk(0, (0, 1) * 3)
         # edge 0 is crossed forward 3 times
-        fwd = Walk(0, ((0, 1), (0, -1), (0, 1), (0, -1), (0, 1)))
+        fwd = Walk(0, (0, 1, 0, 1, 0))
         assert has_m_repeated_edge(k4, fwd, 3) is False  # net count 1
-        back_forth = Walk(0, ((0, 1), (3, 1), (3, -1), (0, -1)))
+        back_forth = Walk(0, (0, 6, 7, 1))
         assert has_m_repeated_edge(k4, back_forth, 3) is False
         g3 = cycle_graph(3)
-        loop3 = Walk(0, tuple((e, 1) for e in range(3)) * 3)
+        loop3 = Walk(0, tuple(2 * e for e in range(3)) * 3)
         assert has_m_repeated_edge(g3, loop3, 3) is True
 
     def test_signed_counts(self, k4):
-        w = Walk(0, ((0, 1), (0, -1), (1, 1)))
+        w = Walk(0, (0, 1, 2))
         counts = signed_edge_counts(k4, w)
         assert list(counts) == [0, 1, 0, 0, 0, 0]
 

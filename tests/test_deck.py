@@ -21,7 +21,7 @@ from homcover import (CoverGraph, MultiGraph, bfs_distance_matrix,
                       is_two_edge_connected, named_graph, verify_compare)
 from homcover.cover import _checked_lift
 from homcover.embed import binary_embed_matrix
-from homcover.graph import label_automorphisms
+from homcover.graph import _has_loop, _has_parallel_pair, label_automorphisms
 
 from conftest import connected_multigraphs
 
@@ -73,10 +73,27 @@ def test_deck_permutation_is_label_subtraction(name, m):
 # -- fiber-root girth ------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("name", NAMED)
+#: Bases with loops, parallel and antiparallel edges, which decide whether
+#: a cover has a loop or a parallel pair, by edge list; with cycle:1 and
+#: cycle:2 next to the named graphs.
+SMALL_BASES = {
+    "loop_and_parallel_pair": (2, [[0, 0], [0, 1], [0, 1]]),
+    "two_loops": (1, [[0, 0], [0, 0]]),
+    "antiparallel_and_loop": (2, [[0, 1], [1, 0], [1, 1]]),
+    "triple_edge": (2, [[0, 1]] * 3),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", NAMED + ("cycle:1", "cycle:2",
+                                          *SMALL_BASES))
 def test_cover_girth_equals_generic(name, m):
-    c = build_zm_cover(named_graph(name), m)
+    base = (MultiGraph(*SMALL_BASES[name]) if name in SMALL_BASES
+            else named_graph(name))
+    c = build_zm_cover(base, m)
+    # cover_girth reads these off the base, never off the cover's edges
+    assert not _has_loop(c.graph)
+    assert _has_parallel_pair(c.graph) == (m == 2 and _has_loop(base))
     got = cover_girth(c)
     assert got > girth(c.base)
     if c.graph.vertex_count <= GENERIC_GIRTH_LIMIT:

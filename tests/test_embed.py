@@ -8,8 +8,8 @@ from homcover import (HalfIntVector, PsiEmbedding, assemble_family,
                       binary_embed_matrix, build_zm_cover, cycle_cut_embed,
                       d_q, d_q_from, embed_point_l1, embed_point_psi,
                       l1_to_l2, named_graph)
-from homcover.errors import (LengthMismatch, NonBinaryCoordinates,
-                             NonConstantNe)
+from homcover.errors import (InvalidParameter, LengthMismatch,
+                             NonBinaryCoordinates, NonConstantNe)
 from homcover.graph import MultiGraph, bfs_distance_matrix
 
 
@@ -181,5 +181,9 @@ class TestFamily:
     def test_mixed_m_rejected(self, double):
         c1 = build_zm_cover(double, 2)
         c2 = build_zm_cover(double, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             assemble_family([c1, c2])
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(InvalidParameter):
+            assemble_family([])

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from homcover import (MultiGraph, ParseError, Walk, bfs_distance_matrix,
-                      bfs_distances, cayley_zm_power, complete_graph,
-                      concat_walks, cycle_graph, girth, graph_document,
-                      is_connected, is_two_edge_connected, load_graph,
-                      named_graph, path_graph, reverse_walk)
-from homcover.errors import PathMismatch, SizeCapExceeded
-from homcover.graph import _has_parallel_pair
+                      cayley_zm_power, complete_graph, cycle_graph, girth,
+                      graph_document, is_connected, is_two_edge_connected,
+                      load_graph, named_graph, path_graph)
+from homcover.errors import InvalidParameter, PathMismatch, SizeCapExceeded
+from homcover.graph import UNREACHABLE, _has_parallel_pair
 
 from conftest import (connected_multigraphs, girth_oracle, multigraphs,
                       to_networkx)
@@ -74,22 +73,19 @@ class TestAdjacency:
 
 class TestDistances:
     def test_c5(self, c5):
-        assert [bfs_distances(c5, 0).distance(v) for v in range(5)] \
-            == [0, 1, 2, 2, 1]
+        assert bfs_distance_matrix(c5, [0])[0].tolist() == [0, 1, 2, 2, 1]
 
     def test_k4(self, k4):
-        assert [bfs_distances(k4, 0).distance(v) for v in range(4)] \
-            == [0, 1, 1, 1]
+        assert bfs_distance_matrix(k4, [0])[0].tolist() == [0, 1, 1, 1]
 
     def test_doubled(self, double):
-        assert [bfs_distances(double, 0).distance(v) for v in range(2)] == [0, 1]
+        assert bfs_distance_matrix(double, [0])[0].tolist() == [0, 1]
 
     def test_disconnected(self):
         g = MultiGraph(3, [[0, 1]])
-        assert bfs_distances(g, 0).distance(2) == math.inf
+        assert bfs_distance_matrix(g, [0])[0].tolist() == [0, 1, UNREACHABLE]
 
     def test_matrix_marks_unreachable_exactly(self):
-        from homcover.graph import UNREACHABLE
         g = MultiGraph(4, [[0, 1], [2, 3]])
         mat = bfs_distance_matrix(g, [0, 3])
         assert mat.dtype == np.int64
@@ -196,28 +192,29 @@ class TestCayley:
 
 class TestWalks:
     def test_vertices_and_end(self, k4):
-        w = Walk(0, ((0, 1), (3, 1)))  # 0 -(0,1)-> 1 -(1,2)-> 2
+        w = Walk(0, (0, 6))  # 0 -(0,1)-> 1 -(1,2)-> 2
         assert w.vertices(k4) == [0, 1, 2]
         assert w.end(k4) == 2
+        back = Walk(2, (7, 1))  # the same edges backward
+        assert back.vertices(k4) == [2, 1, 0]
 
     def test_invalid_step(self, k4):
-        w = Walk(0, ((5, 1),))  # edge (2,3) does not touch 0
+        w = Walk(0, (10,))  # edge (2,3) does not touch 0
         with pytest.raises(PathMismatch):
             w.vertices(k4)
-
-    def test_reverse_and_concat(self, k4):
-        w = Walk(0, ((0, 1), (3, 1), (5, 1)))
-        r = reverse_walk(k4, w)
-        assert r.start == w.end(k4) and r.end(k4) == w.start
-        rt = concat_walks(k4, w, r)
-        assert rt.start == 0 and rt.end(k4) == 0
-        assert reverse_walk(k4, r) == w
-
-    def test_concat_endpoint_mismatch(self, k4):
-        w1 = Walk(0, ((0, 1),))
-        w2 = Walk(0, ((1, 1),))
         with pytest.raises(PathMismatch):
-            concat_walks(k4, w1, w2)
+            Walk(0, (1,)).vertices(k4)  # edge (0,1) backward ends at 0
+
+    @pytest.mark.parametrize("arc", [-1, 12])
+    def test_arc_out_of_range(self, k4, arc):
+        with pytest.raises(IndexError):
+            Walk(0, (arc,)).vertices(k4)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_cycle_graph_needs_a_vertex(n):
+    with pytest.raises(InvalidParameter):
+        cycle_graph(n)
 
 
 def test_named_graph_parametric():

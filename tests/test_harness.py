@@ -13,9 +13,12 @@ from homcover import (CoverGraph, MultiGraph, SuiteConfig, Walk,
 from homcover.cli import main
 from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
                              PathMismatch)
-from homcover.harness import _arc_ends, _lift_ends, check_conglifts
-from homcover.graph import cycle_graph
+from homcover.cover import _lift_block
+from homcover.harness import _WalkTables, check_conglifts
+from homcover.graph import cycle_graph, path_graph
 from homcover.trees import _tree_from_edge_set
+
+from conftest import label_list_lift_path
 
 
 class TestCongruencePairs:
@@ -29,6 +32,13 @@ class TestCongruencePairs:
             assert is_m_congruent(g, w1, w2, 3)
             w1, w2 = make_congruence_pair(g, tree, 3, rng, congruent=False)
             assert not is_m_congruent(g, w1, w2, 3)
+
+    @pytest.mark.parametrize("g", [MultiGraph(1, []), path_graph(3)],
+                             ids=["point", "path3"])
+    def test_base_without_cycle_rejected(self, g):
+        tree = some_spanning_tree(g)
+        with pytest.raises(InvalidParameter):
+            make_congruence_pair(g, tree, 3, random.Random(0), congruent=True)
 
     def test_pairs_share_endpoints(self, k4):
         tree = some_spanning_tree(k4)
@@ -154,6 +164,13 @@ class TestConglifts:
         c = build_zm_cover(named_graph("k4"), 3)
         assert check_conglifts(c, "k4", 300, seed=1).violations == 0
 
+    def test_closes_mod_per_walk(self, k4):
+        tables = _WalkTables(k4, some_spanning_tree(k4))
+        loop = tables.loops[0]
+        walks = [[0, 1], [0], [], loop, loop * 3, [0, 6, 7, 1] + loop * 2]
+        assert tables.closes_mod(walks, 3).tolist() == [
+            True, False, True, False, True, False]
+
     def test_heap_peak_below_compare(self):
         c = build_zm_cover(named_graph("petersen"), 3)
         c.base_profiles()
@@ -167,18 +184,18 @@ class TestConglifts:
 
 
 def signed_arc_walk(g, rng, length):
-    """A seeded random walk as (start, signed arcs, the same as a Walk)."""
+    """A seeded random walk from a random vertex."""
     start = cur = rng.randrange(g.vertex_count)
     arcs = []
     for _ in range(length):
         e, d, cur = rng.choice(g.adjacency_of(cur))
         arcs.append(2 * e + (d == -1))
-    return start, arcs, Walk(start, tuple((a >> 1, 1 - 2 * (a & 1))
-                                          for a in arcs))
+    return Walk(start, tuple(arcs))
 
 
 class TestBlockLift:
-    """harness._lift_ends against the per-walk oracle cover.lift_path."""
+    """cover._lift_block, and lift_path, its block of one, against the
+    label-list oracle."""
 
     # k4 and petersen at m = 257 exceed the default size cap
     @pytest.mark.parametrize("name,m", [
@@ -191,19 +208,20 @@ class TestBlockLift:
         rng = random.Random(m)
         starts, walks, oracle = [], [], []
         for _ in range(120):
-            a, arcs, w = signed_arc_walk(g, rng, rng.randrange(0, 40))
-            start = a * c.deck_size + rng.randrange(c.deck_size)
+            w = signed_arc_walk(g, rng, rng.randrange(0, 40))
+            start = w.start * c.deck_size + rng.randrange(c.deck_size)
             starts.append(start)
-            walks.append(arcs)
-            oracle.append(lift_path(c, w, start)[0])
-        ends = _lift_ends(c, _arc_ends(c), starts, walks)
-        assert ends.tolist() == oracle
+            walks.append(w.steps)
+            oracle.append(label_list_lift_path(c, w, start))
+            assert lift_path(c, w, start) == oracle[-1]
+        ends = _lift_block(c, starts, walks)[0]
+        assert ends.tolist() == [end for end, _edges in oracle]
 
     def test_empty_walk_returns_start(self, k4):
         c = build_zm_cover(k4, 3)
         starts = [5, 17, 100]
-        ends = _lift_ends(c, _arc_ends(c), starts, [[], [], []])
-        assert ends.tolist() == starts
+        ends, arcs = _lift_block(c, starts, [[], [], []])
+        assert ends.tolist() == starts and arcs.size == 0
 
     def test_discontiguous_step_raises(self, k4):
         c = build_zm_cover(k4, 3)
@@ -212,15 +230,14 @@ class TestBlockLift:
         far = next(e2 for e2 in range(k4.edge_count)
                    if h not in k4.endpoints(e2))
         with pytest.raises(PathMismatch):
-            _lift_ends(c, _arc_ends(c), [t * c.deck_size],
-                       [[2 * e, 2 * far]])
+            _lift_block(c, [t * c.deck_size], [[2 * e, 2 * far]])
 
     def test_start_off_the_walk_raises(self, k4):
         c = build_zm_cover(k4, 3)
         e = 0
         t, h = k4.endpoints(e)
         with pytest.raises(PathMismatch):
-            _lift_ends(c, _arc_ends(c), [h * c.deck_size], [[2 * e]])
+            _lift_block(c, [h * c.deck_size], [[2 * e]])
 
 
 #: sha256 of the `suite run --out` report for each argument list, with

@@ -314,7 +314,7 @@ class TestCompressionProfile:
 
     def test_bad_mode(self, k4):
         c = build_zm_cover(k4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             compression_profile(c, mode="nope")
 
     def test_restricted_sources(self, petersen):
