@@ -463,7 +463,8 @@ def _lift_block(c: CoverGraph, starts, walks):
     order = np.argsort(-lengths, kind="stable")
     arcs = np.fromiter(chain.from_iterable(walks), np.int64,
                        int(lengths.sum()))
-    if arcs.size and not 0 <= arcs.min() <= arcs.max() < 2 * c.base.edge_count:
+    if arcs.size and not (0 <= arcs.min()
+                          and arcs.max() < 2 * c.base.edge_count):
         raise IndexError("base arc out of range")
     # the slot-independent part of each step's cover arc id
     arcs = (arcs >> 1) * (2 * deck) + (arcs & 1)
