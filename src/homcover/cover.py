@@ -8,7 +8,8 @@ the lift of cotree generator i adds one to the i-th Z_m coordinate.
 Vertex (v, k) is stored at index v * m^r + rank(k) where rank is the
 mixed-radix value of k, little-endian in cotree order; edge (e, k) is
 stored at index e * m^r + rank(k).  `_shift` is the one rule that moves a
-label digit of a rank: edge heads and deck permutations use it.
+label digit of a rank, and the edge heads use it; a deck permutation moves
+every digit at once, as an outer sum of per-digit moves.
 
 Walks are lifted over the built edges of the cover: a base walk's signed
 arcs (`graph.Walk`) pick signed cover arcs from `CoverGraph.arc_ends`,
@@ -41,6 +42,12 @@ MAX_M = 1 << 16
 def _residue_dtype(m: int) -> np.dtype:
     """Narrowest unsigned dtype holding every residue mod m."""
     return np.dtype(np.uint8 if m <= 256 else np.uint16)
+
+
+def _index_dtype(count: int) -> np.dtype:
+    """Narrowest signed dtype for ids 0..count-1: int32 while count <
+    2**31, else int64."""
+    return np.dtype(np.int32 if count < 1 << 31 else np.int64)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
@@ -205,7 +212,8 @@ class CoverGraph:
 
     def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(source, target) of every signed cover arc, read off the edge
-        arrays of self.graph; built on first use.
+        arrays of self.graph; built on first use, in int32 while the arc
+        and vertex ids fit (`_index_dtype`).
 
         Arc 2i + b belongs to slot i = e * deck + k of base edge e and
         label rank k.  Arc 2i follows cover edge i forward; arc 2i + 1
@@ -217,8 +225,11 @@ class CoverGraph:
             ids = np.arange(g.edge_count, dtype=np.int64)
             inv = ids.copy()
             inv[ids - ids % self.deck_size + g.heads % self.deck_size] = ids
-            src = np.stack([g.tails, g.heads[inv]], axis=1).ravel()
-            dst = np.stack([g.heads, g.tails[inv]], axis=1).ravel()
+            width = _index_dtype(max(2 * g.edge_count, g.vertex_count))
+            src = np.empty(2 * g.edge_count, dtype=width)
+            dst = np.empty_like(src)
+            src[0::2], src[1::2] = g.tails, g.heads[inv]
+            dst[0::2], dst[1::2] = g.heads, g.tails[inv]
             self._arc_ends = src, dst
         return self._arc_ends
 
@@ -236,11 +247,17 @@ class CoverGraph:
         perm[rank(l)] = rank(l - k).  Translations are automorphisms that
         keep profile differences, so d and d_Q rows from (v, k) are the
         rows from (v, 0) gathered through perm within each fiber:
-        ``row.reshape(|V(X)|, deck_size)[:, perm].ravel()``.
+        ``row.reshape(|V(X)|, deck_size)[:, perm].ravel()``.  Digit i of
+        rank(l - k) is (l_i - k_i) mod m whatever the other digits are, so
+        perm is an outer sum over the digits, built one digit at a time
+        as in `base_profiles`: about deck_size * m / (m - 1) additions,
+        with no pass over all ranks per digit and nothing cached.
         """
-        perm = np.arange(self.deck_size, dtype=np.int64)
-        for i, shift in enumerate(self.label_of(k)):
-            perm = _shift(perm, self.m ** i, self.m, -shift)
+        m = self.m
+        perm = np.zeros(1, dtype=np.int64)
+        for i, d in enumerate(self.label_of(k)):
+            place = (np.arange(m, dtype=np.int64) - d) % m * m ** i
+            perm = (place[:, None] + perm).ravel()
         return perm
 
     def orbit_reps(self) -> np.ndarray:

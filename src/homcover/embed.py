@@ -12,7 +12,10 @@ Every cut coordinate -- `cycle_cut_arc`, `embed_point_l1`,
 `binary_embed_matrix` and `PsiEmbedding` -- comes from one rule,
 `_cut_bits`: bit t of residue k is set iff (k - t) mod m < floor(m/2).
 The per-residue and per-edge loop constructions it replaced are kept as
-independent oracles in tests/test_selects.py.
+independent oracles in tests/test_selects.py.  The psi coordinates are
+the cut coordinates repeated once per (tree, cotree edge), so
+`PsiEmbedding.matrix` is a column gather of `binary_embed_matrix`: the m
+columns of each cotree edge, tree after tree.
 
 Every vertex image has exactly |E(X)| * floor(m/2) set coordinates, so
 the images of a block of vertices are one integer array,
@@ -197,9 +200,10 @@ class PsiEmbedding:
         self.n_avoid = avoidance_count(c)
         self.trees = list(enumerate_spanning_trees(c.base, cap))
         self.r = len(self.trees[0].cotree)
-        cols = [e for t in self.trees for e in t.cotree]
-        self.labels = c.base_profiles()[:, cols]
-        self.dim = len(cols) * c.m
+        self.cols = np.array([e for t in self.trees for e in t.cotree],
+                             dtype=np.int64)
+        self.labels = c.base_profiles()[:, self.cols]
+        self.dim = self.cols.size * c.m
         self.block_layout = tuple(
             (f"tree{ti}_factor{i}", (ti * self.r + i) * c.m, c.m)
             for ti in range(len(self.trees)) for i in range(self.r))
@@ -212,9 +216,15 @@ class PsiEmbedding:
                              self.block_layout)
 
     def matrix(self) -> np.ndarray:
-        """Doubled coordinates for all vertices; shape (|V~|, dim)."""
-        return _arc_table(self.cover.m)[self.labels].reshape(
-            self.labels.shape[0], self.dim)
+        """Doubled coordinates for all vertices; shape (|V~|, dim).
+
+        Block b is the cut block of base edge cols[b], so the matrix is a
+        column gather of `binary_embed_matrix`: its m columns per cotree
+        edge of each tree, side by side.
+        """
+        m = self.cover.m
+        blocks = (self.cols[:, None] * m + np.arange(m)).ravel()
+        return np.take(binary_embed_matrix(self.cover), blocks, axis=1)
 
     def distance(self, x: int, y: int) -> Fraction:
         """(1/N)-weighted l1 distance between psi images: the number of

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, NotConnected, NotSpanningTree
@@ -58,35 +59,46 @@ class SpanningTree:
 
 
 def _tree_from_edge_set(g: MultiGraph, edge_ids) -> SpanningTree:
-    n = g.vertex_count
-    edge_ids = sorted(set(int(e) for e in edge_ids))
+    return _tree_from_ends(g.tails.tolist(), g.heads.tolist(),
+                           g.vertex_count, edge_ids)
+
+
+def _tree_from_ends(tails: list[int], heads: list[int], n: int,
+                    edge_ids) -> SpanningTree:
+    """The SpanningTree of `edge_ids` in the graph on n vertices whose
+    edge e joins tails[e] to heads[e] (plain lists, read once by the
+    caller).  IndexError for an edge id out of range, negative ones
+    included; NotSpanningTree for a loop, a wrong edge count or a set
+    that does not span."""
+    edge_ids = sorted(set(map(int, edge_ids)))
     if len(edge_ids) != n - 1:
         raise NotSpanningTree(f"need {n - 1} edges, got {len(edge_ids)}")
+    ne = len(tails)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    off_tree = [True] * ne
     for e in edge_ids:
-        t, h = g.endpoints(e)
+        if not 0 <= e < ne:
+            raise IndexError(f"edge {e} out of range")
+        t, h = tails[e], heads[e]
         if t == h:
             raise NotSpanningTree(f"edge {e} is a loop")
         adj[t].append((e, h))
         adj[h].append((e, t))
+        off_tree[e] = False
     parent: list[Optional[tuple[int, int]]] = [None] * n
     seen = [False] * n
     seen[0] = True
     queue = [0]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
+    for u in queue:
         for e, w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = (u, e)
                 queue.append(w)
-    if not all(seen):
+    if len(queue) != n:
         raise NotSpanningTree("edge set does not span")
-    tree = frozenset(edge_ids)
-    cotree = tuple(e for e in range(g.edge_count) if e not in tree)
-    return SpanningTree(tree, tuple(parent), cotree)
+    return SpanningTree(frozenset(edge_ids), tuple(parent),
+                        tuple(compress(range(ne), off_tree)))
 
 
 def some_spanning_tree(g: MultiGraph) -> SpanningTree:
@@ -212,36 +224,42 @@ def tree_counts(g: MultiGraph) -> TreeCounts:
 def enumerate_spanning_trees(g: MultiGraph,
                              cap: int = DEFAULT_TREE_CAP) -> Iterator[SpanningTree]:
     """Yield every maximal spanning tree exactly once, in lexicographic
-    edge-id order.  Raises CapExceeded when tau(g) > cap."""
+    edge-id order.  Raises CapExceeded when tau(g) > cap.
+
+    A depth-first search over include/exclude choices, one edge per
+    level, include first.  Each pending exclude branch sits on an
+    explicit stack as (next edge position, components, number of edges
+    chosen); each tree is yielded as soon as it is complete, so memory
+    holds one search path, never the list of trees."""
     total = count_spanning_trees(g)
     if total > cap:
         raise CapExceeded(f"tau = {total} exceeds cap {cap}")
     n = g.vertex_count
-    edges = [e for e in range(g.edge_count) if not g.is_loop(e)]
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    edges = [e for e, (t, h) in enumerate(zip(tails, heads)) if t != h]
 
     def find(comp, x):
         while comp[x] != x:
             x = comp[x]
         return x
 
-    def rec(i: int, comp: list[int], chosen: list[int]):
-        if len(chosen) == n - 1:
-            yield _tree_from_edge_set(g, chosen)
-            return
-        if len(edges) - i < (n - 1) - len(chosen):
-            return
-        e = edges[i]
-        t, h = g.endpoints(e)
-        rt, rh = find(comp, t), find(comp, h)
-        if rt != rh:
-            nxt = list(comp)
-            nxt[rt] = rh
-            chosen.append(e)
-            yield from rec(i + 1, nxt, chosen)
-            chosen.pop()
-        yield from rec(i + 1, comp, chosen)
-
-    yield from rec(0, list(range(n)), [])
+    chosen: list[int] = []
+    stack = [(0, list(range(n)), 0)]
+    while stack:
+        i, comp, k = stack.pop()
+        del chosen[k:]
+        while k < n - 1 and len(edges) - i >= (n - 1) - k:
+            e = edges[i]
+            i += 1
+            rt, rh = find(comp, tails[e]), find(comp, heads[e])
+            if rt != rh:
+                stack.append((i, comp, k))
+                comp = list(comp)
+                comp[rt] = rh
+                chosen.append(e)
+                k += 1
+        if k == n - 1:
+            yield _tree_from_ends(tails, heads, n, chosen)
 
 
 # -- uniform sampling ---------------------------------------------------
@@ -249,14 +267,22 @@ def enumerate_spanning_trees(g: MultiGraph,
 
 def sample_uniform_tree(g: MultiGraph, seed: int) -> SpanningTree:
     """Exactly uniform maximal spanning tree via Wilson's loop-erased
-    random walk; deterministic for a given seed."""
+    random walk; deterministic for a given seed.
+
+    The arcs of vertex u are (edge id, direction, neighbour) in edge-id
+    order, read from one `arcs()` call; each step draws
+    rng.randrange(deg(u)) among them."""
     if not is_connected(g):
         raise NotConnected("sampling requires a connected graph")
     n = g.vertex_count
+    tails, heads = g.tails.tolist(), g.heads.tolist()
     if n == 1:
-        return _tree_from_edge_set(g, [])
-    rng = random.Random(seed)
-    adj = [g.adjacency_of(v) for v in range(n)]
+        return _tree_from_ends(tails, heads, n, [])
+    randrange = random.Random(seed).randrange
+    indptr, ae, asg, ah = g.arcs()
+    arcs = list(zip(ae.tolist(), asg.tolist(), ah.tolist()))
+    bounds = indptr.tolist()
+    adj = [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     in_tree = [False] * n
     in_tree[0] = True
     next_arc: list[Optional[tuple[int, int, int]]] = [None] * n
@@ -265,7 +291,8 @@ def sample_uniform_tree(g: MultiGraph, seed: int) -> SpanningTree:
             continue
         u = v
         while not in_tree[u]:
-            arc = adj[u][rng.randrange(len(adj[u]))]
+            out = adj[u]
+            arc = out[randrange(len(out))]
             next_arc[u] = arc
             u = arc[2]
         u = v
@@ -275,4 +302,4 @@ def sample_uniform_tree(g: MultiGraph, seed: int) -> SpanningTree:
     # after termination every non-root vertex is committed and its
     # next_arc points along the in-tree
     edge_ids = [next_arc[v][0] for v in range(1, n)]
-    return _tree_from_edge_set(g, edge_ids)
+    return _tree_from_ends(tails, heads, n, edge_ids)

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
 from homcover import MultiGraph, named_graph
+from homcover.errors import NotSpanningTree
+from homcover.trees import SpanningTree
 
 
 @pytest.fixture
@@ -76,6 +79,99 @@ def spanning_tree_sets(g: MultiGraph) -> list[frozenset]:
                 and nx.is_forest(h):
             out.append(frozenset(combo))
     return out
+
+
+def tree_from_edge_set_oracle(g: MultiGraph, edge_ids) -> SpanningTree:
+    """The SpanningTree of an edge set, reading endpoints one
+    `g.endpoints` call at a time: an oracle for trees._tree_from_edge_set."""
+    n = g.vertex_count
+    edge_ids = sorted(set(int(e) for e in edge_ids))
+    if len(edge_ids) != n - 1:
+        raise NotSpanningTree(f"need {n - 1} edges, got {len(edge_ids)}")
+    adj = [[] for _ in range(n)]
+    for e in edge_ids:
+        t, h = g.endpoints(e)
+        if t == h:
+            raise NotSpanningTree(f"edge {e} is a loop")
+        adj[t].append((e, h))
+        adj[h].append((e, t))
+    parent = [None] * n
+    seen = [False] * n
+    seen[0] = True
+    queue = [0]
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
+        for e, w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = (u, e)
+                queue.append(w)
+    if not all(seen):
+        raise NotSpanningTree("edge set does not span")
+    tree = frozenset(edge_ids)
+    cotree = tuple(e for e in range(g.edge_count) if e not in tree)
+    return SpanningTree(tree, tuple(parent), cotree)
+
+
+def enumerate_spanning_trees_oracle(g: MultiGraph):
+    """Every maximal spanning tree in lexicographic edge-id order, by a
+    recursive include/exclude search with one generator per level: an
+    oracle for trees.enumerate_spanning_trees (no cap)."""
+    n = g.vertex_count
+    edges = [e for e in range(g.edge_count) if not g.is_loop(e)]
+
+    def find(comp, x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    def rec(i, comp, chosen):
+        if len(chosen) == n - 1:
+            yield tree_from_edge_set_oracle(g, chosen)
+            return
+        if len(edges) - i < (n - 1) - len(chosen):
+            return
+        e = edges[i]
+        t, h = g.endpoints(e)
+        rt, rh = find(comp, t), find(comp, h)
+        if rt != rh:
+            nxt = list(comp)
+            nxt[rt] = rh
+            chosen.append(e)
+            yield from rec(i + 1, nxt, chosen)
+            chosen.pop()
+        yield from rec(i + 1, comp, chosen)
+
+    yield from rec(0, list(range(n)), [])
+
+
+def sample_uniform_tree_oracle(g: MultiGraph, seed: int) -> SpanningTree:
+    """Wilson's loop-erased random walk over per-vertex `adjacency_of`
+    lists, with the same draws: an oracle for trees.sample_uniform_tree
+    on a connected graph."""
+    n = g.vertex_count
+    if n == 1:
+        return tree_from_edge_set_oracle(g, [])
+    rng = random.Random(seed)
+    adj = [g.adjacency_of(v) for v in range(n)]
+    in_tree = [False] * n
+    in_tree[0] = True
+    next_arc = [None] * n
+    for v in range(1, n):
+        if in_tree[v]:
+            continue
+        u = v
+        while not in_tree[u]:
+            arc = adj[u][rng.randrange(len(adj[u]))]
+            next_arc[u] = arc
+            u = arc[2]
+        u = v
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = next_arc[u][2]
+    return tree_from_edge_set_oracle(g, [next_arc[v][0] for v in range(1, n)])
 
 
 def girth_oracle(g: MultiGraph):

@@ -13,7 +13,7 @@ import pytest
 from homcover import (MultiGraph, build_tower, build_zm_cover,
                       compression_profile, enumerate_spanning_trees,
                       named_graph)
-from homcover.cover import MAX_M, _residue_dtype
+from homcover.cover import MAX_M, _index_dtype, _residue_dtype
 
 #: Vertex cap of the covers built here; it keeps each oracle's int64
 #: temporaries near 100 MB.
@@ -54,6 +54,17 @@ def int64_profiles(c) -> np.ndarray:
     for v in range(g.vertex_count):
         prof[v * deck:(v + 1) * deck] = (pv[v][None, :] + deck_part) % m
     return prof
+
+
+def int64_arc_ends(c):
+    """arc_ends by the int64 formula: arcs 2i and 2i + 1 interleaved by
+    stacking cover edge i forward with the backward edge of its slot."""
+    g, deck = c.graph, c.deck_size
+    ids = np.arange(g.edge_count, dtype=np.int64)
+    inv = ids.copy()
+    inv[ids - ids % deck + g.heads % deck] = ids
+    return (np.stack([g.tails, g.heads[inv]], axis=1).ravel(),
+            np.stack([g.heads, g.tails[inv]], axis=1).ravel())
 
 
 def other_tree(g):
@@ -153,3 +164,16 @@ class TestLiftedArcs:
         compression_profile(cover, [0, 5, cover.graph.vertex_count - 1], "dq")
         # only graphs of the Cayley seed's size, which is no cover, sort
         assert sorted_sizes and max(sorted_sizes) <= 2 * seed.edge_count
+
+
+class TestArcEnds:
+    @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 3, 5, 257]))
+    def test_matches_int64_formula(self, name, m):
+        c = cover_of(name, m)
+        for got, want in zip(c.arc_ends(), int64_arc_ends(c)):
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+
+    def test_width_rule(self):
+        assert _index_dtype((1 << 31) - 1) == np.int32
+        assert _index_dtype(1 << 31) == np.int64

@@ -19,7 +19,7 @@ from homcover import (CoverGraph, MultiGraph, bfs_distance_matrix,
                       build_tower, build_zm_cover, cayley_zm_power,
                       compression_profile, cover_girth, d_q_from, girth,
                       is_two_edge_connected, named_graph, verify_compare)
-from homcover.cover import _checked_lift
+from homcover.cover import _checked_lift, _shift
 from homcover.embed import binary_embed_matrix
 from homcover.graph import _has_loop, _has_parallel_pair, label_automorphisms
 
@@ -68,6 +68,31 @@ def test_deck_permutation_is_label_subtraction(name, m):
             label = c.label_of(rank)
             assert perm[rank] == c.rank_of(
                 [a - b for a, b in zip(label, shift)])
+
+
+def shift_loop_permutation(c, k: int) -> np.ndarray:
+    """deck_permutation by one cover._shift pass over all ranks per label
+    digit of k."""
+    perm = np.arange(c.deck_size, dtype=np.int64)
+    for i, shift in enumerate(c.label_of(k)):
+        perm = _shift(perm, c.m ** i, c.m, -shift)
+    return perm
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("name", ["k4", "petersen", "doubled_edge"])
+def test_deck_permutation_matches_shift_loop(name, m):
+    c = build_zm_cover(named_graph(name), m)
+    ks = range(c.deck_size)
+    if c.deck_size > 1000:
+        # Petersen at m = 5: the loop takes about 1.4 ms per k, so every
+        # 61st rank, the last one and every single-digit label
+        ks = sorted({*range(0, c.deck_size, 61), c.deck_size - 1,
+                     *(d * m ** i for i in range(c.r) for d in range(m))})
+    for k in ks:
+        perm = c.deck_permutation(k)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, shift_loop_permutation(c, k))
 
 
 # -- fiber-root girth ------------------------------------------------------

@@ -5,12 +5,30 @@ import numpy as np
 import pytest
 
 from homcover import (HalfIntVector, PsiEmbedding, assemble_family,
-                      binary_embed_matrix, build_zm_cover, cycle_cut_embed,
-                      d_q, d_q_from, embed_point_l1, embed_point_psi,
-                      l1_to_l2, named_graph)
+                      binary_embed_matrix, build_zm_cover,
+                      count_spanning_trees, cycle_cut_embed, d_q, d_q_from,
+                      embed_point_l1, embed_point_psi, l1_to_l2, named_graph)
+from homcover.embed import _arc_table
 from homcover.errors import (InvalidParameter, LengthMismatch,
                              NonBinaryCoordinates, NonConstantNe)
 from homcover.graph import MultiGraph, bfs_distance_matrix
+
+#: Bases with constant N_e; the psi matrix test uses those with at most
+#: PSI_TREE_CAP spanning trees.
+PSI_BASES = {
+    **{name: (lambda name=name: named_graph(name))
+       for name in ("doubled_edge", "cycle:1", "c5", "k4", "petersen")},
+    "theta": lambda: MultiGraph(2, [[0, 1]] * 3),
+}
+PSI_TREE_CAP = 16
+
+
+def psi_covers():
+    """(base name, m) of every psi test cover whose tau fits the cap, and
+    the Petersen cover at m = 2 with its 2,000 trees."""
+    return [(name, m) for name in sorted(PSI_BASES)
+            if count_spanning_trees(PSI_BASES[name]()) <= PSI_TREE_CAP
+            for m in (2, 3, 4, 5, 7)] + [("petersen", 2)]
 
 
 class TestCycleCut:
@@ -139,6 +157,16 @@ class TestPsi:
         c = build_zm_cover(double, 3)
         v = embed_point_psi(c, 2, trees_cap=10)
         assert v.l1_norm() >= 0
+
+    @pytest.mark.parametrize("name,m", psi_covers())
+    def test_matrix_matches_label_table(self, name, m):
+        c = build_zm_cover(PSI_BASES[name](), m)
+        psi = PsiEmbedding(c)
+        # the (m, m) cut table indexed by every tree's cloud labels
+        want = _arc_table(m)[psi.labels].reshape(c.graph.vertex_count, psi.dim)
+        got = psi.matrix()
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_requires_constant_counts(self):
         g = MultiGraph(3, [[0, 1], [0, 1], [1, 2], [2, 0]])

@@ -1,16 +1,35 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from scipy import stats
 
-from homcover import (MultiGraph, NotConnected, count_spanning_trees,
-                      count_trees_avoiding, cycle_graph, enumerate_spanning_trees,
-                      named_graph, path_graph, sample_uniform_tree,
-                      some_spanning_tree, tree_counts)
+from homcover import (MultiGraph, NotConnected, build_zm_cover,
+                      count_spanning_trees, count_trees_avoiding, cycle_graph,
+                      enumerate_spanning_trees, named_graph, path_graph,
+                      sample_uniform_tree, some_spanning_tree, tree_counts)
 from homcover.errors import CapExceeded, NotSpanningTree
+from homcover.metrics import _avoidance_weights
+from homcover.trees import _tree_from_edge_set
 
-from conftest import connected_multigraphs, spanning_tree_sets
+from conftest import (connected_multigraphs, enumerate_spanning_trees_oracle,
+                      sample_uniform_tree_oracle, spanning_tree_sets)
+
+#: Connected bases for the oracle comparisons: loops, a parallel pair,
+#: bridges, a single vertex, and the Petersen graph's 2,000 trees.
+ORACLE_BASES = {
+    **{name: (lambda name=name: named_graph(name))
+       for name in ("k4", "c5", "petersen", "doubled_edge", "cycle:1",
+                    "complete:1", "path:3")},
+    "loop_pair": lambda: MultiGraph(2, [[0, 1], [0, 1], [0, 0]]),
+}
+
+#: tracemalloc peak, in bytes, of streaming the 16,807 trees of
+#: complete:7 into _avoidance_weights: twice the 0.34 MB that the
+#: recursive generator enumerator peaked at.  The list of all the trees
+#: alone takes about 24 MB.
+LAZY_PEAK_BOUND = 2 * 336_649
 
 
 class TestSomeSpanningTree:
@@ -157,6 +176,25 @@ class TestEnumeration:
         b = [t.tree_edges for t in enumerate_spanning_trees(k4, cap=100)]
         assert a == b
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_recursive_oracle(self, name):
+        g = ORACLE_BASES[name]()
+        got = list(enumerate_spanning_trees(g))
+        assert got == list(enumerate_spanning_trees_oracle(g))
+        assert len(got) == count_spanning_trees(g)
+
+    def test_streams_trees(self):
+        c = build_zm_cover(named_graph("complete:7"), 2)
+        tracemalloc.start()
+        try:
+            _w, count = _avoidance_weights(
+                c, enumerate_spanning_trees(c.base))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 16_807
+        assert peak < LAZY_PEAK_BOUND
+
 
 class TestUniformSampling:
     def test_c3_chi_square(self):
@@ -179,6 +217,13 @@ class TestUniformSampling:
         trees = {sample_uniform_tree(g, s).tree_edges for s in range(20)}
         assert trees == {frozenset(range(4))}
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_matches_adjacency_oracle(self, name):
+        g = ORACLE_BASES[name]()
+        for seed in range(200):
+            assert sample_uniform_tree(g, seed) == \
+                sample_uniform_tree_oracle(g, seed)
+
     def test_k4_uniform(self, k4):
         counts = {}
         for seed in range(3200):
@@ -191,9 +236,17 @@ class TestUniformSampling:
 
 
 def test_tree_validation(k4):
-    from homcover.trees import _tree_from_edge_set
     # edges (0,1),(0,2),(1,2) form a triangle and miss vertex 3
     with pytest.raises(NotSpanningTree):
         _tree_from_edge_set(k4, [0, 1, 3])
     with pytest.raises(NotSpanningTree):
         _tree_from_edge_set(k4, [0, 1])  # wrong cardinality
+    with pytest.raises(NotSpanningTree):
+        _tree_from_edge_set(MultiGraph(2, [[0, 0], [0, 1]]), [0])  # a loop
+
+
+@pytest.mark.parametrize("ids", [[-1, 0, 1], [0, 1, 6], [0, 1, -7]])
+def test_tree_edge_out_of_range(k4, ids):
+    # a negative id must not wrap to the last edge
+    with pytest.raises(IndexError):
+        _tree_from_edge_set(k4, ids)
