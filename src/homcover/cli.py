@@ -34,7 +34,7 @@ import numpy as np
 
 from .boxspace import DEFAULT_TOWER_CAP, build_tower
 from .cover import CoverGraph, build_zm_cover
-from .embed import _edge_block_layout, cut_coordinates
+from .embed import _cut_bits, _edge_block_layout
 from .errors import HomcoverError, ParseError
 from .graph import DEFAULT_SIZE_CAP, graph_document, load_graph
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
@@ -108,15 +108,32 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
     tree_edges = [e for e in range(base.edge_count) if e not in cotree]
     tree = _tree_from_edge_set(base, tree_edges)
     c = build_zm_cover(base, doc["m"], tree=tree, size_cap=size_cap)
-    # compared pair by pair: a second list of |E~| edge lists would double
-    # the peak memory of loading a large cover
-    g, edges = c.graph, doc.get("edges")
-    if (doc.get("vertices") != g.vertex_count or not isinstance(edges, list)
-            or len(edges) != g.edge_count
-            or any(pair != [t, h] for pair, t, h
-                   in zip(edges, map(int, g.tails), map(int, g.heads)))):
+    if (doc.get("vertices") != c.graph.vertex_count
+            or not _edges_match(doc.get("edges"), c.graph)):
         raise ParseError("cover document does not match its base/m/cotree data")
     return c
+
+
+def _edges_match(edges, g) -> bool:
+    """True iff `edges` lists g's edges as [tail, head] pairs, in order.
+
+    The pairs are read as one array and compared with `tails` and `heads`
+    by number equality, as in Python (1.0 and True equal 1).  On a
+    61,440-edge cover that array is about 1 MB of int64, where a second
+    list of lists would be 9 MB.  A pair that is ragged, nested or holds a
+    non-number never matches.
+    """
+    if not isinstance(edges, list) or len(edges) != g.edge_count:
+        return False
+    if not edges:  # np.array([]) has shape (0,), not (0, 2)
+        return True
+    try:
+        pairs = np.array(edges)
+    except ValueError:  # ragged or nested pairs
+        return False
+    return (pairs.shape == (g.edge_count, 2) and pairs.dtype.kind in "biuf"
+            and bool((pairs[:, 0] == g.tails).all())
+            and bool((pairs[:, 1] == g.heads).all()))
 
 
 # -- subcommand implementations ---------------------------------------------
@@ -171,29 +188,43 @@ def _cmd_metrics_profile(args) -> int:
     return 0
 
 
-def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, sep: str,
-                 row_text) -> Iterable[str]:
+def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, cell_sep: str,
+                 sep: str, row_text) -> Iterable[str]:
     """Text of the cut coordinates of the vertices in `order`, in blocks.
 
-    Each block of `_EXPORT_BLOCK` vertices is one `cut_coordinates` array.
-    Coordinate k prints as `cell.format(k)`, read from a per-coordinate
-    string table; a row prints as `row_text(x, cells)`, and rows are
-    joined by `sep`, across blocks too.
+    Edge e's cells in a row depend only on the row's residue k on e, so a
+    row is |E(X)| pieces, piece (e, k) being the cells of coordinates
+    e * m + t for the set bits t of `_cut_bits(k)`, joined by `cell_sep`.
+    Coordinate i prints as `cell.format(i)`, read from a per-coordinate
+    string table.  Each block of `_EXPORT_BLOCK` vertices builds only the
+    pieces its rows use, so the pieces held never exceed one block's
+    cells.  A row prints as `row_text(x, pieces)`, and rows are joined by
+    `sep`, across blocks too.
     """
-    dim = c.base.edge_count * c.m
-    table = np.array([cell.format(k) for k in range(dim)], dtype=object)
+    ne, m = c.base.edge_count, c.m
+    table = np.array([cell.format(i) for i in range(ne * m)], dtype=object)
+    offsets = np.arange(ne, dtype=np.int64) * m
+    profiles = c.base_profiles()
     for start in range(0, len(order), _EXPORT_BLOCK):
         rows = order[start:start + _EXPORT_BLOCK]
-        cells = table[cut_coordinates(c, rows)].tolist()
-        text = sep.join(map(row_text, rows.tolist(), cells))
+        keys = profiles[rows] + offsets
+        used = np.zeros(ne * m, dtype=bool)
+        used[keys] = True
+        ids = np.flatnonzero(used)
+        k = ids % m
+        coords = np.nonzero(_cut_bits(k, m))[1].reshape(ids.size, m // 2)
+        pieces = np.empty(ne * m, dtype=object)
+        pieces[ids] = list(map(cell_sep.join,
+                               table[coords + (ids - k)[:, None]].tolist()))
+        text = sep.join(map(row_text, rows.tolist(), pieces[keys].tolist()))
         yield text if start == 0 else sep + text
 
 
 def _export_csv(c: CoverGraph, layout, dim: int) -> Iterable[str]:
     blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
     yield f"# m={c.m} dim={dim} blocks={blocks}\n"
-    yield from _export_rows(c, np.arange(c.graph.vertex_count), "{}:1", "\n",
-                            lambda x, cells: ",".join([str(x), *cells]))
+    yield from _export_rows(c, np.arange(c.graph.vertex_count), "{}:1", ",",
+                            "\n", lambda x, pieces: ",".join([str(x), *pieces]))
     yield "\n"
 
 
@@ -209,8 +240,8 @@ def _export_json(c: CoverGraph, layout, dim: int) -> Iterable[str]:
     head, tail = json.dumps(body, sort_keys=True).rsplit("{}", 1)
     yield head + "{"
     order = np.array(sorted(range(c.graph.vertex_count), key=str))
-    yield from _export_rows(c, order, "[{}, 1]", ", ",
-                            lambda x, cells: f'"{x}": [{", ".join(cells)}]')
+    yield from _export_rows(c, order, "[{}, 1]", ", ", ", ",
+                            lambda x, pieces: f'"{x}": [{", ".join(pieces)}]')
     yield "}" + tail + "\n"
 
 

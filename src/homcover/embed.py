@@ -19,10 +19,13 @@ columns of each cotree edge, tree after tree.
 
 Every vertex image has exactly |E(X)| * floor(m/2) set coordinates, so
 the images of a block of vertices are one integer array,
-`cut_coordinates(c, rows)`.  `embed_point_l1` is that reader on one row,
-and `embed export` streams blocks of rows of it straight to text: the
-output bytes are those of the per-vertex construction, and memory holds
-one block of rows at a time, not the whole text.
+`cut_coordinates(c, rows)`; `embed_point_l1` is that reader on one row.
+`embed export` streams the same coordinates as text.  Edge e's cells in
+a row depend only on the row's residue k on e, so each block of rows is
+joined from one text piece per (e, k), built by `_cut_bits` for the
+pairs that block uses.  The output bytes are those of the per-vertex
+construction, and memory holds one block of rows at a time, not the
+whole text.
 
 All coordinates are stored doubled, as integers, so every norm is an
 exact rational with denominator at most 2.

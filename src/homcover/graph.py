@@ -232,7 +232,7 @@ def load_graph(doc: dict) -> MultiGraph:
 def graph_document(g: MultiGraph) -> dict:
     doc = {
         "vertices": g.vertex_count,
-        "edges": [[int(t), int(h)] for t, h in zip(g.tails, g.heads)],
+        "edges": np.stack((g.tails, g.heads), axis=1).tolist(),
     }
     if g.labels is not None:
         doc["labels"] = list(g.labels)
@@ -650,14 +650,14 @@ def is_connected(g: MultiGraph) -> bool:
     if g.vertex_count <= 1:
         return True
     indptr, _ae, _asg, ah = g.arcs()
-    seen = np.zeros(g.vertex_count, dtype=bool)
+    indptr, ah = indptr.tolist(), ah.tolist()
+    seen = [False] * g.vertex_count
     seen[0] = True
     stack = [0]
     count = 1
     while stack:
         u = stack.pop()
-        for i in range(indptr[u], indptr[u + 1]):
-            w = int(ah[i])
+        for w in ah[indptr[u]:indptr[u + 1]]:
             if not seen[w]:
                 seen[w] = True
                 count += 1

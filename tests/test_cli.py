@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,75 @@ class TestCoverDocument:
         tamper(doc)
         with pytest.raises(ParseError, match="does not match"):
             load_cover(doc)
+
+    @pytest.mark.parametrize("pair", [
+        lambda t, h: [t],
+        lambda t, h: [t, h, h],
+        lambda t, h: [t, None],
+        lambda t, h: None,
+        lambda t, h: [[t], h],
+        lambda t, h: [[t, h]],
+        lambda t, h: [str(t), h],
+        lambda t, h: [t, {"head": h}],
+        lambda t, h: [t + 2 ** 63, h],
+        lambda t, h: [t + 2 ** 64, h],
+        lambda t, h: [t - 2 ** 64, h],
+        lambda t, h: [t + 0.5, h],
+        lambda t, h: [float("nan"), h],
+    ], ids=["short", "long", "none", "none_pair", "nested", "wrapped",
+            "string", "object", "above_2_63", "above_2_64", "below_-2_63",
+            "fraction", "nan"])
+    def test_malformed_edge_exits_2(self, k4, pair, tmp_path, capsys):
+        doc = cover_document(build_zm_cover(k4, 3))
+        doc["edges"][5] = pair(*doc["edges"][5])
+        with pytest.raises(ParseError, match="does not match"):
+            load_cover(doc)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        assert main(["embed", "export", "--cover", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "does not match" in err and "internal error" not in err
+
+    def test_edges_compare_as_numbers(self, k4):
+        # as in Python, 1.0 and True equal 1
+        c = build_zm_cover(k4, 3)
+        doc = cover_document(c)
+        doc["edges"] = [[float(t), True if h == 1 else h]
+                        for t, h in doc["edges"]]
+        assert load_cover(doc).cotree == c.cotree
+
+    def test_edgeless_round_trip(self):
+        c = build_zm_cover(named_graph("complete:1"), 3)
+        doc = json.loads(json.dumps(cover_document(c)))
+        assert doc["edges"] == [] and doc["base"]["edges"] == []
+        c2 = load_cover(doc)
+        assert graph_document(c2.graph) == {"vertices": 1, "edges": []}
+
+
+class TestWorkloadBytes:
+    """The `export` benchmark's CLI chain writes the bytes it always has."""
+
+    def test_petersen_m4_chain(self, tmp_path):
+        graph = tmp_path / "petersen.json"
+        graph.write_text(json.dumps(graph_document(named_graph("petersen"))))
+        cover = tmp_path / "cover.json"
+        assert main(["cover", "build", "--graph", str(graph), "--m", "4",
+                     "--out", str(cover)]) == 0
+        outputs = [cover]
+        for fmt in ("csv", "json"):
+            outputs.append(tmp_path / f"embedding.{fmt}")
+            assert main(["embed", "export", "--cover", str(cover), "--format",
+                         fmt, "--out", str(outputs[-1])]) == 0
+        got = [(p.stat().st_size, hashlib.sha256(p.read_bytes()).hexdigest())
+               for p in outputs]
+        assert got == [
+            (949_941, "1e747462cb77319ffea1085a09da36d90353de30"
+                      "8ee2e524d888be10bc34c711"),
+            (6_174_037, "0a878c6f910948108d77cca3dd5e53e439f875d8"
+                        "c9c9afcee656fc3aa5cd593f"),
+            (11_294_167, "14fe5f415c0980464c73c7a9799167396912032a"
+                         "fe573907d747303b01b9ad65"),
+        ]
 
 
 class TestVerbs:

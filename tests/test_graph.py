@@ -162,6 +162,26 @@ class TestConnectivity:
         g = MultiGraph(2, [[0, 1], [0, 1], [1, 1]])
         assert is_two_edge_connected(g)
 
+    @pytest.mark.parametrize("g", [
+        *map(named_graph, ["doubled_edge", "k4", "c5", "petersen", "cycle:1",
+                           "complete:1", "path:4", "cycle:9"]),
+        MultiGraph(6, [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]),
+        MultiGraph(4, [[0, 1], [1, 2], [2, 0]]),
+        MultiGraph(4, [[1, 2], [2, 3], [3, 1], [1, 1]]),
+        MultiGraph(2, []),
+    ], ids=["doubled_edge", "k4", "c5", "petersen", "cycle1", "complete1",
+            "path4", "cycle9", "two_cycles", "isolated_last",
+            "isolated_first", "two_isolated"])
+    def test_connected_matches_bfs_row(self, g):
+        row = bfs_distance_matrix(g, [0])[0]
+        assert is_connected(g) == bool((row != UNREACHABLE).all())
+
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_connected_matches_bfs_row_random(self, g):
+        row = bfs_distance_matrix(g, [0])[0]
+        assert is_connected(g) == bool((row != UNREACHABLE).all())
+
 
 class TestCayley:
     def test_triangle(self):

@@ -13,7 +13,8 @@ dicts) are kept below as oracles.
 Every cut coordinate comes from one vectorised rule, `embed._cut_bits`.
 The per-residue list and the per-edge loop it replaced are kept below as
 oracles for `cycle_cut_arc`, `_arc_table`, `embed_point_l1` and the
-`embed export` text, which is streamed in blocks of `cut_coordinates` rows.
+`embed export` text, which is streamed in blocks of rows, each row joined
+from one text piece per (base edge, residue).
 """
 
 import dataclasses
@@ -342,10 +343,12 @@ def export_text(c, fmt, tmp_path, capsys):
 
 
 class TestEmbedExport:
-    """`embed export` streams blocks of `cut_coordinates` rows as text.
+    """`embed export` streams blocks of rows as text.
 
-    The oracle builds the whole text at once from the per-edge vectors;
-    the streamed text must equal it byte for byte.
+    A row is one piece per base edge, the cells of that edge's residue;
+    each block builds the pieces its rows use.  The oracle builds the
+    whole text at once from the per-edge vectors; the streamed text must
+    equal it byte for byte.
     """
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -371,6 +374,22 @@ class TestEmbedExport:
         monkeypatch.setattr("homcover.cli._EXPORT_BLOCK", 7)
         c = build_zm_cover(named_graph("k4"), 3)
         assert export_text(c, fmt, tmp_path, capsys) == oracle_export_text(c, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("g,m", [
+        # one edge block whose coordinates cross widths 9 -> 10 and 99 -> 100
+        (cycle_graph(1), 257),
+        (named_graph("petersen"), 3),
+        (named_graph("k4"), 7),
+        (with_loop_and_parallel(named_graph("k4")), 3),
+    ], ids=["cycle1-257", "petersen-3", "k4-7", "k4_loop_parallel-3"])
+    def test_matches_oracle_in_any_block_size(self, g, m, fmt, tmp_path,
+                                              capsys, monkeypatch):
+        c = build_zm_cover(g, m)
+        want = oracle_export_text(c, fmt)
+        assert export_text(c, fmt, tmp_path, capsys) == want
+        monkeypatch.setattr("homcover.cli._EXPORT_BLOCK", 7)
+        assert export_text(c, fmt, tmp_path, capsys) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_out_file_equals_stdout(self, fmt, tmp_path, capsys):
@@ -412,6 +431,29 @@ class TestEmbedExport:
             tracemalloc.stop()
         assert out.stat().st_size == 11_294_167
         assert peak < 16 << 20
+
+    @pytest.mark.parametrize("fmt,size", [("csv", 12_905_933),
+                                          ("json", 20_919_970)])
+    def test_memory_does_not_grow_with_m(self, fmt, size, tmp_path,
+                                         monkeypatch):
+        # cycle:1 at m = 2,001: 2,001 rows of 1,000 cells, in blocks of 7
+        # rows.  Gathering each block's cells peaked at 0.74 MiB (CSV) and
+        # 0.62 MiB (JSON); a table of the pieces of every (edge, residue),
+        # 2,001 pieces of 1,000 cells, peaks at 61 MiB.
+        monkeypatch.setattr("homcover.cli._EXPORT_BLOCK", 7)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(cover_document(
+            build_zm_cover(cycle_graph(1), 2001))))
+        out = tmp_path / f"embedding.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["embed", "export", "--cover", str(path), "--format",
+                         fmt, "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == size
+        assert peak < 2 << 20
 
 
 def oracle_d_T_distance(a, b, m):
