@@ -117,21 +117,24 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
 def _edges_match(edges, g) -> bool:
     """True iff `edges` lists g's edges as [tail, head] pairs, in order.
 
-    The pairs are read as one array and compared with `tails` and `heads`
-    by number equality, as in Python (1.0 and True equal 1).  On a
-    61,440-edge cover that array is about 1 MB of int64, where a second
-    list of lists would be 9 MB.  A pair that is ragged, nested or holds a
-    non-number never matches.
+    The pairs are read as one object array, which holds references to the
+    parsed entries, and compared with `tails` and `heads` by Python's ==
+    (1.0 and True equal 1).  On a 61,440-edge cover that array is about
+    1 MB of pointers, where a second list of lists would be 9 MB.  An
+    object array keeps any one entry from choosing the array type: with the
+    default type, one long string among the numbers would make a string
+    array of that width for every entry.  A ragged pair fails the shape
+    check, and an entry that is not a number equals no vertex.
     """
     if not isinstance(edges, list) or len(edges) != g.edge_count:
         return False
     if not edges:  # np.array([]) has shape (0,), not (0, 2)
         return True
     try:
-        pairs = np.array(edges)
-    except ValueError:  # ragged or nested pairs
+        pairs = np.array(edges, dtype=object)
+    except ValueError:
         return False
-    return (pairs.shape == (g.edge_count, 2) and pairs.dtype.kind in "biuf"
+    return (pairs.shape == (g.edge_count, 2)
             and bool((pairs[:, 0] == g.tails).all())
             and bool((pairs[:, 1] == g.heads).all()))
 
@@ -199,7 +202,9 @@ def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, cell_sep: str,
     string table.  Each block of `_EXPORT_BLOCK` vertices builds only the
     pieces its rows use, so the pieces held never exceed one block's
     cells.  A row prints as `row_text(x, pieces)`, and rows are joined by
-    `sep`, across blocks too.
+    `sep`, across blocks too.  What this saves over joining each row's
+    cells is the reuse of pieces by the rows of a block, which needs m
+    much smaller than the block.
     """
     ne, m = c.base.edge_count, c.m
     table = np.array([cell.format(i) for i in range(ne * m)], dtype=object)

@@ -18,6 +18,7 @@ from one text piece per (base edge, residue).
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -429,8 +430,12 @@ class TestEmbedExport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.stat().st_size == 11_294_167
         assert peak < 16 << 20
+        with out.open("rb") as f:
+            digest = hashlib.file_digest(f, "sha256").hexdigest()
+        assert (out.stat().st_size, digest) == (
+            11_294_167, "14fe5f415c0980464c73c7a9799167396912032a"
+                        "fe573907d747303b01b9ad65")
 
     @pytest.mark.parametrize("fmt,size", [("csv", 12_905_933),
                                           ("json", 20_919_970)])
