@@ -12,8 +12,8 @@ from typing import Optional
 
 from .cover import CoverGraph, build_zm_cover, cover_girth
 from .errors import InvalidParameter, SizeCapExceeded
-from .graph import (MultiGraph, Orbits, _girth_from_roots, cayley_zm_power,
-                    label_automorphisms)
+from .graph import (MultiGraph, cayley_zm_power, cycle_bound_from,
+                    symmetric_roots)
 from .trees import tree_counts
 
 DEFAULT_TOWER_CAP = 1 << 23
@@ -25,17 +25,14 @@ NE_CHECK_LIMIT = 64
 
 
 def girth_vertex_transitive(g: MultiGraph):
-    """Girth from one truncated BFS root per orbit of g's own checked
-    label automorphisms (`graph.label_automorphisms`).
+    """Girth from one search root per orbit of g's own checked label
+    automorphisms (`graph.symmetric_roots`).
 
     Exact: an automorphism moves a shortest cycle through some root.  The
     Cayley seed of a tower is one orbit, so it takes one root; an
     unlabelled graph takes every vertex.  math.inf for forests.
     """
-    orbits = Orbits(g.vertex_count)
-    for vmap, _emap, _signs in label_automorphisms(g):
-        orbits.join(vmap)
-    return _girth_from_roots(g, orbits.roots())
+    return cycle_bound_from(g, symmetric_roots(g))
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,10 @@ def build_tower(rank: int, m: int, levels: int,
             truncated = True
             break
         cover = build_zm_cover(prev, m, size_cap=size_cap)
-        g = cover_girth(cover)  # one root per orbit of the level
-        assert g > built[-1].girth_value, \
-            f"girth failed to grow at level {len(built) + 1}"
+        g = cover_girth(cover)
+        if g <= built[-1].girth_value:  # a raise, not an assert: kept under -O
+            raise AssertionError(
+                f"girth failed to grow at level {len(built) + 1}")
         built.append(TowerLevel(len(built) + 1, cover.graph, g, cover,
                                 _check_ne(cover.graph)))
     return Tower(rank, m, tuple(built), truncated)

@@ -7,9 +7,10 @@ the lift of cotree generator i adds one to the i-th Z_m coordinate.
 
 Vertex (v, k) is stored at index v * m^r + rank(k) where rank is the
 mixed-radix value of k, little-endian in cotree order; edge (e, k) is
-stored at index e * m^r + rank(k).  `_shift` is the one rule that moves a
-label digit of a rank, and the edge heads use it; a deck permutation moves
-every digit at once, as an outer sum of per-digit moves.
+stored at index e * m^r + rank(k).  `graph._shift` is the one rule that
+moves a label digit of a rank, and the edge heads and the girth search
+(`cover_girth`) use it; a deck permutation moves every digit at once, as
+an outer sum of per-digit moves.
 
 Walks are lifted over the built edges of the cover: a base walk's signed
 arcs (`graph.Walk`) pick signed cover arcs from `CoverGraph.arc_ends`,
@@ -28,9 +29,9 @@ import numpy as np
 
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _has_loop,
-                    _least_cycle_bound, is_two_edge_connected,
-                    label_automorphisms, signed_arc_counts)
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _shift,
+                    cycle_bound_from, is_two_edge_connected,
+                    label_automorphisms, signed_arc_counts, symmetric_roots)
 from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
                     some_spanning_tree, tree_counts)
 
@@ -69,13 +70,6 @@ def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
         np.subtract(out, m, out=out, where=over)
     else:
         np.add(a, b, out=out)
-
-
-def _shift(rank, stride: int, m: int, delta: int):
-    """Label rank(s) `rank` with the digit of weight `stride` (m**i for
-    cotree position i) moved by `delta` mod m."""
-    digit = (rank // stride) % m
-    return rank + ((digit + delta) % m - digit) * stride
 
 
 def _shifted_ranks(deck: int, stride: int, m: int, delta: int) -> np.ndarray:
@@ -431,24 +425,16 @@ def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
 
 
 def cover_girth(c: CoverGraph):
-    """Girth of the cover from one BFS root (v, 0) per orbit.
+    """Girth of the cover, from one search over base states
+    (`graph.cycle_bound_from`) rooted at (v, 0) for one v per orbit of the
+    base's checked label automorphisms (`graph.symmetric_roots`).
 
-    The orbit group (`CoverGraph.orbit_reps`) acts by automorphisms and
-    moves every vertex into its orbit's representative, so some shortest
-    cycle passes through a representative; the result equals
-    girth(c.graph) exactly.
-
-    A cover has no loop: a tree edge joins two fibers and a cotree edge
-    moves a label digit.  It has a parallel pair exactly when m = 2 and
-    the base has a loop, whose two lifts at each vertex join the same
-    two labels.  Both are read off the base, not the cover's edges.
+    Reads no cover array.  Exact: a base automorphism permutes and signs
+    the edge counts, so it maps a closed walk whose counts are all 0 mod m
+    to another one, and so lifts to an automorphism of the cover; with the
+    deck translations it moves every shortest cycle through some root.
     """
-    if c.m == 2 and _has_loop(c.base):
-        return 2
-    reps = c.orbit_reps()
-    # a representative (u, 0) is the entry of its own fiber u
-    return _least_cycle_bound(
-        c.graph, reps[reps == np.arange(reps.size) * c.deck_size].tolist())
+    return cycle_bound_from(c.base, symmetric_roots(c.base), c.m, c.cotree)
 
 
 # -- covering projection and lifting -------------------------------------

@@ -437,78 +437,73 @@ def _merge(targets, values, words_at, claim, unvisited):
 # -- girth --------------------------------------------------------------
 
 
-def _has_loop(g: MultiGraph) -> bool:
-    return bool(np.any(g.tails == g.heads))
+def _shift(rank, stride: int, m: int, delta: int):
+    """Label rank(s) `rank` with the digit of weight `stride` (m**i for
+    cotree position i) moved by `delta` mod m."""
+    digit = (rank // stride) % m
+    return rank + ((digit + delta) % m - digit) * stride
 
 
-def _has_parallel_pair(g: MultiGraph) -> bool:
-    mask = g.tails != g.heads
-    if not np.any(mask):
-        return False
-    lo = np.minimum(g.tails[mask], g.heads[mask])
-    hi = np.maximum(g.tails[mask], g.heads[mask])
-    code = np.sort(lo * g.vertex_count + hi)
-    return bool(np.any(code[1:] == code[:-1]))
+def cycle_bound_from(g: MultiGraph, roots: Iterable[int], m: int = 1,
+                     cotree: Sequence[int] = ()):
+    """Least cycle bound over truncated BFS searches from the roots, on g
+    or, given m and its cotree, on g's Z_m-homology cover; math.inf when
+    no search closes a cycle.
 
-
-def cycle_bound_from(g: MultiGraph, root: int, best=math.inf):
-    """Truncated BFS from root; min over detected closed walks of their length.
-
-    The returned bound never undercuts the girth, and is exactly the girth
-    whenever root lies on a shortest cycle.
+    A state k * |V| + v is the vertex of g's cover over v with label rank
+    k.  Crossing cotree[i] with sign s moves the digit of weight m**i by s
+    mod m (`_shift`); a tree edge keeps k.  With an empty cotree the
+    states are g's vertices.  Arc 2e + b crosses edge e forward (b = 0)
+    or backward (b = 1), as `Walk` steps do, and a search never takes the
+    reverse arc (2e + b) ^ 1 of the arc that reached a state: the other
+    arc of a loop, or of an m = 2 lift of a loop, closes a cycle.  A
+    non-tree arc from a state at level l to one at level l' closes a
+    walk of length l + l' + 1 that holds a cycle.  The bound never
+    undercuts the girth, and is exactly the girth whenever some shortest
+    cycle passes through the state of a root.
     """
-    indptr, ae, _asg, ah = g.arcs()
-    dist = np.full(g.vertex_count, -1, dtype=np.int64)
-    via = np.full(g.vertex_count, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = [root]
-    level = 0
-    while frontier and 2 * level < best:
-        nxt = []
-        for u in frontier:
-            for i in range(indptr[u], indptr[u + 1]):
-                w = int(ah[i])
-                e = int(ae[i])
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = level + 1
-                    via[w] = e
-                    nxt.append(w)
-                elif not (e == via[u] and dw == level - 1):
-                    cand = level + int(dw) + 1
-                    if cand < best:
-                        best = cand
-        level += 1
-        frontier = nxt
-    return best
-
-
-def _girth_from_roots(g: MultiGraph, roots: Iterable[int]):
-    """Loop and parallel-pair shortcuts, then the least cycle bound over
-    the roots.  Exact whenever some shortest cycle passes through a root."""
-    if _has_loop(g):
-        return 1
-    if _has_parallel_pair(g):
-        return 2
-    return _least_cycle_bound(g, roots)
-
-
-def _least_cycle_bound(g: MultiGraph, roots: Iterable[int]):
-    """The least cycle bound over the roots.  The girth of g whenever g
-    has no loop and no parallel pair and some shortest cycle passes
-    through a root."""
+    n = g.vertex_count
+    indptr, edge, sign, head = g.arcs()
+    # lists once per call: numpy scalars cost a conversion per arc read
+    code = (2 * edge + (sign < 0)).tolist()
+    indptr, edge, sign, head = (a.tolist() for a in (indptr, edge, sign, head))
+    weight = [0] * g.edge_count
+    for i, e in enumerate(cotree):
+        weight[e] = m ** i
+    stride = [weight[e] for e in edge]
     best = math.inf
     for root in roots:
-        best = cycle_bound_from(g, root, best)
-        if best == 3:
-            break
-    return best if best is math.inf else int(best)
+        dist = {root: 0}
+        via = {root: -1}
+        frontier = [root]
+        level = 0
+        while frontier and 2 * level < best:
+            nxt = []
+            for x in frontier:
+                k, u = divmod(x, n)
+                back = via[x] ^ 1
+                for i in range(indptr[u], indptr[u + 1]):
+                    arc = code[i]
+                    if arc == back:
+                        continue
+                    s = stride[i]
+                    y = head[i] + n * (_shift(k, s, m, sign[i]) if s else k)
+                    dy = dist.get(y)
+                    if dy is None:
+                        dist[y] = level + 1
+                        via[y] = arc
+                        nxt.append(y)
+                    elif level + dy + 1 < best:
+                        best = level + dy + 1
+            level += 1
+            frontier = nxt
+    return best
 
 
 def girth(g: MultiGraph):
     """Length of the shortest cycle: 1 for a loop, 2 for a parallel pair,
-    math.inf for forests.  Per-source truncated BFS."""
-    return _girth_from_roots(g, range(g.vertex_count))
+    math.inf for forests.  One search from every vertex."""
+    return cycle_bound_from(g, range(g.vertex_count))
 
 
 # -- label symmetry -----------------------------------------------------
@@ -641,6 +636,16 @@ class Orbits:
     def roots(self) -> list[int]:
         """The least vertex of each orbit, ascending."""
         return [u for u in range(len(self._parent)) if self.find(u) == u]
+
+
+def symmetric_roots(g: MultiGraph) -> list[int]:
+    """The least vertex of each orbit of g's checked label automorphisms
+    (`label_automorphisms`), ascending: every vertex of an unlabelled
+    graph, one vertex of a Cayley graph."""
+    orbits = Orbits(g.vertex_count)
+    for vmap, _emap, _signs in label_automorphisms(g):
+        orbits.join(vmap)
+    return orbits.roots()
 
 
 # -- connectivity -------------------------------------------------------

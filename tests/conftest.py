@@ -2,6 +2,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -172,6 +173,21 @@ def sample_uniform_tree_oracle(g: MultiGraph, seed: int) -> SpanningTree:
             in_tree[u] = True
             u = next_arc[u][2]
     return tree_from_edge_set_oracle(g, [next_arc[v][0] for v in range(1, n)])
+
+
+def has_loop(g: MultiGraph) -> bool:
+    return bool(np.any(g.tails == g.heads))
+
+
+def has_parallel_pair(g: MultiGraph) -> bool:
+    """Whether two non-loop edges join the same two vertices."""
+    mask = g.tails != g.heads
+    if not np.any(mask):
+        return False
+    lo = np.minimum(g.tails[mask], g.heads[mask])
+    hi = np.maximum(g.tails[mask], g.heads[mask])
+    code = np.sort(lo * g.vertex_count + hi)
+    return bool(np.any(code[1:] == code[:-1]))
 
 
 def girth_oracle(g: MultiGraph):

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,40 @@ class TestTower:
         assert not tower.truncated
         assert tower.levels[0].girth_value == 3
         assert tower.levels[1].girth_value > 3
+
+    def test_builds_no_cover_arrays(self):
+        # the girth search runs over base states: level 2 (531,441
+        # vertices) gets no CSR arcs, profiles or orbit representatives,
+        # and the build peaks near its two edge arrays (about 17 MB)
+        tracemalloc.start()
+        try:
+            tower = build_tower(2, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cover = tower.levels[1].cover
+        assert cover._orbit_reps is None
+        assert cover._profiles is None
+        assert cover.graph._indptr is None
+        assert peak < 32 << 20
+
+    def test_girth_growth_is_checked_under_optimisation(self, tmp_path):
+        # a girth that does not grow is a bug (exit 3), also where
+        # python -O strips assert statements
+        probe = (
+            "import sys, homcover.boxspace as b; from homcover.cli import main; "
+            "b.cover_girth = lambda c: 4; "
+            "sys.exit(main(['tower', 'build', '--rank', '2', '--m', '2', "
+            "'--levels', '2', '--out-dir', 'out']))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-O", "-c", probe],
+                             capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=120)
+        assert run.returncode == 3
+        assert ("internal error: AssertionError: girth failed to grow at "
+                "level 2") in run.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_m2_is_cycle_doubling(self):
         tower = build_tower(2, 2, 3)

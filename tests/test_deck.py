@@ -21,9 +21,10 @@ from homcover import (CoverGraph, MultiGraph, bfs_distance_matrix,
                       is_two_edge_connected, named_graph, verify_compare)
 from homcover.cover import _checked_lift, _shift
 from homcover.embed import binary_embed_matrix
-from homcover.graph import _has_loop, _has_parallel_pair, label_automorphisms
+from homcover.graph import label_automorphisms
 
-from conftest import connected_multigraphs
+from conftest import (connected_multigraphs, girth_oracle, has_loop,
+                      has_parallel_pair)
 
 NAMED = ("doubled_edge", "k4", "c5", "petersen")
 
@@ -95,7 +96,7 @@ def test_deck_permutation_matches_shift_loop(name, m):
         assert np.array_equal(perm, shift_loop_permutation(c, k))
 
 
-# -- fiber-root girth ------------------------------------------------------
+# -- cover girth -----------------------------------------------------------
 
 
 #: Bases with loops, parallel and antiparallel edges, which decide whether
@@ -116,13 +117,12 @@ def test_cover_girth_equals_generic(name, m):
     base = (MultiGraph(*SMALL_BASES[name]) if name in SMALL_BASES
             else named_graph(name))
     c = build_zm_cover(base, m)
-    # cover_girth reads these off the base, never off the cover's edges
-    assert not _has_loop(c.graph)
-    assert _has_parallel_pair(c.graph) == (m == 2 and _has_loop(base))
+    assert not has_loop(c.graph)
+    assert has_parallel_pair(c.graph) == (m == 2 and has_loop(base))
     got = cover_girth(c)
     assert got > girth(c.base)
     if c.graph.vertex_count <= GENERIC_GIRTH_LIMIT:
-        assert got == girth(c.graph)
+        assert got == girth(c.graph) == girth_oracle(c.graph)
 
 
 @given(connected_multigraphs(max_vertices=5, max_extra_edges=4)
@@ -132,7 +132,7 @@ def test_cover_girth_equals_generic(name, m):
 def test_cover_girth_random_bases(g, m):
     assume(g.vertex_count * m ** (g.edge_count - g.vertex_count + 1) <= 600)
     c = build_zm_cover(g, m)
-    assert cover_girth(c) == girth(c.graph)
+    assert cover_girth(c) == girth(c.graph) == girth_oracle(c.graph)
 
 
 # -- rows from one representative per fiber ----------------------------------
@@ -335,7 +335,7 @@ def test_orbits_match_oracles_m2_tower_levels():
     for c in tower_covers():
         for sources in source_sets(c):
             check_against_oracles(c, sources)
-        assert cover_girth(c) == girth(c.graph)
+        assert cover_girth(c) == girth(c.graph) == girth_oracle(c.graph)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -344,7 +344,7 @@ def test_several_orbits(m):
     assert c.orbit_reps().tolist() == [0] * 3 + [3 * c.deck_size] * 3
     for sources in source_sets(c):
         check_against_oracles(c, sources)
-    assert cover_girth(c) == girth(c.graph)
+    assert cover_girth(c) == girth(c.graph) == girth_oracle(c.graph)
 
 
 def test_bad_lift_falls_back_to_fibers():

@@ -10,10 +10,10 @@ from homcover import (MultiGraph, ParseError, Walk, bfs_distance_matrix,
                       graph_document, is_connected, is_two_edge_connected,
                       load_graph, named_graph, path_graph)
 from homcover.errors import InvalidParameter, PathMismatch, SizeCapExceeded
-from homcover.graph import UNREACHABLE, _has_parallel_pair
+from homcover.graph import UNREACHABLE
 
-from conftest import (connected_multigraphs, girth_oracle, multigraphs,
-                      to_networkx)
+from conftest import (connected_multigraphs, girth_oracle, has_parallel_pair,
+                      multigraphs, to_networkx)
 
 
 class TestDocumentRoundTrip:
@@ -138,7 +138,7 @@ class TestGirth:
         lo = np.minimum(g.tails[mask], g.heads[mask])
         hi = np.maximum(g.tails[mask], g.heads[mask])
         code = lo * g.vertex_count + hi
-        assert _has_parallel_pair(g) == (len(np.unique(code)) < len(code))
+        assert has_parallel_pair(g) == (len(np.unique(code)) < len(code))
 
 
 class TestConnectivity:
