@@ -99,7 +99,7 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
     for key in ("base", "m", "cotree"):
         if key not in doc:
             raise ParseError(f"cover document missing {key!r}")
-    base = load_graph(doc["base"])
+    base = load_graph(doc["base"], size_cap)
     if not _is_int(doc["m"]):
         raise ParseError("cover document 'm' must be an integer")
     if not isinstance(doc["cotree"], list) or not all(map(_is_int, doc["cotree"])):
@@ -108,7 +108,8 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
     tree_edges = [e for e in range(base.edge_count) if e not in cotree]
     tree = _tree_from_edge_set(base, tree_edges)
     c = build_zm_cover(base, doc["m"], tree=tree, size_cap=size_cap)
-    if (doc.get("vertices") != c.graph.vertex_count
+    if (doc["cotree"] != list(c.cotree)
+            or doc.get("vertices") != c.graph.vertex_count
             or not _edges_match(doc.get("edges"), c.graph)):
         raise ParseError("cover document does not match its base/m/cotree data")
     return c
@@ -157,7 +158,7 @@ def _tree_arg(g, text: str):
 
 
 def _cmd_cover_build(args) -> int:
-    g = load_graph(_read_json(args.graph))
+    g = load_graph(_read_json(args.graph), args.size_cap)
     tree = None if args.tree == "auto" else _tree_arg(g, args.tree)
     c = build_zm_cover(g, args.m, tree=tree, size_cap=args.size_cap)
     _emit(args.out, [json.dumps(cover_document(c), sort_keys=True) + "\n"])

@@ -7,11 +7,9 @@ edge-traversal counts, traversal itself is always bidirectional.  Loops
 and parallel edges are allowed.
 
 Distances come from one engine, `bfs_distance_matrix`: a level-synchronous
-BFS over the CSR arcs of `MultiGraph.arcs` that runs up to 64 sources at
-once, one bit per source in a uint64 word per vertex; a pass of a single
-source keeps a one-byte flag per vertex instead.  scipy is imported only
-by `MultiGraph.spmatrix`, so importing the package does not load
-`scipy.sparse`.
+BFS per source over the CSR arcs of `MultiGraph.arcs`, with a one-byte
+flag per vertex.  scipy is imported only by `MultiGraph.spmatrix`, so
+importing the package does not load `scipy.sparse`.
 
 Graphs are immutable after construction and safe to share between
 concurrent workers.
@@ -202,11 +200,12 @@ def signed_arc_counts(arcs, edge_count: int) -> np.ndarray:
 # -- documents ----------------------------------------------------------
 
 
-def load_graph(doc: dict) -> MultiGraph:
+def load_graph(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> MultiGraph:
     """Build a MultiGraph from a graph document.
 
     Document format: {"vertices": N, "edges": [[tail, head], ...],
-    "labels": optional array}.  Indices are 0-based.
+    "labels": optional array}.  Indices are 0-based.  SizeCapExceeded if
+    N is above size_cap.
     """
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
@@ -217,6 +216,8 @@ def load_graph(doc: dict) -> MultiGraph:
         raise ParseError(f"missing field in graph document: {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("'vertices' must be an integer")
+    if n > size_cap:
+        raise SizeCapExceeded(f"graph has {n} vertices, cap is {size_cap}")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
     for pair in edges:
@@ -242,21 +243,14 @@ def graph_document(g: MultiGraph) -> dict:
 # -- BFS metrics --------------------------------------------------------
 
 
-#: Sources per bit-parallel BFS pass: one bit each in a uint64 word.
-_BFS_WORD_BITS = 64
-
 #: A level pushes from its frontier, instead of pulling at every vertex,
-#: when the frontier's arcs are at most all arcs over this ratio.  For 32
-#: sources on the 531,441-vertex tower level 8, 16 and 32 run about
-#: equally fast; 4 is slower and its push temporaries add 8 MB at the peak.
-_PUSH_RATIO = 16
-
-#: The same switch for one source, measured on a 2-vCPU Xeon guest.  A
-#: one-byte pull costs about what a push of a quarter of the arcs does:
-#: on the tower level 1 (never pull), 2 and 4 run alike, since no
-#: frontier there holds 17% of the arcs, and 8 is 20-40% slower; on a
-#: 200,000-vertex random graph of mean degree 20, whose frontiers reach
-#: half the arcs, 4 and 8 take 31 ms and 1 takes 60 ms.
+#: when the frontier's arcs are at most all arcs over this ratio.
+#: Measured on a 2-vCPU Xeon guest, a one-byte pull costs about what a
+#: push of a quarter of the arcs does: on the 531,441-vertex tower level
+#: 1 (never pull), 2 and 4 run alike, since no frontier there holds 17%
+#: of the arcs, and 8 is 20-40% slower; on a 200,000-vertex random graph
+#: of mean degree 20, whose frontiers reach half the arcs, 4 and 8 take
+#: 31 ms and 1 takes 60 ms.
 _PUSH_RATIO_ONE = 4
 
 #: A one-source push below |V| / _CLAIM_RATIO arcs finds its new vertices
@@ -274,17 +268,8 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     int64, with UNREACHABLE where no path exists.  Row i belongs to
     sources[i]; sources may repeat, and one out of range raises IndexError.
 
-    The sources run 64 at a time, source j of a pass owning bit j of one
-    uint64 word per vertex, so every level of the BFS advances all of them
-    together (Akiba, Iwata and Yoshida, SIGMOD 2013).  The frontier is a
-    list of vertices and their new bits.  A level pulls, OR-ing the
-    frontier words at every vertex's arc heads in one
-    ``bitwise_or.reduceat`` over the CSR arcs; when the frontier has few
-    arcs it pushes them instead, at a cost in its own size rather than
-    |V| (the direction switch of Beamer, Asanović and Patterson, SC 2012).
-    Loops and parallel arcs only repeat a bit, so they never shorten a
-    distance.  A pass of one source, as the last of 1, 65, 129, ...
-    sources, runs in `_one_source_row`.
+    Each source runs its own level-synchronous BFS over the CSR arcs,
+    `_one_source_row`; the arc arrays and scratch are set up once per call.
     """
     sources = list(sources)
     n = g.vertex_count
@@ -299,73 +284,31 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     # reduceat cannot start a segment at the end of the arcs: pull only up
     # to the trailing run of arc-less vertices
     pull_end = int(np.searchsorted(indptr, heads.size))
-    # scratch for the whole call, reused by every chunk and level: a level
-    # allocates nothing |V|- or arc-sized beyond its frontier, so the peak
-    # RSS does not hinge on where the allocator finds room for temporaries,
-    # which depends on the heap layout the process happened to leave
+    # scratch for the whole call, reused by every source
     claim = np.empty(n, dtype=np.int64)
-    if len(sources) % _BFS_WORD_BITS == 1:
-        # a last pass of one source runs without words
-        _one_source_row(indptr, degree, heads, pull_end, sources.pop(),
-                        out[-1], claim)
-        if not sources:
-            return out
-    # words_at is zero between levels; _merge ORs pushed bits into it
-    words_at = np.zeros(n, dtype=np.uint64)
-    unvisited = np.empty(n, dtype=np.uint64)
-    # zero past pull_end for good: only arc-less vertices live there
-    pulled = np.zeros(n, dtype=np.uint64)
-    gathered = np.empty(heads.size, dtype=np.uint64)
-    for lo in range(0, len(sources), _BFS_WORD_BITS):
-        chunk = np.asarray(sources[lo:lo + _BFS_WORD_BITS], dtype=np.int64)
-        bits = np.left_shift(np.uint64(1), np.arange(chunk.size, dtype=np.uint64))
-        unvisited.fill(~np.uint64(0))
-        active, words = _merge(chunk, bits, words_at, claim, unvisited)
-        # arc-less vertices are reached only as sources; marking them
-        # visited masks the a[start] that reduceat reads for an empty segment
-        unvisited[degree == 0] = 0
-        rows = out[lo:lo + chunk.size]
-        level = 0
-        while active.size:
-            for j, bit in enumerate(bits):
-                rows[j, active[(words & bit) != 0]] = level
-            level += 1
-            active_degree = degree[active]
-            active_arcs = int(active_degree.sum())
-            if active_arcs * _PUSH_RATIO <= heads.size:
-                arc = _frontier_arcs(indptr, active, active_degree,
-                                     active_arcs)
-                active, words = _merge(heads[arc],
-                                       np.repeat(words, active_degree),
-                                       words_at, claim, unvisited)
-            else:
-                words_at[active] = words
-                # mode="clip" lets take write straight into out; every
-                # head is in range anyway
-                np.take(words_at, heads, out=gathered, mode="clip")
-                np.bitwise_or.reduceat(gathered, indptr[:pull_end],
-                                       out=pulled[:pull_end])
-                words_at[active] = 0
-                pulled &= unvisited
-                active = np.flatnonzero(pulled)
-                words = pulled[active]
-                unvisited[active] ^= words
+    for source, row in zip(sources, out):
+        _one_source_row(indptr, degree, heads, pull_end, source, row, claim)
     return out
 
 
 def _one_source_row(indptr, degree, heads, pull_end, source, row, claim):
     """BFS from one source into row (all UNREACHABLE on entry).
 
-    With one source a vertex's word would hold one bit, so the frontier
-    is a list of vertices, merged through a uint8 flag per vertex.  A
-    pull reads 2|E| flag bytes.  A push gathers its arcs' heads and keeps
+    The frontier is a list of vertices, merged through a uint8 flag per
+    vertex.  A level whose frontier holds more than all arcs over
+    _PUSH_RATIO_ONE pulls, OR-ing the flags at every vertex's arc heads in
+    one ``bitwise_or.reduceat`` over the CSR arcs, and reads 2|E| flag
+    bytes; a smaller frontier pushes its arcs, at a cost in its own size
+    rather than |V| (the direction switch of Beamer, Asanović and
+    Patterson, SC 2012).  A push gathers its arcs' heads and keeps
     each unvisited one once: below |V| / _CLAIM_RATIO arcs through one
     `claim` slot per head, at a cost in the frontier's size, and above
     that by setting flags and scanning all |V| of them, which leaves the
     next frontier sorted for the gathers of the level after.  No ufunc
     ``.at`` merge runs.
     """
-    # arc-less vertices are reached only as the source (see above)
+    # arc-less vertices are reached only as the source; marking them
+    # visited masks the flag that reduceat reads for an empty segment
     unvisited = degree != 0
     unvisited[source] = False
     flag = np.zeros(row.size, dtype=np.uint8)
@@ -412,26 +355,6 @@ def _flagged(flag, unvisited):
     found = np.flatnonzero(flag)
     flag[found] = 0
     return found
-
-
-def _merge(targets, values, words_at, claim, unvisited):
-    """OR each value into its target vertex's word; return the vertices
-    that gain unvisited bits with those bits, now marked visited.
-
-    words_at is zero on entry and on return.  claim picks one slot per
-    distinct target: whichever slot a repeated index store leaves in
-    claim[t], exactly one slot of t matches it.
-    """
-    np.bitwise_or.at(words_at, targets, values)
-    slot = np.arange(targets.size)
-    claim[targets] = slot
-    targets = targets[claim[targets] == slot]
-    words = words_at[targets] & unvisited[targets]
-    words_at[targets] = 0
-    keep = words != 0
-    targets, words = targets[keep], words[keep]
-    unvisited[targets] ^= words
-    return targets, words
 
 
 # -- girth --------------------------------------------------------------

@@ -180,23 +180,17 @@ def _source_array(c: CoverGraph, sources) -> np.ndarray:
     return srcs
 
 
-#: Representatives whose BFS rows are held at once.
-_ROW_CHUNK = 32
-
-
 def _rep_rows(c: CoverGraph, srcs: np.ndarray, reps: np.ndarray):
     """Per distinct representative in `reps` (one per source), yield
     (representative, its BFS row, its sources in list order, repeats
-    kept).  Grouped in numpy, once for the whole source list."""
+    kept).  Grouped in numpy, once for the whole source list; each row is
+    computed as it is yielded, so one is held at a time."""
     order = np.argsort(reps, kind="stable")
     ranked = reps[order]
     starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-    uniq = ranked[starts]
     members = np.split(srcs[order], starts[1:])
-    for lo in range(0, uniq.size, _ROW_CHUNK):
-        chunk = uniq[lo:lo + _ROW_CHUNK].tolist()
-        dmat = bfs_distance_matrix(c.graph, chunk)
-        yield from zip(chunk, dmat, members[lo:lo + _ROW_CHUNK])
+    for rep, group in zip(ranked[starts].tolist(), members):
+        yield rep, bfs_distance_matrix(c.graph, [rep])[0], group
 
 
 def _orbit_of(c: CoverGraph, srcs: np.ndarray) -> np.ndarray:

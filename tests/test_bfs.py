@@ -1,10 +1,9 @@
-"""The bit-parallel BFS engine against two independent oracles.
+"""The BFS engine against two independent oracles.
 
-`bfs_distance_matrix` runs up to 64 sources per pass, one bit each, and
-switches between pulling at every vertex and pushing from the frontier;
-a pass with one source runs on a one-byte frontier flag instead.  The
-oracles know nothing of either: a pure-Python deque BFS over
-`adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
+`bfs_distance_matrix` runs one pass per source on a one-byte frontier
+flag, switching between pulling at every vertex and pushing from the
+frontier.  The oracles know nothing of either: a pure-Python deque BFS
+over `adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
 """
 
 import os
@@ -25,8 +24,8 @@ from homcover.graph import UNREACHABLE
 
 from conftest import multigraphs
 
-#: Source counts at and around the 64-source pass boundaries; 1 and 65
-#: end in a one-source pass.
+#: Source counts from an empty matrix to 130 rows, with counts at and
+#: next to 64 and 128.
 CHUNK_EDGES = (0, 1, 63, 64, 65, 130)
 
 #: One-source inputs: trailing arc-less vertices (one of them the
@@ -109,7 +108,7 @@ def test_chunk_boundaries(count):
     edges = [(rng.randrange(90), rng.randrange(90)) for _ in range(70)]
     g = MultiGraph(90, edges + edges[:3] + [(0, 0)])
     sources = [rng.randrange(g.vertex_count) for _ in range(count)]
-    sources[:2] = [5, 5][:count]  # a duplicate inside the first pass
+    sources[:2] = [5, 5][:count]  # a duplicate source
     got = bfs_distance_matrix(g, sources)
     assert got.shape == (count, g.vertex_count) and got.dtype == np.int64
     assert np.array_equal(got, scipy_oracle(g, sources))
@@ -142,7 +141,7 @@ def test_long_cycle():
     gap = np.abs(np.arange(n)[None, :] - np.array(sources)[:, None])
     assert np.array_equal(bfs_distance_matrix(g, sources),
                           np.minimum(gap, n - gap))
-    # and one source alone, in the one-byte frontier
+    # and one source alone
     assert np.array_equal(bfs_distance_matrix(g, [2000])[0],
                           np.minimum(gap[2], n - gap[2]))
 

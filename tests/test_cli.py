@@ -10,7 +10,7 @@ import pytest
 
 from homcover.cli import cover_document, load_cover, main
 from homcover import build_zm_cover, cayley_zm_power, named_graph
-from homcover.errors import ParseError
+from homcover.errors import ParseError, SizeCapExceeded
 from homcover.graph import graph_document
 
 
@@ -56,6 +56,10 @@ class TestCoverDocument:
         lambda doc: doc.update(edges={}),
         lambda doc: doc["edges"][5].reverse(),
         lambda doc: doc.update(vertices=doc["vertices"] + 1),
+        lambda doc: doc.update(cotree=[3, 4, 5, 99]),
+        lambda doc: doc.update(cotree=[3, 4, 5, -1]),
+        lambda doc: doc.update(cotree=[3, 4, 5, 3]),
+        lambda doc: doc.update(cotree=[5, 4, 3]),
     ])
     def test_cover_edges_checked_pair_by_pair(self, k4, tamper):
         doc = cover_document(build_zm_cover(k4, 3))
@@ -104,6 +108,12 @@ class TestCoverDocument:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_huge_base_rejected(self, k4):
+        doc = cover_document(build_zm_cover(k4, 3))
+        doc["base"]["vertices"] = 10 ** 12
+        with pytest.raises(SizeCapExceeded):
+            load_cover(doc)
 
     def test_edges_compare_as_numbers(self, k4):
         # as in Python, 1.0 and True equal 1
@@ -368,6 +378,16 @@ class TestErrorPaths:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"vertices": 2, "edges": [[0, 2]]}))
         assert main(["trees", "count", "--graph", str(p)]) == 2
+
+    @pytest.mark.parametrize("verb", [["cover", "build", "--m", "3"],
+                                      ["trees", "count"]])
+    @pytest.mark.parametrize("n", [10 ** 12, 2 ** 63])
+    def test_huge_vertex_count_rejected(self, verb, n, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"vertices": n, "edges": [[0, 1], [1, 0]]}))
+        assert main(verb + ["--graph", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"graph has {n} vertices" in err and "internal error" not in err
 
     def test_bad_cover_modulus(self, k4, tmp_path):
         doc = cover_document(build_zm_cover(k4, 3))

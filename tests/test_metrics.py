@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -324,3 +325,33 @@ class TestCompressionProfile:
         for row in prof.rows:
             if row.t < 5:
                 assert row.min_val == row.max_val == Fraction(row.t)
+
+
+class TestRowMemory:
+    """Compare and the dq profile hold one BFS row at a time: on the
+    40,960-vertex Petersen m = 4 cover, with its arcs, profiles and orbit
+    representatives built beforehand, a row is 320 KiB."""
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        c = build_zm_cover(named_graph("petersen"), 4)
+        c.graph.arcs()
+        c.base_profiles()
+        c.orbit_reps()
+        return c
+
+    @staticmethod
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dq_profile(self, cover):
+        assert self.peak(lambda: compression_profile(cover, None, "dq")) < 6 << 20
+
+    def test_compare_100_sources(self, cover):
+        srcs = random.Random(0).sample(range(cover.graph.vertex_count), 100)
+        assert self.peak(lambda: verify_compare(cover, srcs)) < 4 << 20
