@@ -60,8 +60,13 @@ def _resolve_out(path: str) -> Path:
 
 
 def _read_json(path: str) -> dict:
+    """The JSON value in the file at path; ParseError, naming the path,
+    for bytes that are not UTF-8 JSON within int() and recursion limits."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
+            raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _emit(out, chunks: Iterable[str]) -> None:
@@ -154,6 +159,8 @@ def _tree_arg(g, text: str):
         if not 0 <= e < g.edge_count:
             raise ParseError(f"--tree edge id {e} out of range "
                              f"0..{g.edge_count - 1}")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"--tree repeats an edge id in {text!r}")
     return _tree_from_edge_set(g, ids)
 
 
@@ -390,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HomcoverError, json.JSONDecodeError, OSError) as exc:
+    except (HomcoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a usage error: keep the traceback

@@ -17,13 +17,11 @@ the cut coordinates repeated once per (tree, cotree edge), so
 `PsiEmbedding.matrix` is a column gather of `binary_embed_matrix`: the m
 columns of each cotree edge, tree after tree.
 
-Every vertex image has exactly |E(X)| * floor(m/2) set coordinates, so
-the images of a block of vertices are one integer array,
-`cut_coordinates(c, rows)`; `embed_point_l1` is that reader on one row.
-`embed export` streams the same coordinates as text.  Edge e's cells in
-a row depend only on the row's residue k on e, so each block of rows is
-joined from one text piece per (e, k), built by `_cut_bits` for the
-pairs that block uses.  The output bytes are those of the per-vertex
+Every vertex image has exactly |E(X)| * floor(m/2) set coordinates.
+`embed export` streams them as text.  Edge e's cells in a row depend
+only on the row's residue k on e, so each block of rows is joined from
+one text piece per (e, k), built by `_cut_bits` for the pairs that
+block uses.  The output bytes are those of the per-vertex
 construction, and memory holds one block of rows at a time, not the
 whole text.
 
@@ -114,30 +112,15 @@ def _edge_block_layout(edges: int, m: int) -> tuple[tuple[str, int, int], ...]:
     return tuple((f"edge{e}", e * m, m) for e in range(edges))
 
 
-def cut_coordinates(c: CoverGraph, rows) -> np.ndarray:
-    """Set coordinates of the cut embedding of the vertices `rows`.
-
-    `rows` is anything that selects rows of `base_profiles()` (a slice,
-    an index array).  Every image has exactly |E(X)| * floor(m/2) set
-    coordinates, each with doubled value 1, so the result is one int64
-    array with a row per selected vertex and |E(X)| * floor(m/2)
-    columns, ascending along each row.
-    """
-    prof = c.base_profiles()[rows]
-    n, ne = prof.shape
-    bits = _cut_bits(prof, c.m).reshape(n, ne * c.m)
-    return np.nonzero(bits)[1].reshape(n, ne * (c.m // 2))
-
-
 def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
     """Per-base-edge cut embedding of a cover vertex.
 
-    l1 distances between images equal d_Q exactly.  One row of
-    `cut_coordinates`, O(|E(X)| * m), with no (m, m) table.
+    l1 distances between images equal d_Q exactly.  One `_cut_bits`
+    row, O(|E(X)| * m), with no (m, m) table.
     """
     c.require_vertices(x)
     ne, m = c.base.edge_count, c.m
-    coords = cut_coordinates(c, [x])[0].tolist()
+    coords = np.flatnonzero(_cut_bits(c.base_profiles()[x], m)).tolist()
     return HalfIntVector(tuple((k, 1) for k in coords), ne * m,
                          _edge_block_layout(ne, m))
 

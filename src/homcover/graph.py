@@ -37,7 +37,7 @@ class MultiGraph:
     """Finite oriented multigraph backed by numpy edge arrays."""
 
     __slots__ = ("vertex_count", "tails", "heads", "labels", "_arc_source",
-                 "_indptr", "_arc_edge", "_arc_sign", "_arc_head", "_spmat")
+                 "_arcs", "_spmat")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence | None = None):
@@ -73,10 +73,7 @@ class MultiGraph:
         self.heads = heads
         self.labels = tuple(labels) if labels is not None else None
         self._arc_source = None
-        self._indptr = None
-        self._arc_edge = None
-        self._arc_sign = None
-        self._arc_head = None
+        self._arcs = None
         self._spmat = None
 
     # -- basic accessors -------------------------------------------------
@@ -104,12 +101,9 @@ class MultiGraph:
         the graph's structure returns the same four arrays (a cover lifts
         them from its base's arcs).
         """
-        if self._indptr is None:
-            build = self._arc_source or self._sorted_arcs
-            indptr, self._arc_edge, self._arc_sign, self._arc_head = build()
-            # set last: a concurrent caller that sees _indptr sees all arrays
-            self._indptr = indptr
-        return self._indptr, self._arc_edge, self._arc_sign, self._arc_head
+        if self._arcs is None:
+            self._arcs = (self._arc_source or self._sorted_arcs)()
+        return self._arcs
 
     def _sorted_arcs(self):
         e = self.edge_count
@@ -243,16 +237,6 @@ def graph_document(g: MultiGraph) -> dict:
 # -- BFS metrics --------------------------------------------------------
 
 
-#: A level pushes from its frontier, instead of pulling at every vertex,
-#: when the frontier's arcs are at most all arcs over this ratio.
-#: Measured on a 2-vCPU Xeon guest, a one-byte pull costs about what a
-#: push of a quarter of the arcs does: on the 531,441-vertex tower level
-#: 1 (never pull), 2 and 4 run alike, since no frontier there holds 17%
-#: of the arcs, and 8 is 20-40% slower; on a 200,000-vertex random graph
-#: of mean degree 20, whose frontiers reach half the arcs, 4 and 8 take
-#: 31 ms and 1 takes 60 ms.
-_PUSH_RATIO_ONE = 4
-
 #: A one-source push below |V| / _CLAIM_RATIO arcs finds its new vertices
 #: through `claim`, at a cost in its own size; from there on it sets
 #: flags and scans all |V| of them, which also sorts the next frontier.
@@ -281,38 +265,27 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
         return out
     indptr, _ae, _asg, heads = g.arcs()
     degree = np.diff(indptr)
-    # reduceat cannot start a segment at the end of the arcs: pull only up
-    # to the trailing run of arc-less vertices
-    pull_end = int(np.searchsorted(indptr, heads.size))
     # scratch for the whole call, reused by every source
     claim = np.empty(n, dtype=np.int64)
     for source, row in zip(sources, out):
-        _one_source_row(indptr, degree, heads, pull_end, source, row, claim)
+        _one_source_row(indptr, degree, heads, source, row, claim)
     return out
 
 
-def _one_source_row(indptr, degree, heads, pull_end, source, row, claim):
+def _one_source_row(indptr, degree, heads, source, row, claim):
     """BFS from one source into row (all UNREACHABLE on entry).
 
-    The frontier is a list of vertices, merged through a uint8 flag per
-    vertex.  A level whose frontier holds more than all arcs over
-    _PUSH_RATIO_ONE pulls, OR-ing the flags at every vertex's arc heads in
-    one ``bitwise_or.reduceat`` over the CSR arcs, and reads 2|E| flag
-    bytes; a smaller frontier pushes its arcs, at a cost in its own size
-    rather than |V| (the direction switch of Beamer, Asanović and
-    Patterson, SC 2012).  A push gathers its arcs' heads and keeps
-    each unvisited one once: below |V| / _CLAIM_RATIO arcs through one
-    `claim` slot per head, at a cost in the frontier's size, and above
-    that by setting flags and scanning all |V| of them, which leaves the
-    next frontier sorted for the gathers of the level after.  No ufunc
-    ``.at`` merge runs.
+    The frontier is a list of vertices.  Each level pushes: it gathers
+    the heads of its frontier's arcs, at a cost in the frontier's size,
+    and keeps each unvisited head once.  Below |V| / _CLAIM_RATIO arcs it
+    does so through one `claim` slot per head; above that it sets a uint8
+    flag per head and scans all |V| flags, which leaves the next frontier
+    sorted for the gathers of the level after.  No ufunc ``.at`` merge
+    runs.
     """
-    # arc-less vertices are reached only as the source; marking them
-    # visited masks the flag that reduceat reads for an empty segment
-    unvisited = degree != 0
+    unvisited = np.ones(row.size, dtype=bool)
     unvisited[source] = False
     flag = np.zeros(row.size, dtype=np.uint8)
-    gathered = np.empty(heads.size, dtype=np.uint8)
     active = np.array([source], dtype=np.int64)
     level = 0
     while active.size:
@@ -320,24 +293,16 @@ def _one_source_row(indptr, degree, heads, pull_end, source, row, claim):
         level += 1
         active_degree = degree[active]
         active_arcs = int(active_degree.sum())
-        if active_arcs * _PUSH_RATIO_ONE > heads.size:
-            flag[active] = 1
-            np.take(flag, heads, out=gathered, mode="clip")
-            # every active vertex has arcs, so this overwrites its flag
-            np.bitwise_or.reduceat(gathered, indptr[:pull_end],
-                                   out=flag[:pull_end])
-            active = _flagged(flag, unvisited)
+        reached = heads[_frontier_arcs(indptr, active, active_degree,
+                                       active_arcs)]
+        if active_arcs * _CLAIM_RATIO < row.size:
+            reached = reached[unvisited[reached]]
+            slot = np.arange(reached.size)
+            claim[reached] = slot
+            active = reached[claim[reached] == slot]
         else:
-            reached = heads[_frontier_arcs(indptr, active, active_degree,
-                                           active_arcs)]
-            if active_arcs * _CLAIM_RATIO < row.size:
-                reached = reached[unvisited[reached]]
-                slot = np.arange(reached.size)
-                claim[reached] = slot
-                active = reached[claim[reached] == slot]
-            else:
-                flag[reached] = 1
-                active = _flagged(flag, unvisited)
+            flag[reached] = 1
+            active = _flagged(flag, unvisited)
         unvisited[active] = False
 
 

@@ -1,9 +1,10 @@
 """The BFS engine against two independent oracles.
 
-`bfs_distance_matrix` runs one pass per source on a one-byte frontier
-flag, switching between pulling at every vertex and pushing from the
-frontier.  The oracles know nothing of either: a pure-Python deque BFS
-over `adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
+`bfs_distance_matrix` runs one pass per source, pushing from the
+frontier at every level and keeping each new vertex once through a
+`claim` slot (small frontiers) or a one-byte flag per vertex (large
+ones).  The oracles know nothing of either: a pure-Python deque BFS over
+`adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
 """
 
 import os
@@ -28,9 +29,16 @@ from conftest import multigraphs
 #: next to 64 and 128.
 CHUNK_EDGES = (0, 1, 63, 64, 65, 130)
 
+#: A seeded random graph on 1,000 vertices with 10,000 edges: from
+#: vertex 0, levels 2 and 3 each hold more than a quarter of all arcs.
+_rng = random.Random(20)
+DENSE = MultiGraph(1000, [(_rng.randrange(1000), _rng.randrange(1000))
+                          for _ in range(10_000)])
+
 #: One-source inputs: trailing arc-less vertices (one of them the
 #: source), a graph with no arcs, a disconnected one, loops and parallel
-#: edges, and a hub whose frontier holds most arcs (a pull level).
+#: edges, a hub whose frontier holds most arcs, and dense frontiers that
+#: take the flag rule.
 ONE_SOURCE = [
     (MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]), [1]),
     (MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]), [6]),
@@ -39,6 +47,7 @@ ONE_SOURCE = [
     (MultiGraph(4, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 3),
                     (2, 3), (3, 0)]), [1]),
     (MultiGraph(9, [(0, v) for v in range(1, 9)] + [(1, 2), (5, 6)]), [3]),
+    (DENSE, [0]),
 ]
 
 
@@ -116,16 +125,17 @@ def test_chunk_boundaries(count):
 
 
 def test_trailing_arcless_vertices():
-    # the pulled segments must end at the last arc, not one before it
+    # every source, the arc-less ones included; on 8 vertices every level
+    # takes the flag rule, whose scan runs over the arc-less tail
     g = MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
-    sources = list(range(8))  # a frontier holding every arc: the first level pulls
+    sources = list(range(8))
     assert np.array_equal(bfs_distance_matrix(g, sources),
                           deque_oracle(g, sources))
 
 
 @pytest.mark.parametrize("name,m", [("petersen", 3), ("k4", 3)])
-def test_cover_rows_push_and_pull(name, m):
-    # large frontiers pull, small ones push: a cover level has both
+def test_cover_rows_claim_and_flag(name, m):
+    # small frontiers claim, large ones flag: a cover level has both
     c = build_zm_cover(named_graph(name), m)
     rng = random.Random(m)
     sources = rng.sample(range(c.graph.vertex_count), 65)

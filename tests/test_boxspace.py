@@ -66,7 +66,7 @@ class TestTower:
         cover = tower.levels[1].cover
         assert cover._orbit_reps is None
         assert cover._profiles is None
-        assert cover.graph._indptr is None
+        assert cover.graph._arcs is None
         assert peak < 32 << 20
 
     def test_girth_growth_is_checked_under_optimisation(self, tmp_path):

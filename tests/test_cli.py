@@ -329,10 +329,17 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["trees", "count", "--graph", "/nonexistent.json"]) == 2
 
-    def test_bad_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{nope")
-        assert main(["trees", "count", "--graph", str(p)]) == 2
+    def test_bad_json(self, tmp_path, capsys):
+        # not JSON; UTF-16 bytes; an integer over the 4,300-digit limit of
+        # int(); nesting past the recursion limit
+        for i, text in enumerate([b"{nope", b"\xff\xfe{\x00}\x00",
+                                  b'{"vertices": ' + b"9" * 5000 + b"}",
+                                  b"[" * 100_000]):
+            p = tmp_path / f"bad{i}.json"
+            p.write_bytes(text)
+            assert main(["trees", "count", "--graph", str(p)]) == 2
+            err = capsys.readouterr().err
+            assert "internal error" not in err and str(p) in err
 
     def test_bad_graph_document(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -349,7 +356,7 @@ class TestErrorPaths:
             main(["cover", "build"])  # missing required args
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("tree", ["1,x,5", "1,3,99", "-1,3,5"])
+    @pytest.mark.parametrize("tree", ["1,x,5", "1,3,99", "-1,3,5", "1,3,5,1"])
     def test_bad_tree_ids(self, k4_file, tree, capsys):
         assert main(["cover", "build", "--graph", k4_file, "--m", "3",
                      f"--tree={tree}"]) == 2
