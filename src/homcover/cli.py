@@ -184,6 +184,8 @@ def _cmd_trees_count(args) -> int:
 
 
 def _cmd_metrics_profile(args) -> int:
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     c = load_cover(_read_json(args.cover), size_cap=args.size_cap)
     n = c.graph.vertex_count
     if n <= args.samples:

@@ -12,17 +12,19 @@ moves a label digit of a rank, and the edge heads and the girth search
 (`cover_girth`) use it; a deck permutation moves every digit at once, as
 an outer sum of per-digit moves.
 
-Walks are lifted over the built edges of the cover: a base walk's signed
-arcs (`graph.Walk`) pick signed cover arcs from `CoverGraph.arc_ends`,
-and `_lift_block` follows them for a block of walks at once.  Two base
-walks from one vertex lift to the same cover endpoint exactly when their
-signed edge counts agree mod m.
+A cover keeps one arc table, the signed-arc table of its graph
+(`MultiGraph.arc_ends` with the deck size), read off the built edges.
+Walks are lifted through it: a base walk's signed arcs (`graph.Walk`)
+pick signed cover arcs, and `_lift_block` follows them for a block of
+walks at once.  Two base walks from one vertex lift to the same cover
+endpoint exactly when their signed edge counts agree mod m.  BFS rows
+lift the base's CSR arcs through the same table: `build_zm_cover` sets
+the graph's `_lift` to (base, deck) for `graph.bfs_distance_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -43,12 +45,6 @@ MAX_M = 1 << 16
 def _residue_dtype(m: int) -> np.dtype:
     """Narrowest unsigned dtype holding every residue mod m."""
     return np.dtype(np.uint8 if m <= 256 else np.uint16)
-
-
-def _index_dtype(count: int) -> np.dtype:
-    """Narrowest signed dtype for ids 0..count-1: int32 while count <
-    2**31, else int64."""
-    return np.dtype(np.int32 if count < 1 << 31 else np.int64)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
@@ -113,7 +109,6 @@ class CoverGraph:
         self.graph = graph
         self.basepoint = 0  # vertex (0, 0)
         self._profiles = None
-        self._arc_ends = None
         self._tree_counts = None
         self._orbit_reps = None
 
@@ -204,29 +199,6 @@ class CoverGraph:
             self._profiles = prof
         return self._profiles
 
-    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) of every signed cover arc, read off the edge
-        arrays of self.graph; built on first use, in int32 while the arc
-        and vertex ids fit (`_index_dtype`).
-
-        Arc 2i + b belongs to slot i = e * deck + k of base edge e and
-        label rank k.  Arc 2i follows cover edge i forward; arc 2i + 1
-        follows backward the edge of block e whose head has rank k, found
-        by an inverse head index of the block.
-        """
-        if self._arc_ends is None:
-            g = self.graph
-            ids = np.arange(g.edge_count, dtype=np.int64)
-            inv = ids.copy()
-            inv[ids - ids % self.deck_size + g.heads % self.deck_size] = ids
-            width = _index_dtype(max(2 * g.edge_count, g.vertex_count))
-            src = np.empty(2 * g.edge_count, dtype=width)
-            dst = np.empty_like(src)
-            src[0::2], src[1::2] = g.tails, g.heads[inv]
-            dst[0::2], dst[1::2] = g.heads, g.tails[inv]
-            self._arc_ends = src, dst
-        return self._arc_ends
-
     def tree_counts(self) -> TreeCounts:
         """tree_counts(base), computed once per cover."""
         if self._tree_counts is None:
@@ -312,68 +284,8 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
         heads[lo:lo + deck] = h * deck + (
             _shifted_ranks(deck, stride[e], m, 1) if e in stride else ranks)
     cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
-    edge_stride = np.zeros(g.edge_count, dtype=np.int64)
-    edge_stride[list(stride)] = list(stride.values())
-    cover_graph._arc_source = partial(_lifted_arcs, g, m, deck, edge_stride)
+    cover_graph._lift = g, deck
     return CoverGraph(g, m, tree, cover_graph)
-
-
-def _lifted_arcs(g: MultiGraph, m: int, deck: int, stride: np.ndarray):
-    """The cover's CSR arcs (`MultiGraph.arcs`), lifted from g's arcs.
-
-    stride[e] is the label weight of cotree edge e and 0 on tree edges.
-    The arcs at (v, k) are the lifts of v's arcs, in the same order: where
-    v is the tail of e the arc takes edge e * deck + k to the head's
-    vertex at rank _shift(k, +1); where v is the head it takes edge
-    e * deck + r to the tail's vertex at rank r = _shift(k, -1) (no shift
-    on a tree edge).  A block of cover edges lies over one base edge, so
-    these are in edge-id order, except at a base loop, whose backward lift
-    e * deck + _shift(k, -1) comes first where k's digit is nonzero.
-
-    Arc a of v at rank k sits at start[a] + k * deg(v), with start[a] =
-    indptr_X[v] * deck + (a - indptr_X[v]); arcs that share a stride,
-    direction and degree are written in one pass through `_strided_rows`.
-    """
-    b_indptr, b_edge, b_sign, b_head = g.arcs()
-    deg = np.diff(b_indptr)
-    indptr = np.zeros(g.vertex_count * deck + 1, dtype=np.int64)
-    np.cumsum(np.repeat(deg, deck), out=indptr[1:])
-    step = np.repeat(deg, deg)
-    start = (b_indptr[:-1].repeat(deg) * (deck - 1)
-             + np.arange(b_edge.size, dtype=np.int64))
-    arc_stride = stride[b_edge]
-    move = np.where(arc_stride > 0, b_sign, 0)
-    edge = np.empty(b_edge.size * deck, dtype=np.int64)
-    sign = np.empty(b_edge.size * deck, dtype=np.int8)
-    head = np.empty(b_edge.size * deck, dtype=np.int64)
-    ranks = np.arange(deck, dtype=np.int64)
-    # a sorted set, not np.unique: that imports numpy.ma
-    for s, d, k in sorted(set(zip(arc_stride.tolist(), move.tolist(),
-                                  step.tolist()))):
-        sel = np.flatnonzero((arc_stride == s) & (move == d) & (step == k))
-        to = _shifted_ranks(deck, s, m, d) if d else ranks
-        at = start[sel]
-        _strided_rows(edge, k, deck)[at] = (
-            b_edge[sel, None] * deck + (to if d < 0 else ranks))
-        _strided_rows(head, k, deck)[at] = b_head[sel, None] * deck + to
-        _strided_rows(sign, k, deck)[at] = b_sign[sel, None]
-    # a base loop's forward lift now sits first, as its forward arc does
-    # at v; swap where the backward lift's edge id is the smaller
-    loop_arcs = (g.tails[b_edge] == g.heads[b_edge]) & (b_sign > 0)
-    for a in np.flatnonzero(loop_arcs).tolist():
-        pos = start[a] + step[a] * np.flatnonzero(ranks // arc_stride[a] % m)
-        for arr in (edge, sign, head):
-            arr[pos], arr[pos + 1] = arr[pos + 1], arr[pos]
-    return indptr, edge, sign, head
-
-
-def _strided_rows(a: np.ndarray, step: int, count: int) -> np.ndarray:
-    """Writable view w of the 1-d array a with w[i, k] = a[i + step * k]
-    for k < count: row i is the run of count entries from i on, step
-    apart."""
-    return np.lib.stride_tricks.as_strided(
-        a, shape=(a.size - step * (count - 1), count),
-        strides=(a.strides[0], step * a.strides[0]))
 
 
 def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
@@ -455,13 +367,13 @@ def _lift_block(c: CoverGraph, starts, walks):
     Returns (end vertices, signed cover arcs): the arcs of all steps,
     walk after walk in input order.  A step along base arc a from cover
     vertex x takes signed cover arc 2 * ((a >> 1) * deck + x % deck) +
-    (a & 1) (`CoverGraph.arc_ends`); PathMismatch if x is not that arc's
+    (a & 1) (`MultiGraph.arc_ends`); PathMismatch if x is not that arc's
     source, IndexError for a base arc out of range.  The walks still
     active at step j are the longest ones, a prefix of the block in
     longest-first order.
     """
-    src, dst = c.arc_ends()
     deck = c.deck_size
+    src, dst = c.graph.arc_ends(deck)
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     order = np.argsort(-lengths, kind="stable")
     arcs = np.fromiter(chain.from_iterable(walks), np.int64,
@@ -504,7 +416,7 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
         raise PathMismatch(f"start vertex lies over {start // deck}, walk "
                            f"begins at {base_walk.start}")
     ends, arcs = _lift_block(c, [start], [base_walk.steps])
-    src, dst = c.arc_ends()
+    src, dst = c.graph.arc_ends(deck)
     tail_side = np.where(arcs & 1, dst[arcs], src[arcs])
     edges = (arcs >> 1) // deck * deck + tail_side % deck
     return int(ends[0]), edges.tolist()

@@ -6,10 +6,13 @@ at load time; the orientation only fixes the sign convention for
 edge-traversal counts, traversal itself is always bidirectional.  Loops
 and parallel edges are allowed.
 
-Distances come from one engine, `bfs_distance_matrix`: a level-synchronous
-BFS per source over the CSR arcs of `MultiGraph.arcs`, with a one-byte
-flag per vertex.  scipy is imported only by `MultiGraph.spmatrix`, so
-importing the package does not load `scipy.sparse`.
+Each graph has one signed-arc table, `MultiGraph.arc_ends`, read off its
+edge arrays, and sorted CSR arcs, `MultiGraph.arcs`.  Distances come from
+one engine, `bfs_distance_matrix`: a level-synchronous BFS per source
+through the table, with a one-byte flag per vertex; a cover steps from
+its base's CSR arcs into its own table.  scipy is imported only by
+`MultiGraph.spmatrix`, so importing the package does not load
+`scipy.sparse`.
 
 Graphs are immutable after construction and safe to share between
 concurrent workers.
@@ -33,11 +36,17 @@ UNREACHABLE = 1 << 62
 DEFAULT_SIZE_CAP = 1 << 23
 
 
+def _index_dtype(count: int) -> np.dtype:
+    """Narrowest signed dtype for ids 0..count-1: int32 while count <
+    2**31, else int64."""
+    return np.dtype(np.int32 if count < 1 << 31 else np.int64)
+
+
 class MultiGraph:
     """Finite oriented multigraph backed by numpy edge arrays."""
 
-    __slots__ = ("vertex_count", "tails", "heads", "labels", "_arc_source",
-                 "_arcs", "_spmat")
+    __slots__ = ("vertex_count", "tails", "heads", "labels", "_lift",
+                 "_arcs", "_ends", "_spmat")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence | None = None):
@@ -72,8 +81,9 @@ class MultiGraph:
         self.tails = tails
         self.heads = heads
         self.labels = tuple(labels) if labels is not None else None
-        self._arc_source = None
+        self._lift = None
         self._arcs = None
+        self._ends = None
         self._spmat = None
 
     # -- basic accessors -------------------------------------------------
@@ -96,26 +106,46 @@ class MultiGraph:
 
         Every edge contributes two arcs (one per direction); a loop
         contributes two arcs at its vertex with opposite signs.  Arcs of a
-        vertex are sorted by edge id.  Built on first use by sorting, or
-        by calling ``_arc_source()`` where one is set: a caller that knows
-        the graph's structure returns the same four arrays (a cover lifts
-        them from its base's arcs).
+        vertex are sorted by edge id.  Built by sorting on first use.
         """
         if self._arcs is None:
-            self._arcs = (self._arc_source or self._sorted_arcs)()
+            e = self.edge_count
+            src = np.concatenate([self.tails, self.heads])
+            dst = np.concatenate([self.heads, self.tails])
+            eid = np.concatenate([np.arange(e), np.arange(e)])
+            sgn = np.concatenate([np.ones(e, np.int8), -np.ones(e, np.int8)])
+            order = np.lexsort((eid, src))
+            counts = np.bincount(src, minlength=self.vertex_count)
+            indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            self._arcs = indptr, eid[order], sgn[order], dst[order]
         return self._arcs
 
-    def _sorted_arcs(self):
-        e = self.edge_count
-        src = np.concatenate([self.tails, self.heads])
-        dst = np.concatenate([self.heads, self.tails])
-        eid = np.concatenate([np.arange(e), np.arange(e)])
-        sgn = np.concatenate([np.ones(e, np.int8), -np.ones(e, np.int8)])
-        order = np.lexsort((eid, src))
-        counts = np.bincount(src, minlength=self.vertex_count)
-        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, eid[order], sgn[order], dst[order]
+    def arc_ends(self, deck: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) of every signed arc, read off the edge arrays;
+        int32 while the arc ids and twice the vertex ids fit
+        (`_index_dtype`).
+
+        Edges lie in blocks of `deck` (a cover's blocks over one base
+        edge, `cover.build_zm_cover`).  Arc 2i + b belongs to slot i = e *
+        deck + k of block e and rank k.  Arc 2i follows edge i forward;
+        arc 2i + 1 follows backward the edge of block e whose head has
+        rank k, found by an inverse head index of the block.  With deck =
+        1 arc 2e + b is the `Walk` step 2e + b.  Kept for the last deck
+        asked as one (deck, source, target) tuple.
+        """
+        ends = self._ends
+        if ends is None or ends[0] != deck:
+            ids = np.arange(self.edge_count, dtype=np.int64)
+            inv = ids.copy()
+            inv[ids - ids % deck + self.heads % deck] = ids
+            width = _index_dtype(2 * max(self.edge_count, self.vertex_count))
+            src = np.empty(2 * self.edge_count, dtype=width)
+            dst = np.empty_like(src)
+            src[0::2], src[1::2] = self.tails, self.heads[inv]
+            dst[0::2], dst[1::2] = self.heads, self.tails[inv]
+            ends = self._ends = deck, src, dst
+        return ends[1], ends[2]
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
         """Arcs at v as (edge_id, direction, neighbor), edge-id order."""
@@ -241,8 +271,8 @@ def graph_document(g: MultiGraph) -> dict:
 #: through `claim`, at a cost in its own size; from there on it sets
 #: flags and scans all |V| of them, which also sorts the next frontier.
 #: On the tower level 4, 16 and 64 run alike; claiming on every level is
-#: about 40% slower there, and flagging on every level makes the 32,768
-#: levels of the 65,536-cycle take 7.3 s instead of 0.5 s.
+#: about 70% slower there, and flagging on every level makes the 32,768
+#: levels of the 65,536-cycle take about 6 s instead of under 1 s.
 _CLAIM_RATIO = 16
 
 
@@ -252,8 +282,13 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     int64, with UNREACHABLE where no path exists.  Row i belongs to
     sources[i]; sources may repeat, and one out of range raises IndexError.
 
-    Each source runs its own level-synchronous BFS over the CSR arcs,
-    `_one_source_row`; the arc arrays and scratch are set up once per call.
+    Each source runs its own level-synchronous BFS, `_one_source_row`,
+    through g's signed-arc table (`MultiGraph.arc_ends`).  A cover's
+    graph (`_lift` set to (base, deck)) takes its arcs at vertex x = v *
+    deck + k from the base's CSR arcs at v: base arc 2e + b is table arc
+    2 * (e * deck + k) + b = offset + 2x, with offset = 2 * deck * (e -
+    v) + b.  Any other graph is its own base with deck 1.  The offsets
+    and scratch are set up once per call.
     """
     sources = list(sources)
     n = g.vertex_count
@@ -263,25 +298,29 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     out = np.full((len(sources), n), UNREACHABLE, dtype=np.int64)
     if not sources:
         return out
-    indptr, _ae, _asg, heads = g.arcs()
+    base, deck = g._lift or (g, 1)
+    indptr, edge, sign, _head = base.arcs()
     degree = np.diff(indptr)
+    owner = np.repeat(np.arange(base.vertex_count), degree)
+    offset = 2 * deck * (edge - owner) + (sign < 0)
+    _src, dst = g.arc_ends(deck)
     # scratch for the whole call, reused by every source
     claim = np.empty(n, dtype=np.int64)
     for source, row in zip(sources, out):
-        _one_source_row(indptr, degree, heads, source, row, claim)
+        _one_source_row(indptr, degree, offset, dst, deck, source, row, claim)
     return out
 
 
-def _one_source_row(indptr, degree, heads, source, row, claim):
+def _one_source_row(indptr, degree, offset, dst, deck, source, row, claim):
     """BFS from one source into row (all UNREACHABLE on entry).
 
-    The frontier is a list of vertices.  Each level pushes: it gathers
-    the heads of its frontier's arcs, at a cost in the frontier's size,
-    and keeps each unvisited head once.  Below |V| / _CLAIM_RATIO arcs it
-    does so through one `claim` slot per head; above that it sets a uint8
-    flag per head and scans all |V| flags, which leaves the next frontier
-    sorted for the gathers of the level after.  No ufunc ``.at`` merge
-    runs.
+    The frontier is a list of vertices.  Each level pushes: it takes the
+    base arcs at its frontier's fibers, lifts them to table arcs (see
+    `bfs_distance_matrix`), at a cost in the frontier's size, and keeps
+    each unvisited target once.  Below |V| / _CLAIM_RATIO arcs it does so
+    through one `claim` slot per target; above that it sets a uint8 flag
+    per target and scans all |V| flags, which leaves the next frontier
+    sorted.  No ufunc ``.at`` merge runs.
     """
     unvisited = np.ones(row.size, dtype=bool)
     unvisited[source] = False
@@ -291,10 +330,11 @@ def _one_source_row(indptr, degree, heads, source, row, claim):
     while active.size:
         row[active] = level
         level += 1
-        active_degree = degree[active]
+        fiber = active // deck
+        active_degree = degree[fiber]
         active_arcs = int(active_degree.sum())
-        reached = heads[_frontier_arcs(indptr, active, active_degree,
-                                       active_arcs)]
+        arcs = _frontier_arcs(indptr, fiber, active_degree, active_arcs)
+        reached = dst[offset[arcs] + np.repeat(2 * active, active_degree)]
         if active_arcs * _CLAIM_RATIO < row.size:
             reached = reached[unvisited[reached]]
             slot = np.arange(reached.size)

@@ -4,7 +4,10 @@
 frontier at every level and keeping each new vertex once through a
 `claim` slot (small frontiers) or a one-byte flag per vertex (large
 ones).  The oracles know nothing of either: a pure-Python deque BFS over
-`adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.
+`adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.  On a
+cover the engine lifts the base's arcs through the cover's arc table;
+there a plain copy of the cover's edges, which steps through its own
+table with deck 1, is a third oracle.
 """
 
 import os
@@ -19,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homcover
-from homcover import (MultiGraph, bfs_distance_matrix, build_zm_cover,
-                      named_graph)
+from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
+                      build_zm_cover, named_graph)
 from homcover.graph import UNREACHABLE
 
 from conftest import multigraphs
@@ -141,6 +144,41 @@ def test_cover_rows_claim_and_flag(name, m):
     sources = rng.sample(range(c.graph.vertex_count), 65)
     assert np.array_equal(bfs_distance_matrix(c.graph, sources),
                           scipy_oracle(c.graph, sources))
+
+
+def assert_rows_through_table(c, sources):
+    got = bfs_distance_matrix(c.graph, sources)
+    plain = MultiGraph.from_arrays(c.graph.vertex_count, c.graph.tails,
+                                   c.graph.heads)
+    assert plain._lift is None and c.graph._lift is not None
+    assert np.array_equal(got, bfs_distance_matrix(plain, sources))
+    assert np.array_equal(got, scipy_oracle(c.graph, sources))
+
+
+#: (base, m) with a cover of at most 2**20 vertices: a base loop
+#: (cycle:1), a parallel pair (doubled_edge) and two simple bases.
+TABLE_COVERS = [(name, m)
+                for name, rank in [("cycle:1", 1), ("doubled_edge", 1),
+                                   ("k4", 3), ("petersen", 6)]
+                for m in (2, 3, 5, 257)
+                if named_graph(name).vertex_count * m ** rank <= 1 << 20]
+
+
+@pytest.mark.parametrize("name,m", TABLE_COVERS)
+def test_cover_rows_through_table(name, m):
+    # every vertex of a small cover, 12 of a large one
+    c = build_zm_cover(named_graph(name), m, size_cap=1 << 20)
+    n = c.graph.vertex_count
+    sources = list(range(n)) if n <= 64 else random.Random(m).sample(
+        range(n), 12)
+    assert_rows_through_table(c, sources)
+
+
+@pytest.mark.parametrize("rank,levels", [(2, 3), (3, 2)])
+def test_m2_tower_rows_through_table(rank, levels):
+    for level in build_tower(rank, 2, levels).levels[1:]:
+        n = level.graph.vertex_count
+        assert_rows_through_table(level.cover, [0, 1, n // 2, n - 1])
 
 
 def test_long_cycle():

@@ -67,6 +67,7 @@ class TestTower:
         assert cover._orbit_reps is None
         assert cover._profiles is None
         assert cover.graph._arcs is None
+        assert cover.graph._ends is None
         assert peak < 32 << 20
 
     def test_girth_growth_is_checked_under_optimisation(self, tmp_path):

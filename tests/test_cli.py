@@ -422,6 +422,14 @@ class TestErrorPaths:
             main(argv)
         assert exc.value.code == 2
 
+    def test_profile_zero_samples_rejected(self, k4_cover_file, capsys):
+        # an empty profile is no result: exit 2, not a header alone
+        assert main(["metrics", "profile", "--cover", k4_cover_file,
+                     "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "internal error" not in captured.err and not captured.out
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, threads, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -2,9 +2,11 @@
 
 `CoverGraph.base_profiles` sums residues digit by digit in the residue
 dtype; the oracle is the int64 formula it replaced (a digit matrix, a
-matmul and a per-vertex int64 sum).  `build_zm_cover` lifts the cover's
-CSR arcs from the base's arcs; the oracle is `MultiGraph.arcs`, which
-sorts every arc of a graph that knows nothing of the cover.
+matmul and a per-vertex int64 sum).  `MultiGraph.arc_ends` interleaves
+each slot's forward and backward arc by strided writes; the oracle
+stacks them.  BFS lifts the base's CSR arcs through that table; the
+oracle is `MultiGraph.arcs`, which sorts every arc of a graph that knows
+nothing of the cover.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from homcover import (MultiGraph, build_tower, build_zm_cover,
                       compression_profile, enumerate_spanning_trees,
                       named_graph)
-from homcover.cover import MAX_M, _index_dtype, _residue_dtype
+from homcover.cover import MAX_M, _residue_dtype
+from homcover.graph import _index_dtype
 
 #: Vertex cap of the covers built here; it keeps each oracle's int64
 #: temporaries near 100 MB.
@@ -104,15 +107,26 @@ def cover_of(name, m):
 
 
 def assert_same_arcs(g: MultiGraph):
-    oracle = MultiGraph.from_arrays(g.vertex_count, g.tails, g.heads)
-    for got, want in zip(g.arcs(), oracle.arcs()):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    # every vertex of a small cover, about 2,000 spread over a large one
-    for v in range(0, g.vertex_count, 1 + g.vertex_count // 2000):
-        assert g.adjacency_of(v) == oracle.adjacency_of(v)
-    assert g.adjacency_of(g.vertex_count - 1) == oracle.adjacency_of(
-        g.vertex_count - 1)
+    """The arcs that `bfs_distance_matrix` lifts through the table of a
+    cover's graph g, every base arc at every rank, against the sorted CSR
+    arcs of a plain copy of g's edges."""
+    base, deck = g._lift
+    indptr, edge, sign, _head = base.arcs()
+    owner = np.repeat(np.arange(base.vertex_count), np.diff(indptr))
+    x = (owner * deck + np.arange(deck)[:, None]).ravel()
+    arc = np.tile(2 * deck * (edge - owner) + (sign < 0), deck) + 2 * x
+    src, dst = g.arc_ends(deck)
+    assert np.array_equal(src[arc], x)
+    # a table arc's cover edge: its block and the rank of its tail side
+    tail_side = np.where(arc & 1, dst[arc], src[arc])
+    cover_edge = (arc >> 1) // deck * deck + tail_side % deck
+    order = np.lexsort((cover_edge, x))
+    want = MultiGraph.from_arrays(g.vertex_count, g.tails, g.heads).arcs()
+    assert np.array_equal(np.bincount(x, minlength=g.vertex_count),
+                          np.diff(want[0]))
+    assert np.array_equal(cover_edge[order], want[1])
+    assert np.array_equal(np.tile(sign, deck)[order], want[2])
+    assert np.array_equal(dst[arc][order], want[3])
 
 
 class TestBaseProfiles:
@@ -149,30 +163,31 @@ class TestLiftedArcs:
     def test_m3_tower_level_2(self):
         assert_same_arcs(build_tower(2, 3, 2).levels[-1].graph)
 
-    def test_tower_profile_sorts_no_cover_arcs(self, monkeypatch):
-        sorted_sizes = []
-        lexsort = np.lexsort
-
-        def spy(keys, *args, **kwargs):
-            sorted_sizes.append(len(keys[0]))
-            return lexsort(keys, *args, **kwargs)
-
-        monkeypatch.setattr(np, "lexsort", spy)
-        tower = build_tower(2, 3, 2)
-        seed = tower.levels[0].graph
-        cover = tower.levels[-1].cover
+    def test_tower_profile_builds_no_cover_arcs(self):
+        # BFS rows lift the base's arcs through the cover's arc table,
+        # so the cover's graph gets no sorted CSR arcs
+        cover = build_tower(2, 3, 2).levels[-1].cover
         compression_profile(cover, [0, 5, cover.graph.vertex_count - 1], "dq")
-        # only graphs of the Cayley seed's size, which is no cover, sort
-        assert sorted_sizes and max(sorted_sizes) <= 2 * seed.edge_count
+        assert cover.graph._arcs is None
 
 
 class TestArcEnds:
     @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 3, 5, 257]))
     def test_matches_int64_formula(self, name, m):
         c = cover_of(name, m)
-        for got, want in zip(c.arc_ends(), int64_arc_ends(c)):
+        for got, want in zip(c.graph.arc_ends(c.deck_size), int64_arc_ends(c)):
             assert got.dtype == np.int32
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_deck_one_on_a_plain_graph(self, name):
+        # arc 2e + b is the Walk step 2e + b: (tail, head) forward and
+        # (head, tail) backward, interleaved
+        g, _tree = BASES[name]()
+        src, dst = g.arc_ends()
+        assert src.dtype == dst.dtype == np.int32
+        assert np.array_equal(src, np.stack([g.tails, g.heads], 1).ravel())
+        assert np.array_equal(dst, np.stack([g.heads, g.tails], 1).ravel())
 
     def test_width_rule(self):
         assert _index_dtype((1 << 31) - 1) == np.int32
