@@ -160,42 +160,41 @@ class CoverGraph:
         for m <= 256 and uint16 above.
         Well-defined because any two such paths differ by a loop whose
         projection has trivial mod-m homology class.
+
+        Built fiber by fiber down the tree.  The fiber over vertex 0 is
+        the deck part: the chain of the translation by each rank, one
+        digit at a time (digit 0 varies fastest, each new digit is the
+        outer axis and adds its multiple of its cotree edge's fundamental
+        loop).  A tree edge joins (p, k) to (v, k), so the fiber over v
+        is its parent p's with the tree edge's column moved by +1 or -1.
         """
         if self._profiles is None:
-            g = self.base
-            m = self.m
-            n = g.vertex_count
+            g, m, tree, deck = self.base, self.m, self.tree0, self.deck_size
             ne = g.edge_count
-            # chain of the tree path from vertex 0 to each base vertex
-            pv = np.zeros((n, ne), dtype=np.int64)
-            for v in self.tree0.depth_order():
-                par = self.tree0.parent[v]
-                if par is None:
-                    continue
-                p, e = par
-                t, _h = g.endpoints(e)
-                pv[v] = pv[p]
-                pv[v, e] += 1 if t == p else -1
-            # chain of the fundamental loop of each cotree generator
-            loops = np.zeros((self.r, ne), dtype=np.int64)
-            for i, e in enumerate(self.cotree):
-                t, h = g.endpoints(e)
-                loops[i] = pv[t] - pv[h]
-                loops[i, e] += 1
             dtype = _residue_dtype(m)
-            # chain of the deck translation by each rank, built one digit
-            # at a time: digit 0 varies fastest, each new digit is the
-            # outer axis and adds its multiple of the generator's loop
-            deck_part = np.zeros((1, ne), dtype=dtype)
-            for loop in loops % m:
-                steps = ((np.arange(m)[:, None] * loop) % m).astype(dtype)
-                stacked = np.empty((m,) + deck_part.shape, dtype=dtype)
-                _add_mod(deck_part[None], steps[:, None], m, stacked)
-                deck_part = stacked.reshape(-1, ne)
-            prof = np.empty((n * self.deck_size, ne), dtype=dtype)
-            for v, start in enumerate((pv % m).astype(dtype)):
-                _add_mod(deck_part, start, m,
-                         prof[v * self.deck_size:(v + 1) * self.deck_size])
+            prof = np.empty((g.vertex_count * deck, ne), dtype=dtype)
+            prof[0] = 0
+            rows = 1  # prof[:rows] is the deck part of the digits so far
+            for e in self.cotree:
+                t, h = g.endpoints(e)
+                # the fundamental cycle: e, then h up to the root and the
+                # root down to t (counts need no order)
+                arcs = [2 * e, *tree.walk_to_root(g, h).steps]
+                arcs += [a ^ 1 for a in tree.walk_to_root(g, t).steps]
+                loop = signed_arc_counts(arcs, ne) % m
+                steps = (np.arange(m)[:, None] * loop % m).astype(dtype)
+                # rank j * rows + k is rank k plus j times the loop
+                _add_mod(prof[None, :rows], steps[1:, None], m,
+                         prof[rows:m * rows].reshape(m - 1, rows, ne))
+                rows *= m
+            tails = g.tails.tolist()
+            for v in tree.depth_order()[1:]:
+                p, e = tree.parent[v]
+                fiber = prof[v * deck:(v + 1) * deck]
+                fiber[:] = prof[p * deck:(p + 1) * deck]
+                column = fiber[:, e]
+                _add_mod(column, dtype.type(1 if tails[e] == p else m - 1),
+                         m, column)
             self._profiles = prof
         return self._profiles
 

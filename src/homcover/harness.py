@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
@@ -137,9 +136,15 @@ class _WalkTables:
         bounds = list(zip(indptr[:-1].tolist(), indptr[1:].tolist()))
         self.arcs = [arcs[lo:hi] for lo, hi in bounds]
         self.nbrs = [heads[lo:hi] for lo, hi in bounds]
-        self.up = [list(tree.walk_to_root(g, v).steps)
-                   for v in range(g.vertex_count)]
-        self.down = [[a ^ 1 for a in reversed(up)] for up in self.up]
+        # a vertex's walk up is its tree parent's with one arc in front
+        self.up = [[] for _ in range(g.vertex_count)]
+        self.down = [[] for _ in range(g.vertex_count)]
+        tails = g.tails.tolist()
+        for v in tree.depth_order()[1:]:
+            p, e = tree.parent[v]
+            arc = 2 * e + (v != tails[e])
+            self.up[v] = [arc] + self.up[p]
+            self.down[v] = self.down[p] + [arc ^ 1]
         self.loops = []
         for e in tree.cotree:
             t, h = g.endpoints(e)
@@ -412,6 +417,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
             tasks.append((fn, (c, name, *extra(cfg, seed), cfg.fault == check)))
 
     if cfg.threads > 1 and tasks:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             records = list(pool.map(lambda t: t[0](*t[1]), tasks))
     else:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from homcover.cli import cover_document, load_cover, main
-from homcover import build_zm_cover, cayley_zm_power, named_graph
+from homcover.cli import _frac_str, cover_document, load_cover, main
+from homcover import (build_zm_cover, cayley_zm_power, compression_profile,
+                      named_graph)
 from homcover.errors import ParseError, SizeCapExceeded
 from homcover.graph import graph_document
 
@@ -215,6 +216,20 @@ class TestVerbs:
                 outputs.append(capsys.readouterr().out)
         assert outputs[:2] == outputs[2:4] == outputs[4:]
         assert outputs[0].startswith("t,pairs,min,max\n")
+
+    @pytest.mark.parametrize("mode", ["dq", "l2"])
+    def test_metrics_profile_exhaustive(self, k4_cover_file, capsys, mode):
+        # --samples at least |V~| = 108 profiles every source
+        c = load_cover(json.loads(Path(k4_cover_file).read_text()))
+        assert c.graph.vertex_count == 108
+        assert main(["metrics", "profile", "--cover", k4_cover_file,
+                     "--mode", mode, "--samples", "108"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = compression_profile(c, None, mode).rows
+        assert lines == ["t,pairs,min,max"] + [
+            f"{r.t},{r.pair_count},{_frac_str(r.min_val)},"
+            f"{_frac_str(r.max_val)}" for r in want]
+        assert sum(int(line.split(",")[1]) for line in lines[1:]) == 108 ** 2
 
     def test_metrics_profile_deterministic(self, k4_cover_file, capsys):
         args = ["metrics", "profile", "--cover", k4_cover_file,

@@ -1,13 +1,17 @@
 """A cover's own arrays against oracles that build them another way.
 
-`CoverGraph.base_profiles` sums residues digit by digit in the residue
-dtype; the oracle is the int64 formula it replaced (a digit matrix, a
-matmul and a per-vertex int64 sum).  `MultiGraph.arc_ends` interleaves
+`CoverGraph.base_profiles` builds the fiber over the root digit by
+digit in the residue dtype, and every other fiber as its tree parent's
+with the tree edge's column moved by one; the oracle is the int64
+formula it replaced (a tree-path chain matrix, a digit matrix, a matmul
+and a per-vertex int64 sum).  `MultiGraph.arc_ends` interleaves
 each slot's forward and backward arc by strided writes; the oracle
 stacks them.  BFS lifts the base's CSR arcs through that table; the
 oracle is `MultiGraph.arcs`, which sorts every arc of a graph that knows
 nothing of the cover.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +150,19 @@ class TestBaseProfiles:
         got = c.base_profiles()
         assert got.dtype == np.uint16
         assert got.tobytes() == int64_profiles(c).tobytes()
+
+    def test_long_cycle_peak_near_the_profile(self):
+        # a (|V(X)|, |E(X)|) int64 chain matrix alone would be 32 MB here,
+        # four times the 8 MB profile
+        c = build_zm_cover(named_graph("cycle:2000"), 2)
+        tracemalloc.start()
+        try:
+            prof = c.base_profiles()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.shape == (4000, 2000)
+        assert peak < 1.25 * prof.nbytes
 
 
 class TestLiftedArcs:

@@ -1,15 +1,22 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import homcover
 from homcover import (CoverGraph, MultiGraph, SuiteConfig, Walk,
                       build_zm_cover, fingerprint, is_m_congruent,
                       lift_path, make_congruence_pair, named_graph,
-                      run_suite, some_spanning_tree)
+                      run_suite, sample_uniform_tree, some_spanning_tree)
 from homcover.cli import main
 from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
                              PathMismatch)
@@ -18,7 +25,7 @@ from homcover.harness import _WalkTables, check_conglifts
 from homcover.graph import cycle_graph, path_graph
 from homcover.trees import _tree_from_edge_set
 
-from conftest import label_list_lift_path
+from conftest import connected_multigraphs, label_list_lift_path
 
 
 class TestCongruencePairs:
@@ -123,6 +130,16 @@ class TestSuite:
         c = run_suite(SuiteConfig(**base, threads=1))
         assert a.to_json() == b.to_json() == c.to_json()
 
+    def test_import_leaves_thread_pool_unloaded(self):
+        # only run_suite's threaded branch uses the pool
+        src = os.path.dirname(os.path.dirname(homcover.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, homcover; "
+                 "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout == "False\n"
+
     def test_seed_changes_nothing_structural(self):
         a = run_suite(SuiteConfig(graphs=("k4",), seed=1, samples=10))
         b = run_suite(SuiteConfig(graphs=("k4",), seed=2, samples=10))
@@ -191,6 +208,39 @@ def signed_arc_walk(g, rng, length):
         e, d, cur = rng.choice(g.adjacency_of(cur))
         arcs.append(2 * e + (d == -1))
     return Walk(start, tuple(arcs))
+
+
+def assert_walk_tables_match_walk_to_root(g, tree):
+    tables = _WalkTables(g, tree)
+    for v in range(g.vertex_count):
+        up = list(tree.walk_to_root(g, v).steps)
+        assert tables.up[v] == up
+        assert tables.down[v] == [a ^ 1 for a in reversed(up)]
+
+
+class TestWalkTables:
+    @pytest.mark.parametrize("name", ["doubled_edge", "k4", "c5", "petersen",
+                                      "cycle:1", "cycle:7"])
+    def test_named_bases_match_walk_to_root(self, name):
+        g = named_graph(name)
+        for tree in (some_spanning_tree(g), sample_uniform_tree(g, 5)):
+            assert_walk_tables_match_walk_to_root(g, tree)
+
+    @given(connected_multigraphs(max_vertices=9), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_multigraphs_match_walk_to_root(self, g, seed):
+        assert_walk_tables_match_walk_to_root(g, some_spanning_tree(g))
+        assert_walk_tables_match_walk_to_root(g, sample_uniform_tree(g, seed))
+
+    def test_long_cycle_within_cpu_budget(self):
+        # each vertex's walk extends its parent's; one walk_to_root per
+        # vertex costs the sum of the depths, 4.5 million Python steps
+        g = named_graph("cycle:3000")
+        tree = some_spanning_tree(g)
+        start = time.process_time()
+        tables = _WalkTables(g, tree)
+        assert time.process_time() - start < 2.0
+        assert len(tables.up[1500]) == 1500
 
 
 class TestBlockLift:

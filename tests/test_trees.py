@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from homcover import (MultiGraph, NotConnected, build_zm_cover,
@@ -11,7 +13,7 @@ from homcover import (MultiGraph, NotConnected, build_zm_cover,
                       sample_uniform_tree, some_spanning_tree, tree_counts)
 from homcover.errors import CapExceeded, NotSpanningTree
 from homcover.metrics import _avoidance_weights
-from homcover.trees import _tree_from_edge_set
+from homcover.trees import _bareiss_det, _tree_from_edge_set
 
 from conftest import (connected_multigraphs, enumerate_spanning_trees_oracle,
                       sample_uniform_tree_oracle, spanning_tree_sets)
@@ -156,6 +158,60 @@ class TestCounts:
                 tau_del = 0
             assert count_spanning_trees(g) == tau_del \
                 + count_spanning_trees(contracted)
+
+
+def fraction_det(mat) -> int:
+    """Determinant by Gaussian elimination over Fraction, swapping in the
+    first nonzero pivot: an oracle for trees._bareiss_det."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@st.composite
+def zero_pivot_matrices(draw):
+    """Square integer matrices, 1x1 to 5x5, with a zero leading entry."""
+    n = draw(st.integers(1, 5))
+    mat = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+           for _ in range(n)]
+    mat[0][0] = 0
+    return mat
+
+
+class TestBareissDet:
+    # count_spanning_trees never swaps rows: the reduced Laplacian of a
+    # connected graph is positive definite, so no pivot is zero
+
+    @given(zero_pivot_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_elimination(self, mat):
+        want = fraction_det(mat)
+        assert _bareiss_det([row[:] for row in mat]) == want
+
+    @pytest.mark.parametrize("mat,det", [
+        ([[0]], 0),
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 2], [3, 5]], -6),
+        ([[0, 1, 2], [0, 3, 4], [5, 6, 7]], -10),
+        ([[1, 2, 3], [2, 4, 7], [1, 5, 2]], -3),  # zero pivot at step 1
+        ([[0, 1], [0, 2]], 0),  # no nonzero entry below: singular
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 2]], 0),  # singular after a swap
+    ])
+    def test_zero_pivot_cases(self, mat, det):
+        assert fraction_det(mat) == det
+        assert _bareiss_det(mat) == det
 
 
 class TestEnumeration:
