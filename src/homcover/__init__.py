@@ -9,7 +9,7 @@ from .cover import (CoverGraph, EdgeChainModM, VertexChainModM,
 from .embed import (BinaryVector, EmbeddedFamily, HalfIntVector,
                     PsiEmbedding, assemble_family, binary_embed_matrix,
                     cycle_cut_embed, embed_point_l1, embed_point_psi,
-                    l1_to_l2)
+                    hamming_row, l1_to_l2, packed_embed_matrix)
 from .errors import (CapExceeded, EndpointMismatch, EndpointOutOfRange,
                      FaultNotInjected, HomcoverError, InvalidParameter,
                      LengthMismatch, NonBinaryCoordinates, NonConstantNe,

@@ -70,10 +70,22 @@ def _read_json(path: str) -> dict:
 
 
 def _emit(out, chunks: Iterable[str]) -> None:
-    """Write text chunks to the --out file if one is given, else to stdout."""
+    """Write text chunks to the --out file if one is given, else to stdout.
+
+    The file is written under a temporary sibling name and renamed onto
+    the target only once every chunk is written, so a command that fails
+    midway leaves no partial file and keeps a previous one intact.
+    """
     if out:
-        with open(_resolve_out(out), "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        target = _resolve_out(out)
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     else:
         sys.stdout.writelines(chunks)
 

@@ -142,6 +142,29 @@ def binary_embed_matrix(c: CoverGraph) -> np.ndarray:
     return _arc_table(c.m)[prof].reshape(n, ne * c.m)
 
 
+def packed_embed_matrix(c: CoverGraph) -> np.ndarray:
+    """`binary_embed_matrix` with each row's bits packed into uint64 words.
+
+    Shape (|V~|, ceil(|E(X)| * m / 64)); the last word of a row is padded
+    with zero bits, so padding never adds to a Hamming distance.
+    """
+    bits = binary_embed_matrix(c)
+    n, width = bits.shape
+    words = (width + 63) // 64
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :(width + 7) // 8] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64)
+
+
+def hamming_row(packed: np.ndarray, s: int) -> np.ndarray:
+    """Hamming distance from row s of a packed matrix to every row, int64.
+
+    The number of differing cut bits: 2 * d_Q, and the squared l2
+    distance of the l1_to_l2 images.
+    """
+    return np.bitwise_count(packed ^ packed[s]).sum(axis=1, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class BinaryVector:
     """Image of l1_to_l2: a 0/1 vector in l2, held as its support."""

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cover import CoverGraph, _lift_block, build_zm_cover, cover_girth
-from .embed import binary_embed_matrix
+from .embed import hamming_row, packed_embed_matrix
 from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
                      ParseError)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
@@ -290,17 +290,19 @@ def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
     The Hamming distance of two rows is both the doubled l1 distance of
     the cut embedding and the squared l2 distance after l1_to_l2, so the
     isometry and l2 checks share this body.  Hamming rows are computed
-    per source, since they are what the check tests.
+    per source, since they are what the check tests: XOR and popcount
+    over the rows of `packed_embed_matrix`, which count the differing
+    cut bits and never evaluate the min(z, m - z) formula under test.
     """
     sources = _sources_for(c, samples, seed)
     if sources is None:
         sources = range(c.graph.vertex_count)
-    binary = binary_embed_matrix(c)
+    packed = packed_embed_matrix(c)
     violations = 0
     trials = 0
     details = []
     for s, dq_row in _dq_rows(c, sources):
-        hamming = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+        hamming = hamming_row(packed, s)
         if fault:
             hamming = hamming + 1
         bad = np.nonzero(hamming != 2 * dq_row)[0]

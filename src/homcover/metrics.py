@@ -281,7 +281,8 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
 
     Mode "dq" weighs each distinct orbit's (d, d_Q) row by its source
     count; mode "l2" translates its fiber's d row to each source and
-    computes that source's Hamming row, since that row is what it tests.
+    computes that source's Hamming row, since that row is what it tests:
+    XOR and popcount over the rows of `embed.packed_embed_matrix`.
     """
     if mode not in ("dq", "l2"):
         raise InvalidParameter(f"unknown mode {mode!r}")
@@ -295,15 +296,15 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
             _reduce_row(counts, mins, maxs, d_row, d_q_from(c, rep),
                         len(members))
     else:
-        from .embed import binary_embed_matrix
-        binary = binary_embed_matrix(c)
+        from .embed import hamming_row, packed_embed_matrix
+        packed = packed_embed_matrix(c)
         fibers = srcs - srcs % c.deck_size
         for rep, d_row, members in _rep_rows(c, srcs, fibers):
             for s in members.tolist():
                 d_s = d_row.reshape(-1, c.deck_size)[
                     :, c.deck_permutation(s - rep)]
                 # squared Euclidean distance of 0/1 vectors = Hamming
-                val = (binary != binary[s]).sum(axis=1, dtype=np.int64)
+                val = hamming_row(packed, s)
                 _reduce_row(counts, mins, maxs, d_s.ravel(), val, 1)
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))

@@ -460,6 +460,41 @@ class TestErrorPaths:
         assert main(["trees", "count", "--graph", k4_file]) == 3
         assert "internal error: ValueError: bug" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"], ids=["new", "kept"])
+    @pytest.mark.parametrize("exc,code", [(MemoryError(), 3),
+                                          (SizeCapExceeded("too big"), 2)],
+                             ids=["internal", "usage"])
+    def test_failed_export_leaves_no_partial_file(
+            self, k4_cover_file, tmp_path, monkeypatch, capsys, exc, code, old):
+        def broken(c, layout, dim):
+            yield "# header\n"
+            raise exc
+        monkeypatch.setattr("homcover.cli._export_csv", broken)
+        out_dir = tmp_path / "exports"
+        out_dir.mkdir()
+        out = out_dir / "x.csv"
+        if old is not None:
+            out.write_bytes(old)
+        assert main(["embed", "export", "--cover", k4_cover_file, "--format",
+                     "csv", "--out", str(out)]) == code
+        capsys.readouterr()
+        if old is None:
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert list(out_dir.iterdir()) == [out]
+            assert out.read_bytes() == old
+
+    def test_export_replaces_old_file(self, k4_cover_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.write_text("old bytes\n")
+        assert main(["embed", "export", "--cover", k4_cover_file, "--format",
+                     "csv", "--out", str(out)]) == 0
+        assert main(["embed", "export", "--cover", k4_cover_file,
+                     "--format", "csv"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "k4.json", "k4cover.json", "x.csv"]
+
 
 def test_out_dir_env_var(tmp_path, k4_file, monkeypatch):
     monkeypatch.setenv("HOMCOVER_OUT", str(tmp_path / "outputs"))

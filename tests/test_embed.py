@@ -7,7 +7,8 @@ import pytest
 from homcover import (HalfIntVector, PsiEmbedding, assemble_family,
                       binary_embed_matrix, build_zm_cover,
                       count_spanning_trees, cycle_cut_embed, d_q, d_q_from,
-                      embed_point_l1, embed_point_psi, l1_to_l2, named_graph)
+                      embed_point_l1, embed_point_psi, hamming_row, l1_to_l2,
+                      named_graph, packed_embed_matrix)
 from homcover.embed import _arc_table
 from homcover.errors import (InvalidParameter, LengthMismatch,
                              NonBinaryCoordinates, NonConstantNe)
@@ -128,6 +129,45 @@ class TestL2:
         v = HalfIntVector(entries=((0, 2),), dim=3, block_layout=(("b", 0, 3),))
         with pytest.raises(NonBinaryCoordinates):
             l1_to_l2(v)
+
+
+#: (base, m, row width in bits): one partial word, one full word, two
+#: words, an odd width, uint16 residues, and the r = 0 base with no bits.
+PACKED_COVERS = [
+    (lambda: named_graph("k4"), 2, 12),
+    (lambda: named_graph("doubled_edge"), 32, 64),
+    (lambda: named_graph("k4"), 11, 66),
+    (lambda: named_graph("petersen"), 5, 75),
+    (lambda: named_graph("c5"), 257, 1285),
+    (lambda: MultiGraph(1, []), 3, 0),
+]
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("base,m,width", PACKED_COVERS,
+                             ids=["k4-m2", "doubled_edge-m32", "k4-m11",
+                                  "petersen-m5", "c5-m257", "point"])
+    def test_rows_match_uint8_oracle(self, base, m, width):
+        c = build_zm_cover(base(), m)
+        binary = binary_embed_matrix(c)
+        packed = packed_embed_matrix(c)
+        n = c.graph.vertex_count
+        assert binary.shape == (n, width) and binary.dtype == np.uint8
+        assert packed.shape == (n, -(-width // 64))
+        assert packed.dtype == np.uint64
+        # the packed bits are the rows' bits, with zero padding
+        unpacked = np.unpackbits(packed.view(np.uint8), axis=1)
+        assert np.array_equal(unpacked[:, :width], binary)
+        assert not unpacked[:, width:].any()
+        if n * n * width <= 1 << 20:
+            sources = range(n)
+        else:
+            sources = random.Random(m).sample(range(n), 24)
+        for s in sources:
+            want = (binary != binary[s]).sum(axis=1)
+            got = hamming_row(packed, s)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 class TestPsi:

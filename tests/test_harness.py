@@ -21,7 +21,8 @@ from homcover.cli import main
 from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
                              PathMismatch)
 from homcover.cover import _lift_block
-from homcover.harness import _WalkTables, check_conglifts
+from homcover.harness import (_WalkTables, check_conglifts, check_isometry,
+                              check_l2)
 from homcover.graph import cycle_graph, path_graph
 from homcover.trees import _tree_from_edge_set
 
@@ -198,6 +199,25 @@ class TestConglifts:
         finally:
             tracemalloc.stop()
         assert peak < 1_800_000
+
+
+class TestHammingChecks:
+    @pytest.mark.parametrize("check", [check_isometry, check_l2])
+    def test_flipped_cut_bit_is_reported(self, check, monkeypatch):
+        # d_Q is untouched; only the embedding the check reads is wrong,
+        # so every pair with vertex 0, in either order, is a violation
+        real = homcover.harness.packed_embed_matrix
+
+        def flipped(c):
+            packed = real(c).copy()
+            packed[0, 0] ^= np.uint64(1)
+            return packed
+        monkeypatch.setattr("homcover.harness.packed_embed_matrix", flipped)
+        c = build_zm_cover(named_graph("k4"), 3)
+        rec = check(c, "k4", 10, seed=0)
+        n = c.graph.vertex_count
+        assert (rec.trials, rec.violations) == (n * n, 2 * (n - 1))
+        assert rec.details[0] == {"source": 0, "target": 1}
 
 
 def signed_arc_walk(g, rng, length):
