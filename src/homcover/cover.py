@@ -296,24 +296,42 @@ def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
     signs[e] < 0, so it acts on profiles by the signed column permutation
     P: (P p)[emap[e]] = signs[e] * p[e].  The lift f takes the basepoint
     to (vmap[0], 0) and x to the vertex over vmap[v_x] whose label digits
-    are the cotree columns of P(prof[x]).  It is accepted only if f is a
-    bijection and takes every cover edge over e to the cover edge over
-    emap[e] with endpoints (f(t), f(h)), swapped where signs[e] < 0;
-    checked one base-edge block at a time.  P only permutes and signs the
-    edge terms of d_Q, so an accepted f keeps d and d_Q.
+    are the cotree columns of P(prof[x]).  Its label ranks are built
+    fiber by fiber down the tree, as `CoverGraph.base_profiles` is: the
+    root fiber's from its profile rows, and the fiber over v from its
+    parent p's.  Tree edge e moves column e of the profile by +1 or -1,
+    so it moves column emap[e] of P by signs[e] times that: one label
+    digit (`graph._shift`) where emap[e] is a cotree edge, none where it
+    is a tree edge.
+
+    f is accepted only if it is a bijection and takes every cover edge
+    over e to the cover edge over emap[e] with endpoints (f(t), f(h)),
+    swapped where signs[e] < 0; checked one base-edge block at a time.
+    P only permutes and signs the edge terms of d_Q, so an accepted f
+    keeps d and d_Q.
     """
-    deck, m = c.deck_size, c.m
+    deck, m, tree = c.deck_size, c.m, c.tree0
+    position = {e: i for i, e in enumerate(c.cotree)}
     inverse = np.empty_like(emap)
     inverse[emap] = np.arange(emap.size)
     src = inverse[list(c.cotree)]  # the base edge P moves to cotree column i
     neg = signs[src] < 0
-    weights = m ** np.arange(c.r, dtype=np.int64)
-    prof = c.base_profiles()
-    f = np.empty(c.graph.vertex_count, dtype=np.int64)
-    for v in range(c.base.vertex_count):
-        digits = prof[v * deck:(v + 1) * deck, src].astype(np.int64)
-        digits[:, neg] = (-digits[:, neg]) % m
-        f[v * deck:(v + 1) * deck] = vmap[v] * deck + digits @ weights
+    digits = c.base_profiles()[:deck, src].astype(np.int64)
+    digits[:, neg] = (-digits[:, neg]) % m
+    rank = np.empty(c.graph.vertex_count, dtype=np.int64)
+    rank[:deck] = digits @ (m ** np.arange(c.r, dtype=np.int64))
+    base_tails = c.base.tails.tolist()
+    for v in tree.depth_order()[1:]:
+        p, e = tree.parent[v]
+        parent = rank[p * deck:(p + 1) * deck]
+        i = position.get(int(emap[e]))
+        if i is None:
+            rank[v * deck:(v + 1) * deck] = parent
+        else:
+            step = 1 if base_tails[e] == p else -1
+            rank[v * deck:(v + 1) * deck] = _shift(parent, m ** i, m,
+                                                   int(signs[e]) * step)
+    f = (rank.reshape(-1, deck) + vmap[:, None] * deck).ravel()
     hit = np.zeros(f.size, dtype=bool)
     hit[f] = True
     if not hit.all():
@@ -321,16 +339,14 @@ def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
     tails, heads = c.graph.tails, c.graph.heads
     for e in range(c.base.edge_count):
         block = slice(e * deck, (e + 1) * deck)
-        ft, fh = f[tails[block]], f[heads[block]]
-        if signs[e] < 0:
-            ft, fh = fh, ft
-        # the edge over emap[e] with tail ft, in the construction layout
-        rank = ft % deck
+        t, h = (heads, tails) if signs[e] < 0 else (tails, heads)
+        # the edge over emap[e] with tail f(t), in the construction layout
+        image = rank[t[block]]
         seen = np.zeros(deck, dtype=bool)
-        seen[rank] = True
-        image = emap[e] * deck + rank
-        if not (seen.all() and np.array_equal(tails[image], ft)
-                and np.array_equal(heads[image], fh)):
+        seen[image] = True
+        image += emap[e] * deck
+        if not (seen.all() and np.array_equal(tails[image], f[t[block]])
+                and np.array_equal(heads[image], f[h[block]])):
             return None
     return f
 

@@ -142,17 +142,30 @@ def binary_embed_matrix(c: CoverGraph) -> np.ndarray:
     return _arc_table(c.m)[prof].reshape(n, ne * c.m)
 
 
+#: Bytes of cut bits, one byte a bit, that packed_embed_matrix packs per
+#: row block.
+_PACK_BLOCK = 1 << 18
+
+
 def packed_embed_matrix(c: CoverGraph) -> np.ndarray:
     """`binary_embed_matrix` with each row's bits packed into uint64 words.
 
     Shape (|V~|, ceil(|E(X)| * m / 64)); the last word of a row is padded
-    with zero bits, so padding never adds to a Hamming distance.
+    with zero bits, so padding never adds to a Hamming distance.  Packed
+    one block of rows at a time from `CoverGraph.base_profiles`, so the
+    unpacked bits of about _PACK_BLOCK bytes are all that sits beside the
+    result.
     """
-    bits = binary_embed_matrix(c)
-    n, width = bits.shape
-    words = (width + 63) // 64
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, :(width + 7) // 8] = np.packbits(bits, axis=1)
+    prof = c.base_profiles()
+    n, ne = prof.shape
+    width = ne * c.m
+    table = _arc_table(c.m)
+    packed = np.zeros((n, 8 * ((width + 63) // 64)), dtype=np.uint8)
+    rows = max(1, _PACK_BLOCK // max(width, 1))
+    for lo in range(0, n, rows):
+        block = prof[lo:lo + rows]
+        bits = table[block].reshape(len(block), width)
+        packed[lo:lo + rows, :(width + 7) // 8] = np.packbits(bits, axis=1)
     return packed.view(np.uint64)
 
 

@@ -40,14 +40,29 @@ def d_q(c: CoverGraph, x: int, y: int) -> int:
     return int(_cyclic_distance(prof[x], prof[y], c.m).sum(dtype=np.int64))
 
 
+#: Bytes of base_profiles that d_q_from reads per row block.
+_DQ_BLOCK = 1 << 18
+
+
 def d_q_from(c: CoverGraph, x: int) -> np.ndarray:
-    """d_Q from x to every cover vertex, as one vectorised row."""
+    """d_Q from x to every cover vertex, as one int64 row.
+
+    The collapsed edge sum over row blocks of `CoverGraph.base_profiles`
+    of about _DQ_BLOCK bytes each, every block's sums written into the
+    row in place; beside the row, the temporaries are a few blocks of
+    residues.
+    """
     c.require_vertices(x)
     prof = c.base_profiles()
-    # einsum's row sum is about twice as fast as sum(axis=1) on these
-    # short |E(X)|-long rows
-    return np.einsum("ij->i", _cyclic_distance(prof, prof[x], c.m),
-                     dtype=np.int64)
+    n, ne = prof.shape
+    out = np.empty(n, dtype=np.int64)
+    rows = max(1, _DQ_BLOCK // max(ne * prof.itemsize, 1))
+    for lo in range(0, n, rows):
+        # einsum's row sum is about twice as fast as sum(axis=1) on these
+        # short |E(X)|-long rows
+        np.einsum("ij->i", _cyclic_distance(prof[lo:lo + rows], prof[x], c.m),
+                  dtype=np.int64, out=out[lo:lo + rows])
+    return out
 
 
 def _cyclic_distance(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -282,19 +297,17 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     Mode "dq" weighs each distinct orbit's (d, d_Q) row by its source
     count; mode "l2" translates its fiber's d row to each source and
     computes that source's Hamming row, since that row is what it tests:
-    XOR and popcount over the rows of `embed.packed_embed_matrix`.
+    XOR and popcount over the rows of `embed.packed_embed_matrix`.  The
+    per-distance counts, minima and maxima are int64 arrays as long as
+    the largest distance seen plus one, grown as rows arrive.
     """
     if mode not in ("dq", "l2"):
         raise InvalidParameter(f"unknown mode {mode!r}")
     srcs = _source_array(c, sources)
-    diam_bound = c.graph.vertex_count + 1
-    mins = np.full(diam_bound, np.iinfo(np.int64).max, dtype=np.int64)
-    maxs = np.full(diam_bound, -1, dtype=np.int64)
-    counts = np.zeros(diam_bound, dtype=np.int64)
+    sums = (np.zeros(0, dtype=np.int64),) * 3
     if mode == "dq":
         for rep, d_row, members in _rep_rows(c, srcs, _orbit_of(c, srcs)):
-            _reduce_row(counts, mins, maxs, d_row, d_q_from(c, rep),
-                        len(members))
+            sums = _reduce_row(sums, d_row, d_q_from(c, rep), len(members))
     else:
         from .embed import hamming_row, packed_embed_matrix
         packed = packed_embed_matrix(c)
@@ -305,15 +318,28 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
                     :, c.deck_permutation(s - rep)]
                 # squared Euclidean distance of 0/1 vectors = Hamming
                 val = hamming_row(packed, s)
-                _reduce_row(counts, mins, maxs, d_s.ravel(), val, 1)
+                sums = _reduce_row(sums, d_s.ravel(), val, 1)
+    counts, mins, maxs = sums
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))
                  for t in np.flatnonzero(counts))
     return CompressionProfile("dQ_vs_d" if mode == "dq" else "l2_vs_d", rows)
 
 
-def _reduce_row(counts, mins, maxs, d_row, val, weight):
-    """Fold `weight` sources with this (d, value) row into the profile."""
-    counts += weight * np.bincount(d_row, minlength=counts.size)
+#: What a distance no pair has reached holds in (counts, mins, maxs).
+_EMPTY_SUMS = (0, np.iinfo(np.int64).max, -1)
+
+
+def _reduce_row(sums, d_row, val, weight):
+    """Fold `weight` sources with this (d, value) row into the profile
+    sums (counts, mins, maxs), first padded to d_row.max() + 1; returns
+    the sums."""
+    size = int(d_row.max()) + 1
+    if size > sums[0].size:
+        sums = tuple(np.pad(a, (0, size - a.size), constant_values=fill)
+                     for a, fill in zip(sums, _EMPTY_SUMS))
+    counts, mins, maxs = sums
+    counts[:size] += weight * np.bincount(d_row)
     np.minimum.at(mins, d_row, val)
     np.maximum.at(maxs, d_row, val)
+    return sums

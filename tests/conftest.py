@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from homcover import MultiGraph, named_graph
+from homcover import MultiGraph, build_tower, named_graph
 from homcover.errors import NotSpanningTree
 from homcover.trees import SpanningTree
 
@@ -29,6 +30,28 @@ def petersen():
 @pytest.fixture
 def double():
     return named_graph("doubled_edge")
+
+
+@pytest.fixture(scope="session")
+def tower_level():
+    """The 531,441-vertex second level of build_tower(2, 3, 2), the
+    Z_3-homology cover of the Cayley graph of (Z_3)^2, with its arc
+    table, profiles and orbit representatives built."""
+    c = build_tower(2, 3, 2).levels[-1].cover
+    c.graph.arc_ends(c.deck_size)
+    c.base_profiles()
+    c.orbit_reps()
+    return c
+
+
+def traced_peak(run):
+    """(run(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def to_networkx(g: MultiGraph) -> nx.MultiGraph:

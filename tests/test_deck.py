@@ -368,6 +368,46 @@ def test_bad_lift_falls_back_to_fibers():
         check_against_oracles(broken, sources)
 
 
+def matmul_lift_map(c, vmap, emap, signs):
+    """The vertex map that _checked_lift checks, one base vertex at a
+    time: x goes to the vertex over vmap[v_x] whose label digits are the
+    cotree columns of the signed column permutation of prof[x], as an
+    int64 matmul of the digits with the rank weights."""
+    deck, m = c.deck_size, c.m
+    inverse = np.empty_like(emap)
+    inverse[emap] = np.arange(emap.size)
+    src = inverse[list(c.cotree)]
+    neg = signs[src] < 0
+    weights = m ** np.arange(c.r, dtype=np.int64)
+    prof = c.base_profiles()
+    f = np.empty(c.graph.vertex_count, dtype=np.int64)
+    for v in range(c.base.vertex_count):
+        digits = prof[v * deck:(v + 1) * deck, src].astype(np.int64)
+        digits[:, neg] = (-digits[:, neg]) % m
+        f[v * deck:(v + 1) * deck] = vmap[v] * deck + digits @ weights
+    return f
+
+
+@pytest.mark.parametrize("case", ["tower", "cube-m2", "prism-m2",
+                                  "prism-m3"])
+def test_lift_matches_matmul_map(case, request):
+    if case == "tower":
+        c = request.getfixturevalue("tower_level")
+    elif case == "cube-m2":
+        c = build_zm_cover(cayley_zm_power(3, 2), 2)
+    else:
+        c = build_zm_cover(labelled_prism(), int(case[-1]))
+    autos = label_automorphisms(c.base)
+    assert autos
+    # the cube's automorphisms reverse some edges: signs -1
+    assert (case == "cube-m2") == any(
+        (signs < 0).any() for _vmap, _emap, signs in autos)
+    for auto in autos:
+        got = _checked_lift(c, *auto)
+        assert got is not None
+        assert np.array_equal(got, matmul_lift_map(c, *auto))
+
+
 @pytest.mark.parametrize("labels", [
     [[0]] * 18,                        # unhashable
     [{"g": 0}] * 18,                   # unhashable

@@ -14,6 +14,8 @@ from homcover.errors import (InvalidParameter, LengthMismatch,
                              NonBinaryCoordinates, NonConstantNe)
 from homcover.graph import MultiGraph, bfs_distance_matrix
 
+from conftest import traced_peak
+
 #: Bases with constant N_e; the psi matrix test uses those with at most
 #: PSI_TREE_CAP spanning trees.
 PSI_BASES = {
@@ -168,6 +170,25 @@ class TestPackedRows:
             got = hamming_row(packed, s)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
+
+
+    @pytest.mark.parametrize("base,m,width", PACKED_COVERS,
+                             ids=["k4-m2", "doubled_edge-m32", "k4-m11",
+                                  "petersen-m5", "c5-m257", "point"])
+    def test_words_are_packbits_of_the_bits(self, base, m, width):
+        # the Petersen m = 5 and c5 m = 257 bits span several row blocks
+        c = build_zm_cover(base(), m)
+        want = np.packbits(binary_embed_matrix(c), axis=1)
+        got = packed_embed_matrix(c).view(np.uint8)
+        assert np.array_equal(got[:, :want.shape[1]], want)
+        assert not got[:, want.shape[1]:].any()
+
+    def test_tower_level_peak_near_the_result(self, tower_level):
+        # the unpacked (|V~|, |E(X)| * m) uint8 bits alone are 27.4 MiB
+        # here; packing them whole peaked at 35.0 MiB
+        packed, peak = traced_peak(lambda: packed_embed_matrix(tower_level))
+        assert packed.shape == (tower_level.graph.vertex_count, 1)
+        assert peak < packed.nbytes + (2 << 20)
 
 
 class TestPsi:

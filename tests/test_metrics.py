@@ -12,10 +12,11 @@ from homcover import (MultiGraph, build_zm_cover, compression_profile,
                       named_graph, tree_average_numerators, verify_compare)
 from homcover.cover import _residue_dtype
 from homcover.errors import InvalidParameter, LengthMismatch, NonConstantNe
+from homcover.embed import binary_embed_matrix
 from homcover.graph import bfs_distance_matrix
-from homcover.metrics import _cyclic_distance
+from homcover.metrics import _DQ_BLOCK, _cyclic_distance
 
-from conftest import two_edge_connected_multigraphs
+from conftest import traced_peak, two_edge_connected_multigraphs
 
 
 class TestDT:
@@ -355,3 +356,99 @@ class TestRowMemory:
     def test_compare_100_sources(self, cover):
         srcs = random.Random(0).sample(range(cover.graph.vertex_count), 100)
         assert self.peak(lambda: verify_compare(cover, srcs)) < 4 << 20
+
+
+def unblocked_d_q_from(c, x):
+    """The collapsed edge sum over the whole profile at once, in int64:
+    sum_e min(z_e, m - z_e) for z the residue difference from x."""
+    prof = c.base_profiles().astype(np.int64)
+    z = (prof - prof[x]) % c.m
+    return np.minimum(z, c.m - z).sum(axis=1)
+
+
+class TestRowBlocks:
+    """d_q_from sums the profile in row blocks of _DQ_BLOCK bytes."""
+
+    # cycle:n has one cotree edge: n * m vertices and n edges; each cover
+    # spans three to seven blocks, the last one partial, and m = 257 has
+    # uint16 residues
+    @pytest.mark.parametrize("m,n", [(2, 700), (255, 60), (256, 60),
+                                     (257, 60)])
+    def test_matches_unblocked_sum(self, m, n):
+        c = build_zm_cover(named_graph(f"cycle:{n}"), m)
+        prof = c.base_profiles()
+        assert prof.dtype == _residue_dtype(m)
+        rows = _DQ_BLOCK // prof[0].nbytes
+        size = len(prof)
+        assert 3 * rows < size and size % rows
+        for x in (0, 1, rows - 1, rows, size // 2, size - size % rows,
+                  size - 2, size - 1):
+            got = d_q_from(c, x)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, unblocked_d_q_from(c, x))
+
+    def test_tower_level_peak_near_the_row(self, tower_level):
+        # the unblocked sum held four (|V~|, |E(X)|) uint8 temporaries,
+        # 27.4 MiB traced here
+        row, peak = traced_peak(lambda: d_q_from(tower_level, 12345))
+        assert np.array_equal(row, unblocked_d_q_from(tower_level, 12345))
+        assert peak < row.nbytes + (2 << 20)
+
+
+def profile_from_rows(d_rows, vals):
+    """(t, pairs, min, max) per distance t of the stacked (d, value)
+    rows, from one sort of the pairs by distance."""
+    d, v = np.concatenate(d_rows), np.concatenate(vals)
+    order = np.argsort(d, kind="stable")
+    d, v = d[order], v[order]
+    starts = np.flatnonzero(np.diff(d, prepend=-1))
+    counts = np.diff(np.append(starts, len(d)))
+    return [(int(t), int(k), Fraction(int(lo)), Fraction(int(hi)))
+            for t, k, lo, hi in zip(d[starts], counts,
+                                    np.minimum.reduceat(v, starts),
+                                    np.maximum.reduceat(v, starts))]
+
+
+class TestLongDiameter:
+    """A triangle and a 30-cycle joined at vertex 0, at m = 3: 288 cover
+    vertices and diameter 49.  The first orbit's rows reach distance 48
+    and a later one's 49, so the profile's sums grow twice."""
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        loop = [[0, 3], *([v, v + 1] for v in range(3, 31)), [31, 0]]
+        return build_zm_cover(MultiGraph(32, [[0, 1], [1, 2], [2, 0], *loop]),
+                              3)
+
+    @staticmethod
+    def rows(prof):
+        return [(r.t, r.pair_count, r.min_val, r.max_val) for r in prof.rows]
+
+    def test_exhaustive_dq(self, cover):
+        n = cover.graph.vertex_count
+        d = bfs_distance_matrix(cover.graph, range(n))
+        assert d[0].max() == 48 and d.max() == 49
+        want = profile_from_rows(d, [unblocked_d_q_from(cover, x)
+                                     for x in range(n)])
+        assert self.rows(compression_profile(cover, None, "dq")) == want
+
+    def test_sampled_l2(self, cover):
+        sources = random.Random(49).sample(range(cover.graph.vertex_count),
+                                           60)
+        binary = binary_embed_matrix(cover)
+        want = profile_from_rows(
+            bfs_distance_matrix(cover.graph, sources),
+            [(binary != binary[s]).sum(axis=1) for s in sources])
+        assert self.rows(compression_profile(cover, sources, "l2")) == want
+
+
+class TestTowerProfileMemory:
+    def test_warm_dq_profile(self, tower_level):
+        # 32 sources, as in the tower benchmark; with |V~| + 1 long sums
+        # and an unblocked d_Q row this peaked at 43.6 MiB
+        n = tower_level.graph.vertex_count
+        sources = sorted(random.Random(1).sample(range(n), 32))
+        prof, peak = traced_peak(
+            lambda: compression_profile(tower_level, sources, "dq"))
+        assert sum(r.pair_count for r in prof.rows) == 32 * n
+        assert peak < 30 << 20
