@@ -12,9 +12,10 @@ moves a label digit of a rank, and the edge heads and the girth search
 (`cover_girth`) use it; a deck permutation moves every digit at once, as
 an outer sum of per-digit moves.
 
-A cover keeps one arc table, the signed-arc table of its graph
-(`MultiGraph.arc_ends` with the deck size), read off the built edges.
-Walks are lifted through it: a base walk's signed arcs (`graph.Walk`)
+`build_zm_cover` writes one arc table, the signed-arc table of the
+cover's graph (`MultiGraph.arc_ends`), in int32 while the ids fit; the
+graph's edge arrays are its forward arcs, views of the table.  Walks are
+lifted through it: a base walk's signed arcs (`graph.Walk`)
 pick signed cover arcs, and `_lift_block` follows them for a block of
 walks at once.  Two base walks from one vertex lift to the same cover
 endpoint exactly when their signed edge counts agree mod m.  BFS rows
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _shift,
-                    cycle_bound_from, is_two_edge_connected,
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _index_dtype,
+                    _shift, cycle_bound_from, is_two_edge_connected,
                     label_automorphisms, signed_arc_counts, symmetric_roots)
 from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
                     some_spanning_tree, tree_counts)
@@ -257,6 +258,14 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     g must be connected and 2-edge-connected (so the cover is well-defined
     and d_Q is a metric on it).  The optional tree fixes the construction
     layout; the cover's isomorphism type does not depend on it.
+
+    The cover's graph is written as its signed-arc table
+    (`MultiGraph.arc_ends`), in `_index_dtype(2 * max(|V~|, |E~|))`.  Slot
+    i = e * deck + k of base edge e = (t, h) holds arc 2i from (t, k) to
+    (h, k + 1) and arc 2i + 1 from (h, k) to (t, k - 1), the label moved
+    in the digit of e where e is a cotree edge (`_shifted_ranks`) and kept
+    where e is a tree edge.  The graph's tails and heads are the table's
+    even entries, so cover edge i runs from (t, k) to (h, k + 1).
     """
     if not 2 <= m <= MAX_M:
         raise UnsupportedModulus(f"m must be in 2..{MAX_M}, got {m}")
@@ -274,16 +283,21 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
             f"cover would have {n_cover} vertices, cap is {size_cap}")
     stride = {e: m ** i for i, e in enumerate(tree.cotree)}
     ranks = np.arange(deck, dtype=np.int64)
-    tails = np.empty(g.edge_count * deck, dtype=np.int64)
-    heads = np.empty(g.edge_count * deck, dtype=np.int64)
-    for e in range(g.edge_count):
-        t, h = g.endpoints(e)
-        lo = e * deck
-        tails[lo:lo + deck] = t * deck + ranks
-        heads[lo:lo + deck] = h * deck + (
-            _shifted_ranks(deck, stride[e], m, 1) if e in stride else ranks)
-    cover_graph = MultiGraph.from_arrays(n_cover, tails, heads)
+    arcs = 2 * g.edge_count * deck
+    src = np.empty(arcs, dtype=_index_dtype(max(arcs, 2 * n_cover)))
+    dst = np.empty_like(src)
+    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        up, down = ((_shifted_ranks(deck, stride[e], m, 1),
+                     _shifted_ranks(deck, stride[e], m, -1))
+                    if e in stride else (ranks, ranks))
+        block = slice(2 * e * deck, 2 * (e + 1) * deck)
+        src[block][0::2] = t * deck + ranks
+        dst[block][0::2] = h * deck + up
+        src[block][1::2] = h * deck + ranks
+        dst[block][1::2] = t * deck + down
+    cover_graph = MultiGraph.from_arrays(n_cover, src[0::2], dst[0::2])
     cover_graph._lift = g, deck
+    cover_graph._ends = src, dst
     return CoverGraph(g, m, tree, cover_graph)
 
 
@@ -339,14 +353,16 @@ def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
     tails, heads = c.graph.tails, c.graph.heads
     for e in range(c.base.edge_count):
         block = slice(e * deck, (e + 1) * deck)
-        t, h = (heads, tails) if signs[e] < 0 else (tails, heads)
+        # one cast per block: numpy casts narrower index arrays per use
+        t, h = (a[block].astype(np.intp) for a in (
+            (heads, tails) if signs[e] < 0 else (tails, heads)))
         # the edge over emap[e] with tail f(t), in the construction layout
-        image = rank[t[block]]
+        image = rank[t]
         seen = np.zeros(deck, dtype=bool)
         seen[image] = True
         image += emap[e] * deck
-        if not (seen.all() and np.array_equal(tails[image], f[t[block]])
-                and np.array_equal(heads[image], f[h[block]])):
+        if not (seen.all() and np.array_equal(tails[image], f[t])
+                and np.array_equal(heads[image], f[h])):
             return None
     return f
 
@@ -388,7 +404,7 @@ def _lift_block(c: CoverGraph, starts, walks):
     longest-first order.
     """
     deck = c.deck_size
-    src, dst = c.graph.arc_ends(deck)
+    src, dst = c.graph.arc_ends()
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     order = np.argsort(-lengths, kind="stable")
     arcs = np.fromiter(chain.from_iterable(walks), np.int64,
@@ -431,7 +447,7 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
         raise PathMismatch(f"start vertex lies over {start // deck}, walk "
                            f"begins at {base_walk.start}")
     ends, arcs = _lift_block(c, [start], [base_walk.steps])
-    src, dst = c.graph.arc_ends(deck)
+    src, dst = c.graph.arc_ends()
     tail_side = np.where(arcs & 1, dst[arcs], src[arcs])
     edges = (arcs >> 1) // deck * deck + tail_side % deck
     return int(ends[0]), edges.tolist()

@@ -6,11 +6,13 @@ at load time; the orientation only fixes the sign convention for
 edge-traversal counts, traversal itself is always bidirectional.  Loops
 and parallel edges are allowed.
 
-Each graph has one signed-arc table, `MultiGraph.arc_ends`, read off its
-edge arrays, and sorted CSR arcs, `MultiGraph.arcs`.  Distances come from
-one engine, `bfs_distance_matrix`: a level-synchronous BFS per source
-through the table, with a one-byte flag per vertex; a cover steps from
-its base's CSR arcs into its own table.  scipy is imported only by
+Each graph has sorted CSR arcs, `MultiGraph.arcs`; a cover's graph also
+holds the signed-arc table that `cover.build_zm_cover` writes,
+`MultiGraph.arc_ends`, and its edge arrays are the table's forward arcs.
+Distances come from one engine, `bfs_distance_matrix`: a
+level-synchronous BFS per source, with a one-byte flag per vertex.  A
+plain graph steps along its CSR heads; a cover steps from its base's CSR
+arcs into its own table.  scipy is imported only by
 `MultiGraph.spmatrix`, so importing the package does not load
 `scipy.sparse`.
 
@@ -52,8 +54,11 @@ class MultiGraph:
                  labels: Sequence | None = None):
         if vertex_count < 0:
             raise ParseError("vertex_count must be non-negative")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        try:
+            arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray)
+                             else edges)
+        except ValueError as exc:  # ragged pairs
+            raise ParseError(f"edges must be (tail, head) pairs: {exc}") from exc
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -63,23 +68,32 @@ class MultiGraph:
     @classmethod
     def from_arrays(cls, vertex_count: int, tails: np.ndarray, heads: np.ndarray,
                     labels: Sequence | None = None) -> "MultiGraph":
+        """A graph on the given edge arrays.  int32 and int64 arrays are
+        stored as given, views included (a cover's are strided views of
+        its arc table); other integer types are widened to int64, and any
+        other type raises ParseError."""
         g = cls.__new__(cls)
-        g._init_arrays(vertex_count,
-                       np.ascontiguousarray(tails, dtype=np.int64),
-                       np.ascontiguousarray(heads, dtype=np.int64), labels)
+        g._init_arrays(vertex_count, np.asarray(tails), np.asarray(heads), labels)
         return g
 
     def _init_arrays(self, vertex_count, tails, heads, labels):
         if tails.shape != heads.shape or tails.ndim != 1:
             raise ParseError("tails and heads must be 1-d arrays of equal length")
+        if tails.size == 0:
+            tails = heads = np.zeros(0, dtype=np.int64)
+        elif tails.dtype.kind not in "iu" or heads.dtype.kind not in "iu":
+            # no float truncated, no bool or string read as an id
+            raise ParseError(f"edge endpoints must be integers, not "
+                             f"{tails.dtype} and {heads.dtype}")
         if tails.size and (tails.min() < 0 or heads.min() < 0
                            or tails.max() >= vertex_count or heads.max() >= vertex_count):
             raise EndpointOutOfRange("edge endpoint out of range")
         if labels is not None and len(labels) != tails.size:
             raise ParseError("labels length must equal edge count")
         self.vertex_count = int(vertex_count)
-        self.tails = tails
-        self.heads = heads
+        self.tails, self.heads = (
+            a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
+            for a in (tails, heads))
         self.labels = tuple(labels) if labels is not None else None
         self._lift = None
         self._arcs = None
@@ -121,31 +135,20 @@ class MultiGraph:
             self._arcs = indptr, eid[order], sgn[order], dst[order]
         return self._arcs
 
-    def arc_ends(self, deck: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) of every signed arc, read off the edge arrays;
-        int32 while the arc ids and twice the vertex ids fit
-        (`_index_dtype`).
+    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) of every signed arc of a cover's graph: the
+        table `cover.build_zm_cover` writes, with `tails` and `heads` as
+        its even entries.  ValueError on a graph built any other way,
+        which has no table.
 
-        Edges lie in blocks of `deck` (a cover's blocks over one base
-        edge, `cover.build_zm_cover`).  Arc 2i + b belongs to slot i = e *
-        deck + k of block e and rank k.  Arc 2i follows edge i forward;
-        arc 2i + 1 follows backward the edge of block e whose head has
-        rank k, found by an inverse head index of the block.  With deck =
-        1 arc 2e + b is the `Walk` step 2e + b.  Kept for the last deck
-        asked as one (deck, source, target) tuple.
+        Arc 2i + b belongs to cover edge slot i = e * deck + k (base edge
+        e, label rank k): arc 2i is edge i forward, and arc 2i + 1 runs
+        backward from the head vertex of rank k over e.  So base arc 2e +
+        b taken at rank k is table arc 2i + b.
         """
-        ends = self._ends
-        if ends is None or ends[0] != deck:
-            ids = np.arange(self.edge_count, dtype=np.int64)
-            inv = ids.copy()
-            inv[ids - ids % deck + self.heads % deck] = ids
-            width = _index_dtype(2 * max(self.edge_count, self.vertex_count))
-            src = np.empty(2 * self.edge_count, dtype=width)
-            dst = np.empty_like(src)
-            src[0::2], src[1::2] = self.tails, self.heads[inv]
-            dst[0::2], dst[1::2] = self.heads, self.tails[inv]
-            ends = self._ends = deck, src, dst
-        return ends[1], ends[2]
+        if self._ends is None:
+            raise ValueError("only the graph of a built cover has an arc table")
+        return self._ends
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
         """Arcs at v as (edge_id, direction, neighbor), edge-id order."""
@@ -283,12 +286,13 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     sources[i]; sources may repeat, and one out of range raises IndexError.
 
     Each source runs its own level-synchronous BFS, `_one_source_row`,
-    through g's signed-arc table (`MultiGraph.arc_ends`).  A cover's
-    graph (`_lift` set to (base, deck)) takes its arcs at vertex x = v *
-    deck + k from the base's CSR arcs at v: base arc 2e + b is table arc
-    2 * (e * deck + k) + b = offset + 2x, with offset = 2 * deck * (e -
-    v) + b.  Any other graph is its own base with deck 1.  The offsets
-    and scratch are set up once per call.
+    over the CSR arcs of g's base.  A plain graph is its own base: the
+    arcs at a frontier vertex reach their CSR heads.  A cover's graph
+    (`_lift` set to (base, deck)) takes its arcs at vertex x = v * deck +
+    k from the base's CSR arcs at v, through its signed-arc table
+    (`MultiGraph.arc_ends`): base arc 2e + b is table arc 2 * (e * deck +
+    k) + b = offset + 2x, with offset = 2 * deck * (e - v) + b.  The
+    offsets and scratch are set up once per call, in the table's width.
     """
     sources = list(sources)
     n = g.vertex_count
@@ -299,13 +303,16 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     if not sources:
         return out
     base, deck = g._lift or (g, 1)
-    indptr, edge, sign, _head = base.arcs()
+    indptr, edge, sign, head = base.arcs()
     degree = np.diff(indptr)
-    owner = np.repeat(np.arange(base.vertex_count), degree)
-    offset = 2 * deck * (edge - owner) + (sign < 0)
-    _src, dst = g.arc_ends(deck)
+    if g._lift is None:
+        dst, offset = head, None
+    else:
+        dst = g.arc_ends()[1]
+        owner = np.repeat(np.arange(base.vertex_count), degree)
+        offset = (2 * deck * (edge - owner) + (sign < 0)).astype(dst.dtype)
     # scratch for the whole call, reused by every source
-    claim = np.empty(n, dtype=np.int64)
+    claim = np.empty(n, dtype=dst.dtype)
     for source, row in zip(sources, out):
         _one_source_row(indptr, degree, offset, dst, deck, source, row, claim)
     return out
@@ -315,29 +322,33 @@ def _one_source_row(indptr, degree, offset, dst, deck, source, row, claim):
     """BFS from one source into row (all UNREACHABLE on entry).
 
     The frontier is a list of vertices.  Each level pushes: it takes the
-    base arcs at its frontier's fibers, lifts them to table arcs (see
-    `bfs_distance_matrix`), at a cost in the frontier's size, and keeps
-    each unvisited target once.  Below |V| / _CLAIM_RATIO arcs it does so
-    through one `claim` slot per target; above that it sets a uint8 flag
-    per target and scans all |V| flags, which leaves the next frontier
-    sorted.  No ufunc ``.at`` merge runs.
+    base arcs at its frontier's fibers and reads their targets, dst[arc]
+    on a plain graph and dst[offset[arc] + 2x] through a cover's table
+    (see `bfs_distance_matrix`), at a cost in the frontier's size, and
+    keeps each unvisited target once.  Below |V| / _CLAIM_RATIO arcs it
+    does so through one `claim` slot per target; above that it sets a
+    uint8 flag per target and scans all |V| flags, which leaves the next
+    frontier sorted.  No ufunc ``.at`` merge runs.
     """
     unvisited = np.ones(row.size, dtype=bool)
     unvisited[source] = False
     flag = np.zeros(row.size, dtype=np.uint8)
-    active = np.array([source], dtype=np.int64)
+    active = np.array([source])
     level = 0
     while active.size:
         row[active] = level
         level += 1
-        fiber = active // deck
+        fiber = active if offset is None else active // deck
         active_degree = degree[fiber]
         active_arcs = int(active_degree.sum())
         arcs = _frontier_arcs(indptr, fiber, active_degree, active_arcs)
-        reached = dst[offset[arcs] + np.repeat(2 * active, active_degree)]
+        if offset is None:
+            reached = dst[arcs]
+        else:
+            reached = dst[offset[arcs] + np.repeat(2 * active, active_degree)]
         if active_arcs * _CLAIM_RATIO < row.size:
             reached = reached[unvisited[reached]]
-            slot = np.arange(reached.size)
+            slot = np.arange(reached.size, dtype=claim.dtype)
             claim[reached] = slot
             active = reached[claim[reached] == slot]
         else:

@@ -35,10 +35,9 @@ def double():
 @pytest.fixture(scope="session")
 def tower_level():
     """The 531,441-vertex second level of build_tower(2, 3, 2), the
-    Z_3-homology cover of the Cayley graph of (Z_3)^2, with its arc
-    table, profiles and orbit representatives built."""
+    Z_3-homology cover of the Cayley graph of (Z_3)^2, with its profiles
+    and orbit representatives built."""
     c = build_tower(2, 3, 2).levels[-1].cover
-    c.graph.arc_ends(c.deck_size)
     c.base_profiles()
     c.orbit_reps()
     return c

@@ -4,11 +4,12 @@
 digit in the residue dtype, and every other fiber as its tree parent's
 with the tree edge's column moved by one; the oracle is the int64
 formula it replaced (a tree-path chain matrix, a digit matrix, a matmul
-and a per-vertex int64 sum).  `MultiGraph.arc_ends` interleaves
-each slot's forward and backward arc by strided writes; the oracle
-stacks them.  BFS lifts the base's CSR arcs through that table; the
-oracle is `MultiGraph.arcs`, which sorts every arc of a graph that knows
-nothing of the cover.
+and a per-vertex int64 sum).  `cover.build_zm_cover` writes the signed-arc
+table (`MultiGraph.arc_ends`) slot by slot, each backward arc from the
+digit rule; the oracle reads the backward arcs off the forward ones, the
+edge arrays, by an inverse head index per block.  BFS lifts the base's
+CSR arcs through that table; the oracle is `MultiGraph.arcs`, which
+sorts every arc of a graph that knows nothing of the cover.
 """
 
 import tracemalloc
@@ -16,9 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homcover import (MultiGraph, build_tower, build_zm_cover,
-                      compression_profile, enumerate_spanning_trees,
-                      named_graph)
+from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
+                      build_zm_cover, compression_profile,
+                      enumerate_spanning_trees, named_graph)
 from homcover.cover import MAX_M, _residue_dtype
 from homcover.graph import _index_dtype
 
@@ -65,13 +66,15 @@ def int64_profiles(c) -> np.ndarray:
 
 def int64_arc_ends(c):
     """arc_ends by the int64 formula: arcs 2i and 2i + 1 interleaved by
-    stacking cover edge i forward with the backward edge of its slot."""
-    g, deck = c.graph, c.deck_size
-    ids = np.arange(g.edge_count, dtype=np.int64)
+    stacking cover edge i forward with the backward edge of its slot, the
+    edge of block e whose head has rank k."""
+    deck = c.deck_size
+    tails, heads = (a.astype(np.int64) for a in (c.graph.tails, c.graph.heads))
+    ids = np.arange(tails.size, dtype=np.int64)
     inv = ids.copy()
-    inv[ids - ids % deck + g.heads % deck] = ids
-    return (np.stack([g.tails, g.heads[inv]], axis=1).ravel(),
-            np.stack([g.heads, g.tails[inv]], axis=1).ravel())
+    inv[ids - ids % deck + heads % deck] = ids
+    return (np.stack([tails, heads[inv]], axis=1).ravel(),
+            np.stack([heads, tails[inv]], axis=1).ravel())
 
 
 def other_tree(g):
@@ -119,7 +122,7 @@ def assert_same_arcs(g: MultiGraph):
     owner = np.repeat(np.arange(base.vertex_count), np.diff(indptr))
     x = (owner * deck + np.arange(deck)[:, None]).ravel()
     arc = np.tile(2 * deck * (edge - owner) + (sign < 0), deck) + 2 * x
-    src, dst = g.arc_ends(deck)
+    src, dst = g.arc_ends()
     assert np.array_equal(src[arc], x)
     # a table arc's cover edge: its block and the rank of its tail side
     tail_side = np.where(arc & 1, dst[arc], src[arc])
@@ -189,23 +192,54 @@ class TestLiftedArcs:
 
 
 class TestArcEnds:
-    @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 3, 5, 257]))
-    def test_matches_int64_formula(self, name, m):
-        c = cover_of(name, m)
-        for got, want in zip(c.graph.arc_ends(c.deck_size), int64_arc_ends(c)):
+    @pytest.mark.parametrize(
+        "name,m", fitting(sorted(BASES), [2, 3, 4, 5, 257]) + [("tower", 3)])
+    def test_matches_int64_formula(self, name, m, request):
+        c = (request.getfixturevalue("tower_level") if name == "tower"
+             else cover_of(name, m))
+        for got, want in zip(c.graph.arc_ends(), int64_arc_ends(c)):
             assert got.dtype == np.int32
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 5]))
+    def test_edges_are_the_forward_arcs(self, name, m):
+        g = cover_of(name, m).graph
+        src, dst = g.arc_ends()
+        assert g.tails.dtype == g.heads.dtype == np.int32
+        assert np.shares_memory(g.tails, src) and np.shares_memory(g.heads, dst)
+        assert np.array_equal(g.tails, src[0::2])
+        assert np.array_equal(g.heads, dst[0::2])
+
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_deck_one_on_a_plain_graph(self, name):
-        # arc 2e + b is the Walk step 2e + b: (tail, head) forward and
-        # (head, tail) backward, interleaved
+        # a plain graph has no table: BFS reads the heads of its CSR arcs,
+        # and CSR arc (e, sign) is the Walk step 2e + b, (tail, head)
+        # forward and (head, tail) backward
         g, _tree = BASES[name]()
-        src, dst = g.arc_ends()
-        assert src.dtype == dst.dtype == np.int32
-        assert np.array_equal(src, np.stack([g.tails, g.heads], 1).ravel())
-        assert np.array_equal(dst, np.stack([g.heads, g.tails], 1).ravel())
+        with pytest.raises(ValueError):
+            g.arc_ends()
+        indptr, edge, sign, head = g.arcs()
+        step = 2 * edge + (sign < 0)
+        owner = np.repeat(np.arange(g.vertex_count), np.diff(indptr))
+        src = np.stack([g.tails, g.heads], 1).ravel()
+        dst = np.stack([g.heads, g.tails], 1).ravel()
+        assert np.array_equal(owner, src[step])
+        assert np.array_equal(head, dst[step])
 
     def test_width_rule(self):
         assert _index_dtype((1 << 31) - 1) == np.int32
         assert _index_dtype(1 << 31) == np.int64
+
+    def test_tower_level_peak(self):
+        # the arc table is written once by the build and held: level 2's
+        # profiles and one BFS row add no read-off of it (65.9 MiB traced
+        # when the table was read off two int64 edge arrays)
+        tracemalloc.start()
+        try:
+            c = build_tower(2, 3, 2).levels[-1].cover
+            c.base_profiles()
+            bfs_distance_matrix(c.graph, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 << 20

@@ -54,6 +54,50 @@ class TestDocumentRoundTrip:
             load_graph({"vertices": 2, "edges": [[0, 2]]})
 
 
+class TestEdgeEntries:
+    """Edge entries are integers, or the graph is refused: no float is
+    truncated and no bool or string is read as a vertex id."""
+
+    @pytest.mark.parametrize("edges", [
+        [[0.7, 1.9], [1, 2]],
+        [[0, 1.0]],
+        [[True, False]],
+        [["0", "1"]],
+        [[1 << 70, 0]],
+        [[0, 1], [2]],
+    ], ids=["floats", "one-float", "bools", "strings", "beyond-int64",
+            "ragged"])
+    def test_rejected(self, edges):
+        with pytest.raises(ParseError):
+            MultiGraph(3, edges)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
+    def test_rejected_arrays(self, dtype):
+        ends = np.array([0, 1]).astype(dtype)
+        with pytest.raises(ParseError):
+            MultiGraph.from_arrays(3, ends, ends)
+        with pytest.raises(ParseError):
+            MultiGraph(3, np.stack([ends, ends], axis=1))
+
+    def test_uint64_beyond_int64_is_out_of_range(self):
+        ends = np.array([0, 1 << 63], dtype=np.uint64)
+        with pytest.raises(IndexError):
+            MultiGraph.from_arrays(3, ends, ends[::-1])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.uint64])
+    def test_other_integers_widen(self, dtype):
+        g = MultiGraph.from_arrays(3, np.array([0, 1], dtype=dtype),
+                                   np.array([1, 2], dtype=dtype))
+        assert g.tails.dtype == g.heads.dtype == np.int64
+        assert g.endpoints(1) == (1, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_index_arrays_kept(self, dtype):
+        table = np.array([0, 1, 1, 2], dtype=dtype)
+        g = MultiGraph.from_arrays(3, table[0::2], table[1::2])
+        assert g.tails.dtype == dtype and np.shares_memory(g.tails, table)
+
+
 class TestAdjacency:
     def test_loop_appears_twice_opposite(self):
         g = MultiGraph(1, [[0, 0]])

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homcover
-from homcover import (CoverGraph, MultiGraph, SuiteConfig, Walk,
-                      build_zm_cover, fingerprint, is_m_congruent,
-                      lift_path, make_congruence_pair, named_graph,
-                      run_suite, sample_uniform_tree, some_spanning_tree)
+from homcover import (MultiGraph, SuiteConfig, Walk, build_zm_cover,
+                      fingerprint, is_m_congruent, lift_path,
+                      make_congruence_pair, named_graph, run_suite,
+                      sample_uniform_tree, some_spanning_tree)
 from homcover.cli import main
 from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
                              PathMismatch)
+import homcover.cover as cover_mod
 from homcover.cover import _lift_block
 from homcover.harness import (_WalkTables, check_conglifts, check_isometry,
                               check_l2)
@@ -154,7 +155,7 @@ class TestSuite:
 
 class TestConglifts:
     @pytest.mark.parametrize("name", ["k4", "petersen"])
-    def test_lift_that_ignores_a_generator_fails(self, name):
+    def test_lift_that_ignores_a_generator_fails(self, name, monkeypatch):
         # congruent pairs still lift together, so only the non-congruent
         # half sees this: each of its pairs through generator 0 lifts
         # together and is a violation
@@ -163,8 +164,16 @@ class TestConglifts:
         heads = c.graph.heads.copy()
         block = slice(c.cotree[0] * deck, (c.cotree[0] + 1) * deck)
         heads[block] += np.arange(deck) - heads[block] % deck  # unshifted
-        broken = CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
-            c.graph.vertex_count, c.graph.tails, heads))
+        # the same edges built with their arc table: generator 0, the
+        # digit of stride 1, keeps the label when crossed
+        shifted = cover_mod._shifted_ranks
+
+        def unshifted_first(deck, stride, m, delta):
+            return (np.arange(deck) if stride == 1
+                    else shifted(deck, stride, m, delta))
+        monkeypatch.setattr(cover_mod, "_shifted_ranks", unshifted_first)
+        broken = build_zm_cover(named_graph(name), 3)
+        assert np.array_equal(broken.graph.heads, heads)
         rec = check_conglifts(broken, name, 1000, seed=4)
         assert rec.violations >= 50
         assert all(d["trial"] >= 1000 for d in rec.details)

@@ -330,13 +330,12 @@ class TestCompressionProfile:
 
 class TestRowMemory:
     """Compare and the dq profile hold one BFS row at a time: on the
-    40,960-vertex Petersen m = 4 cover, with its arc table, profiles and orbit
+    40,960-vertex Petersen m = 4 cover, with its profiles and orbit
     representatives built beforehand, a row is 320 KiB."""
 
     @pytest.fixture(scope="class")
     def cover(self):
         c = build_zm_cover(named_graph("petersen"), 4)
-        c.graph.arc_ends(c.deck_size)
         c.base_profiles()
         c.orbit_reps()
         return c
