@@ -12,8 +12,8 @@ from .embed import (BinaryVector, EmbeddedFamily, HalfIntVector,
                     hamming_row, l1_to_l2, packed_embed_matrix)
 from .errors import (CapExceeded, EndpointMismatch, EndpointOutOfRange,
                      FaultNotInjected, HomcoverError, InvalidParameter,
-                     LengthMismatch, NonBinaryCoordinates, NonConstantNe,
-                     NotConnected, NotSpanningTree, NotTwoEdgeConnected,
+                     LengthMismatch, NoArcTable, NonBinaryCoordinates,
+                     NonConstantNe, NotConnected, NotSpanningTree, NotTwoEdgeConnected,
                      ParseError, PathMismatch, SizeCapExceeded,
                      UnsupportedModulus)
 from .graph import (MultiGraph, Walk, bfs_distance_matrix, cayley_zm_power,

@@ -19,8 +19,11 @@ lifted through it: a base walk's signed arcs (`graph.Walk`)
 pick signed cover arcs, and `_lift_block` follows them for a block of
 walks at once.  Two base walks from one vertex lift to the same cover
 endpoint exactly when their signed edge counts agree mod m.  BFS rows
-lift the base's CSR arcs through the same table: `build_zm_cover` sets
-the graph's `_lift` to (base, deck) for `graph.bfs_distance_matrix`.
+lift the base's CSR arcs through the same table, and on the large levels
+of a large deck they move whole fibers by the same digit moves instead:
+`build_zm_cover` sets the graph's `_lift` to (base, deck) and its
+`_moves` to (m, each base edge's cotree stride m**i, 0 for a tree edge)
+for `graph.bfs_distance_matrix`.
 """
 
 from __future__ import annotations
@@ -69,14 +72,14 @@ def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
         np.add(a, b, out=out)
 
 
-def _shifted_ranks(deck: int, stride: int, m: int, delta: int) -> np.ndarray:
-    """_shift(np.arange(deck), stride, m, delta), one pass over deck: the
-    move depends only on the digit, the middle axis of a (deck / (m *
-    stride), m, stride) view of the ranks."""
+def _digit_move(stride: int, m: int, width: int) -> np.ndarray:
+    """Per rank of a block of `width` ranks (a multiple of m * stride),
+    its change when its digit of weight `stride` moves by +1 mod m
+    (`graph._shift`): stride below digit m - 1, -(m - 1) * stride at it;
+    int64, shape (width,)."""
     digits = np.arange(m, dtype=np.int64) * stride
-    move = _shift(digits, stride, m, delta) - digits
-    ranks = np.arange(deck, dtype=np.int64).reshape(-1, m, stride)
-    return (ranks + move[:, None]).reshape(deck)
+    move = _shift(digits, stride, m, 1) - digits
+    return np.tile(np.repeat(move, stride), width // (m * stride))
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,7 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     (`MultiGraph.arc_ends`), in `_index_dtype(2 * max(|V~|, |E~|))`.  Slot
     i = e * deck + k of base edge e = (t, h) holds arc 2i from (t, k) to
     (h, k + 1) and arc 2i + 1 from (h, k) to (t, k - 1), the label moved
-    in the digit of e where e is a cotree edge (`_shifted_ranks`) and kept
+    in the digit of e where e is a cotree edge (`_digit_move`) and kept
     where e is a tree edge.  The graph's tails and heads are the table's
     even entries, so cover edge i runs from (t, k) to (h, k + 1).
     """
@@ -282,21 +285,35 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
         raise SizeCapExceeded(
             f"cover would have {n_cover} vertices, cap is {size_cap}")
     stride = {e: m ** i for i, e in enumerate(tree.cotree)}
-    ranks = np.arange(deck, dtype=np.int64)
     arcs = 2 * g.edge_count * deck
     src = np.empty(arcs, dtype=_index_dtype(max(arcs, 2 * n_cover)))
     dst = np.empty_like(src)
+    ranks = np.arange(deck, dtype=src.dtype)
     for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
-        up, down = ((_shifted_ranks(deck, stride[e], m, 1),
-                     _shifted_ranks(deck, stride[e], m, -1))
-                    if e in stride else (ranks, ranks))
         block = slice(2 * e * deck, 2 * (e + 1) * deck)
-        src[block][0::2] = t * deck + ranks
-        dst[block][0::2] = h * deck + up
-        src[block][1::2] = h * deck + ranks
-        dst[block][1::2] = t * deck + down
+        np.add(ranks, t * deck, out=src[block][0::2])
+        np.add(ranks, h * deck, out=src[block][1::2])
+        fwd, back = dst[block][0::2], dst[block][1::2]
+        if e not in stride:
+            np.add(ranks, h * deck, out=fwd)
+            np.add(ranks, t * deck, out=back)
+            continue
+        # rows of whole blocks of m * stride ranks, 64 or more of them
+        # where the deck allows (short rows slow every ufunc pass)
+        width = m * stride[e]
+        while width < min(64, deck):
+            width *= m
+        up = _digit_move(stride[e], m, width)
+        by_row = ranks.reshape(-1, width)
+        np.add(by_row, (h * deck + up).astype(src.dtype),
+               out=fwd.reshape(-1, width))
+        # a move by -1 undoes the move by +1 of the rank one stride below
+        np.add(by_row, (t * deck - np.roll(up, stride[e])).astype(src.dtype),
+               out=back.reshape(-1, width))
     cover_graph = MultiGraph.from_arrays(n_cover, src[0::2], dst[0::2])
     cover_graph._lift = g, deck
+    cover_graph._moves = m, np.array([stride.get(e, 0)
+                                      for e in range(g.edge_count)])
     cover_graph._ends = src, dst
     return CoverGraph(g, m, tree, cover_graph)
 

@@ -57,6 +57,10 @@ class InvalidParameter(HomcoverError, ValueError):
     """Numeric parameter outside its valid range."""
 
 
+class NoArcTable(HomcoverError, ValueError):
+    """Graph has no signed-arc table: no cover build wrote it."""
+
+
 class EndpointOutOfRange(HomcoverError, IndexError):
     """Edge endpoint is not a vertex of the graph."""
 

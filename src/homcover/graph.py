@@ -12,7 +12,8 @@ holds the signed-arc table that `cover.build_zm_cover` writes,
 Distances come from one engine, `bfs_distance_matrix`: a
 level-synchronous BFS per source, with a one-byte flag per vertex.  A
 plain graph steps along its CSR heads; a cover steps from its base's CSR
-arcs into its own table.  scipy is imported only by
+arcs into its own table, and a large level of a large deck moves whole
+per-fiber frontier masks by the deck moves of the base's arcs.  scipy is imported only by
 `MultiGraph.spmatrix`, so importing the package does not load
 `scipy.sparse`.
 
@@ -28,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (EndpointOutOfRange, InvalidParameter, ParseError,
-                     PathMismatch, SizeCapExceeded)
+from .errors import (EndpointOutOfRange, InvalidParameter, NoArcTable,
+                     ParseError, PathMismatch, SizeCapExceeded)
 
 #: Sentinel stored in distance arrays for unreachable vertices.
 UNREACHABLE = 1 << 62
@@ -48,7 +49,7 @@ class MultiGraph:
     """Finite oriented multigraph backed by numpy edge arrays."""
 
     __slots__ = ("vertex_count", "tails", "heads", "labels", "_lift",
-                 "_arcs", "_ends", "_spmat")
+                 "_moves", "_arcs", "_ends", "_spmat")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence | None = None):
@@ -96,6 +97,7 @@ class MultiGraph:
             for a in (tails, heads))
         self.labels = tuple(labels) if labels is not None else None
         self._lift = None
+        self._moves = None
         self._arcs = None
         self._ends = None
         self._spmat = None
@@ -138,8 +140,8 @@ class MultiGraph:
     def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(source, target) of every signed arc of a cover's graph: the
         table `cover.build_zm_cover` writes, with `tails` and `heads` as
-        its even entries.  ValueError on a graph built any other way,
-        which has no table.
+        its even entries.  NoArcTable (a ValueError) on a graph built any
+        other way, which has no table.
 
         Arc 2i + b belongs to cover edge slot i = e * deck + k (base edge
         e, label rank k): arc 2i is edge i forward, and arc 2i + 1 runs
@@ -147,7 +149,7 @@ class MultiGraph:
         b taken at rank k is table arc 2i + b.
         """
         if self._ends is None:
-            raise ValueError("only the graph of a built cover has an arc table")
+            raise NoArcTable("only the graph of a built cover has an arc table")
         return self._ends
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
@@ -271,12 +273,26 @@ def graph_document(g: MultiGraph) -> dict:
 
 
 #: A one-source push below |V| / _CLAIM_RATIO arcs finds its new vertices
-#: through `claim`, at a cost in its own size; from there on it sets
-#: flags and scans all |V| of them, which also sorts the next frontier.
-#: On the tower level 4, 16 and 64 run alike; claiming on every level is
-#: about 70% slower there, and flagging on every level makes the 32,768
-#: levels of the 65,536-cycle take about 6 s instead of under 1 s.
+#: through `claim`, at a cost in its own size; from there on a level
+#: sets flags, or moves fiber masks on a deck of _SHIFT_DECK_FLOOR or
+#: more, and scans all |V| entries, which also sorts the next frontier.
+#: On the tower level 4, 16 and 64 ran alike when its large levels
+#: flagged; claiming on every level is about 70% slower there, and
+#: flagging on every level makes the 32,768 levels of the 65,536-cycle
+#: take about 6 s instead of under 1 s.
 _CLAIM_RATIO = 16
+
+#: A cover level at or above the claim bound moves per-fiber frontier
+#: masks by deck shifts (`_DeckShifts`) instead of flagging, once the deck
+#: has at least this many ranks: a shift level makes a few ufunc calls
+#: per base arc, so small decks lose.  One row, best of 15, process CPU
+#: on 2 vCPUs, shifts against bool flags: Petersen at m = 3 (deck 729)
+#: 1.56 against 1.20 ms, `complete:6` at m = 2 (1,024) 1.11 against 0.77
+#: ms, k4 at m = 13 (2,197) 1.53 against 1.50 ms, k4 at m = 16 (4,096)
+#: 2.34 against 2.37 ms, Petersen at m = 4 (4,096) 3.47 against 4.41 ms,
+#: Petersen at m = 5 (15,625) 9.9 against 17.1 ms, and the 531,441-vertex
+#: tower level (59,049) 25 against 72 ms.
+_SHIFT_DECK_FLOOR = 4096
 
 
 def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
@@ -291,8 +307,12 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     (`_lift` set to (base, deck)) takes its arcs at vertex x = v * deck +
     k from the base's CSR arcs at v, through its signed-arc table
     (`MultiGraph.arc_ends`): base arc 2e + b is table arc 2 * (e * deck +
-    k) + b = offset + 2x, with offset = 2 * deck * (e - v) + b.  The
-    offsets and scratch are set up once per call, in the table's width.
+    k) + b = offset + 2x, with offset = 2 * deck * (e - v) + b.  A cover
+    with at least _SHIFT_DECK_FLOOR ranks per fiber also expands its
+    large levels by the deck moves of its base arcs (`_DeckShifts`, from
+    the m and cotree strides that `build_zm_cover` leaves in `_moves`).
+    The offsets, shifts and scratch are set up once per call, in the
+    table's width.
     """
     sources = list(sources)
     n = g.vertex_count
@@ -305,42 +325,63 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     base, deck = g._lift or (g, 1)
     indptr, edge, sign, head = base.arcs()
     degree = np.diff(indptr)
+    shifts = None
     if g._lift is None:
         dst, offset = head, None
     else:
         dst = g.arc_ends()[1]
         owner = np.repeat(np.arange(base.vertex_count), degree)
         offset = (2 * deck * (edge - owner) + (sign < 0)).astype(dst.dtype)
+        if deck >= _SHIFT_DECK_FLOOR:
+            shifts = _DeckShifts(base, deck, *g._moves)
     # scratch for the whole call, reused by every source
     claim = np.empty(n, dtype=dst.dtype)
     for source, row in zip(sources, out):
-        _one_source_row(indptr, degree, offset, dst, deck, source, row, claim)
+        _one_source_row(indptr, degree, offset, dst, deck, shifts, source,
+                        row, claim)
     return out
 
 
-def _one_source_row(indptr, degree, offset, dst, deck, source, row, claim):
+def _one_source_row(indptr, degree, offset, dst, deck, shifts, source, row,
+                    claim):
     """BFS from one source into row (all UNREACHABLE on entry).
 
-    The frontier is a list of vertices.  Each level pushes: it takes the
-    base arcs at its frontier's fibers and reads their targets, dst[arc]
-    on a plain graph and dst[offset[arc] + 2x] through a cover's table
-    (see `bfs_distance_matrix`), at a cost in the frontier's size, and
-    keeps each unvisited target once.  Below |V| / _CLAIM_RATIO arcs it
-    does so through one `claim` slot per target; above that it sets a
-    uint8 flag per target and scans all |V| flags, which leaves the next
-    frontier sorted.  No ufunc ``.at`` merge runs.
+    The frontier is a list of vertices.  A level with fewer than |V| /
+    _CLAIM_RATIO arcs pushes: it takes the base arcs at its frontier's
+    fibers and reads their targets, dst[arc] on a plain graph and
+    dst[offset[arc] + 2x] through a cover's table (see
+    `bfs_distance_matrix`), at a cost in the frontier's size, and keeps
+    each unvisited target once through one `claim` slot per target.  A
+    larger level of a cover with `shifts` moves whole fibers instead
+    (`_DeckShifts.step`) and scans the next frontier's mask; any other
+    larger level pushes, sets a bool flag per target and scans all |V|
+    flags.  Both scans leave the next frontier sorted.  No ufunc ``.at``
+    merge runs.
     """
     unvisited = np.ones(row.size, dtype=bool)
     unvisited[source] = False
-    flag = np.zeros(row.size, dtype=np.uint8)
+    flag = np.zeros(row.size, dtype=bool) if shifts is None else None
     active = np.array([source])
+    frontier = None  # active's mask, after a shift level
     level = 0
     while active.size:
         row[active] = level
         level += 1
-        fiber = active if offset is None else active // deck
-        active_degree = degree[fiber]
-        active_arcs = int(active_degree.sum())
+        if frontier is None:
+            fiber = active if offset is None else active // deck
+            active_degree = degree[fiber]
+            active_arcs = int(active_degree.sum())
+        else:  # active is sorted: count it per fiber
+            per_fiber = np.diff(np.searchsorted(active, shifts.fiber_starts))
+            active_arcs = int(per_fiber @ degree)
+        if shifts is not None and active_arcs * _CLAIM_RATIO >= row.size:
+            frontier = shifts.step(active, frontier, unvisited)
+            active = np.flatnonzero(frontier)
+            np.greater(unvisited, frontier.ravel(), out=unvisited)
+            continue
+        if frontier is not None:
+            fiber, frontier = active // deck, None
+            active_degree = degree[fiber]
         arcs = _frontier_arcs(indptr, fiber, active_degree, active_arcs)
         if offset is None:
             reached = dst[arcs]
@@ -352,7 +393,7 @@ def _one_source_row(indptr, degree, offset, dst, deck, source, row, claim):
             claim[reached] = slot
             active = reached[claim[reached] == slot]
         else:
-            flag[reached] = 1
+            flag[reached] = True
             active = _flagged(flag, unvisited)
         unvisited[active] = False
 
@@ -367,10 +408,101 @@ def _frontier_arcs(indptr, active, active_degree, active_arcs):
 
 def _flagged(flag, unvisited):
     """The unvisited vertices whose flag is set, ascending; clears flag."""
-    flag &= unvisited.view(np.uint8)
+    flag &= unvisited
     found = np.flatnonzero(flag)
-    flag[found] = 0
+    flag[found] = False
     return found
+
+
+class _DeckShifts:
+    """A cover's base arcs as moves of per-fiber frontier masks.
+
+    A mask has shape (|V(X)|, deck): row v holds the label ranks of the
+    frontier's vertices over base vertex v.  Base arc v -> w over edge e
+    takes (v, k) to (w, k) for a tree edge, and to (w, k') for cotree
+    edge i, k' being k with its digit of stride m**i moved by the arc's
+    sign mod m (`build_zm_cover`).  So one level ORs row v, moved, into
+    row w for every base arc from a fiber with frontier vertices.
+
+    A tree arc keeps the label: one row OR.  A digit move rotates every
+    block of L = m * stride ranks by t = stride (+1) or (m - 1) * stride
+    (-1), so at m = 2 both signs are one move.  It is two slice ORs over
+    the (deck / L, L) view of the rows; where L < 64 those view rows are
+    short and strided ORs slow, so it is two ORs of contiguous flat
+    slices instead, each masked (`_stays`) to the ranks that stay in
+    their block or to those that wrap.  The ufunc calls of a level are
+    listed once per call, on views of two mask buffers that the levels
+    take in turn.
+    """
+
+    def __init__(self, base: MultiGraph, deck: int, m: int,
+                 stride: np.ndarray):
+        indptr, edge, sign, head = base.arcs()
+        owner = np.repeat(np.arange(base.vertex_count), np.diff(indptr))
+        # distinct (source, target, block, rotation); t = 0 keeps the label
+        arcs = dict.fromkeys(
+            (v, w, m * s, 0 if s == 0 else s if d > 0 else (m - 1) * s)
+            for v, w, s, d in zip(owner.tolist(), head.tolist(),
+                                  stride[edge].tolist(), sign.tolist()))
+        self.fiber_starts = np.arange(base.vertex_count + 1) * deck
+        self._masks = tuple(np.empty((base.vertex_count, deck), dtype=bool)
+                            for _ in range(2))
+        scratch = np.empty(deck, dtype=bool)
+        stays = {}
+        self._calls = [[], []]  # per buffer that holds the frontier
+        for calls, (cur, nxt) in zip(self._calls, (self._masks,
+                                                   self._masks[::-1])):
+            for v, w, L, t in arcs:
+                src, dst = cur[v], nxt[w]
+                if t == 0:
+                    calls.append((v, np.bitwise_or, dst, src, dst))
+                elif L >= 64:
+                    src, dst = src.reshape(-1, L), dst.reshape(-1, L)
+                    calls += [(v, np.bitwise_or, dst[:, t:], src[:, :L - t],
+                               dst[:, t:]),
+                              (v, np.bitwise_or, dst[:, :t], src[:, L - t:],
+                               dst[:, :t])]
+                else:
+                    stay = stays.get((L, t))
+                    if stay is None:
+                        stay = stays[L, t] = _stays(deck, L, t)
+                    wrap = deck - (L - t)
+                    calls += [
+                        (v, np.logical_and, src[:-t], stay[:-t], scratch[:-t]),
+                        (v, np.bitwise_or, dst[t:], scratch[:-t], dst[t:]),
+                        # src & ~stay
+                        (v, np.greater, src[L - t:], stay[L - t:],
+                         scratch[:wrap]),
+                        (v, np.bitwise_or, dst[:wrap], scratch[:wrap],
+                         dst[:wrap])]
+
+    def step(self, active, frontier, unvisited):
+        """The mask of the unvisited vertices one arc from the active ones.
+
+        frontier is active's mask from the last call, or None when
+        another level found active.  The result is one of the two
+        buffers, valid until the next call.
+        """
+        if frontier is None:
+            frontier = self._masks[0]
+            frontier.fill(False)
+            frontier.ravel()[active] = True
+        which = 0 if frontier is self._masks[0] else 1
+        nxt = self._masks[1 - which]
+        nxt.fill(False)
+        live = frontier.any(axis=1).tolist()
+        for v, call, x, y, out in self._calls[which]:
+            if live[v]:
+                call(x, y, out=out)
+        np.logical_and(nxt, unvisited.reshape(nxt.shape), out=nxt)
+        return nxt
+
+
+def _stays(deck: int, L: int, t: int) -> np.ndarray:
+    """Per rank, True where a rotation by t within blocks of L ranks
+    keeps it in its block, False where it wraps to the block's start."""
+    block = np.arange(L) < L - t
+    return np.tile(block, deck // L)
 
 
 # -- girth --------------------------------------------------------------

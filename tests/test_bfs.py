@@ -7,9 +7,13 @@ ones).  The oracles know nothing of either: a pure-Python deque BFS over
 `adjacency_of`, and scipy's Dijkstra on the CSR adjacency matrix.  On a
 cover the engine lifts the base's arcs through the cover's arc table;
 there a plain copy of the cover's edges, which steps through its own
-table with deck 1, is a third oracle.
+CSR arcs, is a third oracle.  The large levels of a cover with a large
+deck move per-fiber frontier masks by deck shifts instead
+(`graph._DeckShifts`); lowering `graph._SHIFT_DECK_FLOOR` sends small
+covers down that path too.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -23,10 +27,10 @@ from hypothesis import strategies as st
 
 import homcover
 from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
-                      build_zm_cover, named_graph)
+                      build_zm_cover, graph, named_graph)
 from homcover.graph import UNREACHABLE
 
-from conftest import multigraphs
+from conftest import multigraphs, traced_peak, two_edge_connected_multigraphs
 
 #: Source counts from an empty matrix to 130 rows, with counts at and
 #: next to 64 and 128.
@@ -226,3 +230,109 @@ def test_import_leaves_scipy_sparse_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert "scipy.sparse" not in out
+
+
+# -- deck shifts ------------------------------------------------------------
+
+
+def shift_rows(c, sources, floor=1, ratio=graph._CLAIM_RATIO):
+    """(bfs_distance_matrix rows of c's graph with the deck floor at
+    `floor` and the claim ratio at `ratio`, the number of levels that
+    moved fiber masks)."""
+    steps = []
+    step = graph._DeckShifts.step
+
+    def counted(self, *args):
+        steps.append(1)
+        return step(self, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_SHIFT_DECK_FLOOR", floor)
+        mp.setattr(graph, "_CLAIM_RATIO", ratio)
+        mp.setattr(graph._DeckShifts, "step", counted)
+        rows = bfs_distance_matrix(c.graph, sources)
+    return rows, len(steps)
+
+
+def assert_shift_rows(c, sources, floor=1, ratio=graph._CLAIM_RATIO):
+    """Shift rows equal the scipy oracle and the rows of the table alone."""
+    got, steps = shift_rows(c, sources, floor, ratio)
+    assert steps > 0
+    assert np.array_equal(got, scipy_oracle(c.graph, sources))
+    table, no_steps = shift_rows(c, sources, floor=1 << 62, ratio=ratio)
+    assert no_steps == 0 and np.array_equal(got, table)
+
+
+#: Bridgeless bases with loops and parallel edges: two loops at one
+#: vertex, a loop beside a parallel pair, a triangle with a loop and a
+#: chord.
+LOOPED = [MultiGraph(1, [(0, 0), (0, 0)]),
+          MultiGraph(2, [(0, 1), (1, 0), (1, 1)]),
+          MultiGraph(3, [(0, 1), (1, 2), (2, 0), (1, 1), (0, 2)])]
+
+
+def cover_sources(draw, c, count=3):
+    ids = st.integers(min_value=0, max_value=c.graph.vertex_count - 1)
+    return draw(st.lists(ids, min_size=1, max_size=count))
+
+
+@given(two_edge_connected_multigraphs(), st.sampled_from([2, 3, 5]),
+       st.data())
+@settings(max_examples=120, deadline=None)
+@example(LOOPED[0], 2, None).via("two loops, m = 2: +1 and -1 coincide")
+@example(LOOPED[1], 3, None).via("a loop beside a parallel pair")
+@example(LOOPED[2], 5, None).via("a loop and a chord")
+def test_shift_rows_match_oracle(g, m, data):
+    # every cover here has r <= 5, so a deck of at most 3,125 ranks:
+    # strides from 1 (contiguous masked ORs) to 625 at m = 5 (views)
+    c = build_zm_cover(g, m)
+    sources = (cover_sources(data.draw, c) if data is not None
+               else [0, c.graph.vertex_count - 1])
+    assert_shift_rows(c, sources)
+
+
+@given(two_edge_connected_multigraphs(max_vertices=3, max_extra_edges=1),
+       st.data())
+@settings(max_examples=5, deadline=None)
+@example(LOOPED[1], None).via("a loop beside a parallel pair")
+def test_shift_rows_wide_modulus(g, data):
+    # m = 257 and r = 2: a deck of 66,049 ranks, above the floor as it
+    # is; the levels of so long a cover are thin, so every level shifts
+    c = build_zm_cover(g, 257)
+    sources = (cover_sources(data.draw, c, 1) if data is not None
+               else [c.graph.vertex_count - 1])
+    assert_shift_rows(c, sources, floor=graph._SHIFT_DECK_FLOOR,
+                      ratio=1 << 40)
+
+
+@pytest.mark.parametrize("name,m,shifts", [
+    ("k4", 3, False), ("petersen", 3, False), ("complete:6", 2, False),
+    ("petersen", 4, True)])
+def test_deck_floor(name, m, shifts):
+    # the suite's covers (k4 and Petersen at m = 3) keep the gather path;
+    # a deck of 4,096 ranks takes shifts
+    c = build_zm_cover(named_graph(name), m)
+    sources = [0, c.graph.vertex_count // 2]
+    got, steps = shift_rows(c, sources, floor=graph._SHIFT_DECK_FLOOR)
+    assert (steps > 0) == shifts
+    assert np.array_equal(got, scipy_oracle(c.graph, sources))
+
+
+#: sha256 of the row from vertex 0 of the 531,441-vertex tower level; the
+#: same bytes as the table's rows before deck shifts.
+TOWER_ROW_SHA256 = (
+    "f0407f9867fc052c180df34a9debf5c81aaf4b880018daf8d6b7a24a74c9765e")
+
+
+def test_tower_row_digest(tower_level):
+    rows, steps = shift_rows(tower_level, [0], floor=graph._SHIFT_DECK_FLOOR)
+    assert steps > 0
+    assert hashlib.sha256(rows[0].tobytes()).hexdigest() == TOWER_ROW_SHA256
+
+
+def test_tower_row_peak(tower_level):
+    # beside the 4.05 MiB row: two masks, the visited mask and the
+    # frontier, with no per-arc index array on a large level (18.3 MiB
+    # traced when large levels gathered their arcs' targets)
+    _rows, peak = traced_peak(
+        lambda: bfs_distance_matrix(tower_level.graph, [0]))
+    assert peak < 14 << 20

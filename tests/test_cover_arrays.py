@@ -5,8 +5,8 @@ digit in the residue dtype, and every other fiber as its tree parent's
 with the tree edge's column moved by one; the oracle is the int64
 formula it replaced (a tree-path chain matrix, a digit matrix, a matmul
 and a per-vertex int64 sum).  `cover.build_zm_cover` writes the signed-arc
-table (`MultiGraph.arc_ends`) slot by slot, each backward arc from the
-digit rule; the oracle reads the backward arcs off the forward ones, the
+table (`MultiGraph.arc_ends`) one base edge's block at a time, each
+backward arc's move read off its forward move; the oracle reads the backward arcs off the forward ones, the
 edge arrays, by an inverse head index per block.  BFS lifts the base's
 CSR arcs through that table; the oracle is `MultiGraph.arcs`, which
 sorts every arc of a graph that knows nothing of the cover.
@@ -17,11 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
-                      build_zm_cover, compression_profile,
-                      enumerate_spanning_trees, named_graph)
-from homcover.cover import MAX_M, _residue_dtype
+from homcover import (CoverGraph, HomcoverError, MultiGraph, NoArcTable,
+                      Walk, bfs_distance_matrix, build_tower, build_zm_cover,
+                      compression_profile, enumerate_spanning_trees,
+                      lift_path, named_graph)
+from homcover.cover import MAX_M, _lift_block, _residue_dtype
 from homcover.graph import _index_dtype
+from homcover.harness import check_conglifts
 
 #: Vertex cap of the covers built here; it keeps each oracle's int64
 #: temporaries near 100 MB.
@@ -216,7 +218,7 @@ class TestArcEnds:
         # and CSR arc (e, sign) is the Walk step 2e + b, (tail, head)
         # forward and (head, tail) backward
         g, _tree = BASES[name]()
-        with pytest.raises(ValueError):
+        with pytest.raises(NoArcTable):
             g.arc_ends()
         indptr, edge, sign, head = g.arcs()
         step = 2 * edge + (sign < 0)
@@ -225,6 +227,23 @@ class TestArcEnds:
         dst = np.stack([g.heads, g.tails], 1).ravel()
         assert np.array_equal(owner, src[step])
         assert np.array_equal(head, dst[step])
+
+    def test_hand_built_cover_has_none(self):
+        # a CoverGraph over edges that no build wrote as a table: BFS reads
+        # them as a plain graph, and every lift raises the typed error
+        c = build_zm_cover(named_graph("k4"), 3)
+        hand = CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
+            c.graph.vertex_count, c.graph.tails, c.graph.heads))
+        for lift in (hand.graph.arc_ends,
+                     lambda: lift_path(hand, Walk(0, (0,)), 0),
+                     lambda: _lift_block(hand, [0], [[0]]),
+                     lambda: check_conglifts(hand, "k4", 10, seed=1)):
+            with pytest.raises(NoArcTable) as raised:
+                lift()
+            assert isinstance(raised.value, HomcoverError)
+            assert isinstance(raised.value, ValueError)
+        assert np.array_equal(bfs_distance_matrix(hand.graph, [0, 50]),
+                              bfs_distance_matrix(c.graph, [0, 50]))
 
     def test_width_rule(self):
         assert _index_dtype((1 << 31) - 1) == np.int32

@@ -166,12 +166,12 @@ class TestConglifts:
         heads[block] += np.arange(deck) - heads[block] % deck  # unshifted
         # the same edges built with their arc table: generator 0, the
         # digit of stride 1, keeps the label when crossed
-        shifted = cover_mod._shifted_ranks
+        moved = cover_mod._digit_move
 
-        def unshifted_first(deck, stride, m, delta):
-            return (np.arange(deck) if stride == 1
-                    else shifted(deck, stride, m, delta))
-        monkeypatch.setattr(cover_mod, "_shifted_ranks", unshifted_first)
+        def unmoved_first(stride, m, width):
+            return (np.zeros(width, dtype=np.int64) if stride == 1
+                    else moved(stride, m, width))
+        monkeypatch.setattr(cover_mod, "_digit_move", unmoved_first)
         broken = build_zm_cover(named_graph(name), 3)
         assert np.array_equal(broken.graph.heads, heads)
         rec = check_conglifts(broken, name, 1000, seed=4)
