@@ -36,10 +36,11 @@ import numpy as np
 from .errors import (LengthMismatch, NotSpanningTree, NotTwoEdgeConnected,
                      PathMismatch, SizeCapExceeded, UnsupportedModulus)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Orbits, Walk, _index_dtype,
-                    _shift, cycle_bound_from, is_two_edge_connected,
-                    label_automorphisms, signed_arc_counts, symmetric_roots)
-from .trees import (SpanningTree, TreeCounts, _tree_from_edge_set,
-                    some_spanning_tree, tree_counts)
+                    _is_automorphism, _shift, cycle_bound_from,
+                    is_two_edge_connected, label_automorphisms,
+                    signed_arc_counts, symmetric_roots)
+from .trees import (SpanningTree, TreeCounts, _bareiss_det,
+                    _tree_from_edge_set, some_spanning_tree, tree_counts)
 
 #: Largest supported m: residues are stored as uint8 up to m = 256 and as
 #: uint16 up to this bound.
@@ -72,14 +73,20 @@ def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> None:
         np.add(a, b, out=out)
 
 
+def _digit_moves(stride: int, m: int) -> np.ndarray:
+    """Per value of the digit of weight `stride`, the change of a rank when
+    that digit moves by +1 mod m (`graph._shift`): stride below digit m -
+    1, -(m - 1) * stride at it; int64, shape (m,)."""
+    digits = np.arange(m, dtype=np.int64) * stride
+    return _shift(digits, stride, m, 1) - digits
+
+
 def _digit_move(stride: int, m: int, width: int) -> np.ndarray:
     """Per rank of a block of `width` ranks (a multiple of m * stride),
     its change when its digit of weight `stride` moves by +1 mod m
-    (`graph._shift`): stride below digit m - 1, -(m - 1) * stride at it;
-    int64, shape (width,)."""
-    digits = np.arange(m, dtype=np.int64) * stride
-    move = _shift(digits, stride, m, 1) - digits
-    return np.tile(np.repeat(move, stride), width // (m * stride))
+    (`_digit_moves`); int64, shape (width,)."""
+    return np.tile(np.repeat(_digit_moves(stride, m), stride),
+                   width // (m * stride))
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,7 @@ class CoverGraph:
         self._profiles = None
         self._tree_counts = None
         self._orbit_reps = None
+        self._formula = None
 
     # -- index bijections ------------------------------------------------
 
@@ -171,12 +179,22 @@ class CoverGraph:
         outer axis and adds its multiple of its cotree edge's fundamental
         loop).  A tree edge joins (p, k) to (v, k), so the fiber over v
         is its parent p's with the tree edge's column moved by +1 or -1.
+
+        SizeCapExceeded, with the MemoryError chained, where the table
+        cannot be allocated.
         """
         if self._profiles is None:
             g, m, tree, deck = self.base, self.m, self.tree0, self.deck_size
             ne = g.edge_count
             dtype = _residue_dtype(m)
-            prof = np.empty((g.vertex_count * deck, ne), dtype=dtype)
+            n_cover = g.vertex_count * deck
+            try:
+                prof = np.empty((n_cover, ne), dtype=dtype)
+            except MemoryError as exc:
+                raise SizeCapExceeded(
+                    f"traversal profiles of {n_cover} x {ne} residues need "
+                    f"{n_cover * ne * dtype.itemsize} bytes, more than can "
+                    f"be allocated") from exc
             prof[0] = 0
             rows = 1  # prof[:rows] is the deck part of the digits so far
             for e in self.cotree:
@@ -238,6 +256,7 @@ class CoverGraph:
         u is the least base vertex of the orbit.  Both kinds keep d and
         d_Q, so the (d, d_Q) pairs from any source are those from its
         representative.  On an unlabelled base every fiber is an orbit.
+        Besides `base_profiles`, allocates nothing longer than the deck.
         """
         if self._orbit_reps is None:
             orbits = Orbits(self.base.vertex_count)
@@ -248,6 +267,48 @@ class CoverGraph:
                     orbits.join(auto[0])
             self._orbit_reps = orbits.least() * self.deck_size
         return self._orbit_reps
+
+    def _follows_formula(self) -> bool:
+        """Whether `graph` is the graph `build_zm_cover` writes for this
+        base, m and tree: |V(X)| * deck vertices, and cover edge e * deck
+        + k from (t, k) to (h, k + eps_e) for base edge e = (t, h), the
+        label moved in the digit of e (`_digit_moves`) where e is a cotree
+        edge.  Checked against the edge arrays once per cover, one
+        base-edge block at a time, and cached (clause 4 of
+        `_checked_lift`).
+        """
+        if self._formula is None:
+            self._formula = self._check_formula()
+        return self._formula
+
+    def _check_formula(self) -> bool:
+        g, m, deck = self.base, self.m, self.deck_size
+        tails, heads = self.graph.tails, self.graph.heads
+        n_cover = g.vertex_count * deck
+        if (self.graph.vertex_count != n_cover
+                or tails.size != g.edge_count * deck):
+            return False
+        stride = {e: m ** i for i, e in enumerate(self.cotree)}
+        ranks = np.arange(deck, dtype=_index_dtype(n_cover))
+        want = np.empty_like(ranks)
+        for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+            block = slice(e * deck, (e + 1) * deck)
+            if not np.array_equal(tails[block],
+                                  np.add(ranks, t * deck, out=want)):
+                return False
+            if e in stride:
+                # blocks of m * stride ranks, one digit value per row, so
+                # the move is one number per row and no deck-long move
+                # array is built
+                shape = (-1, m, stride[e])
+                moves = (h * deck + _digit_moves(stride[e], m))[:, None]
+                np.add(ranks.reshape(shape), moves.astype(want.dtype),
+                       out=want.reshape(shape))
+            else:
+                np.add(ranks, h * deck, out=want)
+            if not np.array_equal(heads[block], want):
+                return False
+        return True
 
     def __repr__(self):
         return (f"CoverGraph(base=|V|={self.base.vertex_count},"
@@ -320,68 +381,72 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
 
 def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
                   signs: np.ndarray):
-    """Vertex map of the lift of a base automorphism if it is an
-    automorphism of c.graph, else None.
+    """The lift of a base automorphism as its affine action (A, b) on the
+    deck if the lift is an automorphism of c.graph, else None.
 
     The automorphism takes base edge e to emap[e], reversed where
     signs[e] < 0, so it acts on profiles by the signed column permutation
-    P: (P p)[emap[e]] = signs[e] * p[e].  The lift f takes the basepoint
-    to (vmap[0], 0) and x to the vertex over vmap[v_x] whose label digits
-    are the cotree columns of P(prof[x]).  Its label ranks are built
-    fiber by fiber down the tree, as `CoverGraph.base_profiles` is: the
-    root fiber's from its profile rows, and the fiber over v from its
-    parent p's.  Tree edge e moves column e of the profile by +1 or -1,
-    so it moves column emap[e] of P by signs[e] times that: one label
-    digit (`graph._shift`) where emap[e] is a cotree edge, none where it
-    is a tree edge.
+    P: (P p)[emap[e]] = signs[e] * p[e].  The lift f takes x to the vertex
+    over vmap[v_x] whose label digits are the cotree columns of P(prof[x]).
+    A profile row is affine in the label, prof[(v, k)] = prof[(v, 0)] +
+    sum_i k_i prof[m**i] mod m (`CoverGraph.base_profiles`), so f(v, k) =
+    (vmap[v], A k + b_v) mod m (`_affine_action`): int64 arrays a of shape
+    (r, r) and b of shape (|V(X)|, r).
 
-    f is accepted only if it is a bijection and takes every cover edge
-    over e to the cover edge over emap[e] with endpoints (f(t), f(h)),
-    swapped where signs[e] < 0; checked one base-edge block at a time.
-    P only permutes and signs the edge terms of d_Q, so an accepted f
-    keeps d and d_Q.
+    f is accepted only if
+    1. (vmap, emap, signs) is an automorphism of the base
+       (`graph._is_automorphism`);
+    2. A eps_e + b_h - b_t = signs[e] eps_{emap[e]} mod m for every base
+       edge e = (t, h), eps_e its cotree unit vector and 0 for a tree edge
+       (`_moves_edges`): then f takes the cover edge over e from (t, k) to
+       (h, k + eps_e) to the cover edge over emap[e] at A k + b_t, or
+       where signs[e] < 0 to the one at A (k + eps_e) + b_h, reversed;
+    3. det A, exact (`trees._bareiss_det`), is a unit mod m: k -> A k + b_v
+       is a bijection of the deck, so f is one of the vertices and of the
+       edges;
+    4. c.graph is the construction formula (`CoverGraph._follows_formula`,
+       one pass over its edge arrays per cover).
+    Together they make f an automorphism of c.graph over the base's, and
+    P only permutes and signs the edge terms of d_Q, so f keeps d and
+    d_Q.  Clauses 2 and 3 hold for every base automorphism of a correctly
+    built cover, which is characteristic; they check the implementation.
     """
-    deck, m, tree = c.deck_size, c.m, c.tree0
-    position = {e: i for i, e in enumerate(c.cotree)}
+    if not _is_automorphism(c.base, vmap, emap, signs):
+        return None
+    a, b = _affine_action(c, emap, signs)
+    if (_moves_edges(c, a, b, emap, signs)
+            and np.gcd(_bareiss_det(a.tolist()) % c.m, c.m) == 1
+            and c._follows_formula()):
+        return a, b
+    return None
+
+
+def _affine_action(c: CoverGraph, emap: np.ndarray, signs: np.ndarray):
+    """(A, b) of the lift of the base edge map (emap, signs): column i of
+    A holds the cotree digits of P(prof[m**i]), the row of cotree edge i's
+    fundamental loop, and b_v those of P(prof[v * deck]).  Reads these
+    |V(X)| + r rows of `CoverGraph.base_profiles` only."""
+    m, r = c.m, c.r
     inverse = np.empty_like(emap)
     inverse[emap] = np.arange(emap.size)
     src = inverse[list(c.cotree)]  # the base edge P moves to cotree column i
-    neg = signs[src] < 0
-    digits = c.base_profiles()[:deck, src].astype(np.int64)
-    digits[:, neg] = (-digits[:, neg]) % m
-    rank = np.empty(c.graph.vertex_count, dtype=np.int64)
-    rank[:deck] = digits @ (m ** np.arange(c.r, dtype=np.int64))
-    base_tails = c.base.tails.tolist()
-    for v in tree.depth_order()[1:]:
-        p, e = tree.parent[v]
-        parent = rank[p * deck:(p + 1) * deck]
-        i = position.get(int(emap[e]))
-        if i is None:
-            rank[v * deck:(v + 1) * deck] = parent
-        else:
-            step = 1 if base_tails[e] == p else -1
-            rank[v * deck:(v + 1) * deck] = _shift(parent, m ** i, m,
-                                                   int(signs[e]) * step)
-    f = (rank.reshape(-1, deck) + vmap[:, None] * deck).ravel()
-    hit = np.zeros(f.size, dtype=bool)
-    hit[f] = True
-    if not hit.all():
-        return None
-    tails, heads = c.graph.tails, c.graph.heads
-    for e in range(c.base.edge_count):
-        block = slice(e * deck, (e + 1) * deck)
-        # one cast per block: numpy casts narrower index arrays per use
-        t, h = (a[block].astype(np.intp) for a in (
-            (heads, tails) if signs[e] < 0 else (tails, heads)))
-        # the edge over emap[e] with tail f(t), in the construction layout
-        image = rank[t]
-        seen = np.zeros(deck, dtype=bool)
-        seen[image] = True
-        image += emap[e] * deck
-        if not (seen.all() and np.array_equal(tails[image], f[t])
-                and np.array_equal(heads[image], f[h])):
-            return None
-    return f
+    rows = np.concatenate([m ** np.arange(r, dtype=np.int64),
+                           np.arange(c.base.vertex_count) * c.deck_size])
+    sign = np.where(signs[src] > 0, 1, -1)
+    digits = c.base_profiles()[rows][:, src] * sign % m
+    return digits[:r].T, digits[r:]
+
+
+def _moves_edges(c: CoverGraph, a: np.ndarray, b: np.ndarray,
+                 emap: np.ndarray, signs: np.ndarray) -> bool:
+    """Clause 2 of `_checked_lift`: A eps_e + b_h - b_t = signs[e]
+    eps_{emap[e]} mod m for every base edge e = (t, h)."""
+    g = c.base
+    eps = np.zeros((g.edge_count, c.r), dtype=np.int64)
+    eps[list(c.cotree), np.arange(c.r)] = 1
+    moved = eps @ a.T + b[g.heads] - b[g.tails]
+    sign = np.where(signs > 0, 1, -1)[:, None]
+    return not np.any((moved - sign * eps[emap]) % c.m)
 
 
 def cover_girth(c: CoverGraph):

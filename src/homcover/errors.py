@@ -22,7 +22,8 @@ class NotSpanningTree(HomcoverError):
 
 
 class SizeCapExceeded(HomcoverError):
-    """Requested object would exceed the configured vertex cap."""
+    """Requested object would exceed the configured vertex cap, or the
+    memory that can be allocated."""
 
 
 class CapExceeded(HomcoverError):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from homcover import MultiGraph, build_tower, named_graph
+from homcover import MultiGraph, build_tower, build_zm_cover, named_graph
 from homcover.errors import NotSpanningTree
+from homcover.graph import _shift
 from homcover.trees import SpanningTree
 
 
@@ -41,6 +42,14 @@ def tower_level():
     c.base_profiles()
     c.orbit_reps()
     return c
+
+
+@pytest.fixture(scope="session")
+def long_cycle_cover():
+    """The Z_2-homology cover of cycle:200000, 400,000 vertices, whose
+    traversal profiles (400,000 x 200,000 residues, 74.5 GiB) cannot be
+    allocated."""
+    return build_zm_cover(named_graph("cycle:200000"), 2)
 
 
 def traced_peak(run):
@@ -274,3 +283,74 @@ def two_edge_connected_multigraphs(draw, max_vertices=5, max_extra_edges=4):
         edges.append([a, b])
     # a full cycle has no bridges and extra edges cannot create one
     return MultiGraph(n, edges)
+
+
+def array_lift_oracle(c, vmap, emap, signs):
+    """Vertex map of the lift of a base automorphism if it is an
+    automorphism of c.graph, else None, read off whole cover arrays: an
+    oracle for cover._checked_lift.
+
+    The lift takes x to the vertex over vmap[v_x] whose label digits are
+    the cotree columns of P(prof[x]), P the signed column permutation
+    (P p)[emap[e]] = signs[e] * p[e].  Its label ranks are built fiber by
+    fiber down the tree: tree edge e moves column e of the profile by +1
+    or -1, so it moves column emap[e] of P by signs[e] times that.  The
+    map is accepted only if it is a bijection and takes every cover edge
+    over e to the cover edge over emap[e] with endpoints (f(t), f(h)),
+    swapped where signs[e] < 0.
+    """
+    deck, m, tree = c.deck_size, c.m, c.tree0
+    position = {e: i for i, e in enumerate(c.cotree)}
+    inverse = np.empty_like(emap)
+    inverse[emap] = np.arange(emap.size)
+    src = inverse[list(c.cotree)]
+    neg = signs[src] < 0
+    digits = c.base_profiles()[:deck, src].astype(np.int64)
+    digits[:, neg] = (-digits[:, neg]) % m
+    rank = np.empty(c.graph.vertex_count, dtype=np.int64)
+    rank[:deck] = digits @ (m ** np.arange(c.r, dtype=np.int64))
+    base_tails = c.base.tails.tolist()
+    for v in tree.depth_order()[1:]:
+        p, e = tree.parent[v]
+        parent = rank[p * deck:(p + 1) * deck]
+        i = position.get(int(emap[e]))
+        if i is None:
+            rank[v * deck:(v + 1) * deck] = parent
+        else:
+            step = 1 if base_tails[e] == p else -1
+            rank[v * deck:(v + 1) * deck] = _shift(parent, m ** i, m,
+                                                   int(signs[e]) * step)
+    f = (rank.reshape(-1, deck) + vmap[:, None] * deck).ravel()
+    hit = np.zeros(f.size, dtype=bool)
+    hit[f] = True
+    if not hit.all():
+        return None
+    tails = c.graph.tails.astype(np.int64)
+    heads = c.graph.heads.astype(np.int64)
+    for e in range(c.base.edge_count):
+        block = slice(e * deck, (e + 1) * deck)
+        t, h = (heads, tails) if signs[e] < 0 else (tails, heads)
+        t, h = t[block], h[block]
+        image = rank[t]
+        seen = np.zeros(deck, dtype=bool)
+        seen[image] = True
+        image += emap[e] * deck
+        if not (seen.all() and np.array_equal(tails[image], f[t])
+                and np.array_equal(heads[image], f[h])):
+            return None
+    return f
+
+
+def materialised_lift(c, vmap, lift):
+    """The vertex map f(v, k) = (vmap[v], A k + b_v mod m) of an affine
+    lift (A, b) from cover._checked_lift, as cover vertex ids."""
+    a, b = lift
+    deck, m = c.deck_size, c.m
+    weights = m ** np.arange(c.r, dtype=np.int64)
+    labels = np.arange(deck, dtype=np.int64)[:, None] // weights % m
+    moved = labels @ a.T
+    f = np.empty(c.graph.vertex_count, dtype=np.int64)
+    for v in range(c.base.vertex_count):
+        f[v * deck:(v + 1) * deck] = (vmap[v] * deck
+                                      + (moved + b[v]) % m @ weights)
+    return f

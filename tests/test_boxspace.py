@@ -67,6 +67,7 @@ class TestTower:
             tracemalloc.stop()
         cover = tower.levels[1].cover
         assert cover._orbit_reps is None
+        assert cover._formula is None
         assert cover._profiles is None
         assert cover.graph._arcs is None
         assert np.shares_memory(cover.graph.tails, cover.graph.arc_ends()[0])

@@ -356,6 +356,18 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert "internal error" not in err and str(p) in err
 
+    def test_unallocatable_profiles_exit_2(self, long_cycle_cover, tmp_path,
+                                           capsys):
+        # the cover loads, but its traversal profiles cannot be
+        # allocated: a rejected input
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(cover_document(long_cycle_cover)))
+        assert main(["embed", "export", "--cover", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "80000000000 bytes" in err and "internal error" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_graph_document(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"vertices": 2}))

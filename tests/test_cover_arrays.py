@@ -22,6 +22,7 @@ from homcover import (CoverGraph, HomcoverError, MultiGraph, NoArcTable,
                       compression_profile, enumerate_spanning_trees,
                       lift_path, named_graph)
 from homcover.cover import MAX_M, _lift_block, _residue_dtype
+from homcover.errors import SizeCapExceeded
 from homcover.graph import _index_dtype
 from homcover.harness import check_conglifts
 
@@ -168,6 +169,14 @@ class TestBaseProfiles:
             tracemalloc.stop()
         assert prof.shape == (4000, 2000)
         assert peak < 1.25 * prof.nbytes
+
+    def test_table_too_large_to_allocate(self, long_cycle_cover):
+        c = long_cycle_cover
+        with pytest.raises(SizeCapExceeded,
+                           match="need 80000000000 bytes") as raised:
+            c.base_profiles()
+        assert isinstance(raised.value.__cause__, MemoryError)
+        assert c._profiles is None
 
 
 class TestLiftedArcs:

@@ -19,12 +19,14 @@ from homcover import (CoverGraph, MultiGraph, bfs_distance_matrix,
                       build_tower, build_zm_cover, cayley_zm_power,
                       compression_profile, cover_girth, d_q_from, girth,
                       is_two_edge_connected, named_graph, verify_compare)
-from homcover.cover import _checked_lift, _shift
+from homcover.cover import _affine_action, _checked_lift, _moves_edges, _shift
 from homcover.embed import binary_embed_matrix
-from homcover.graph import label_automorphisms
+from homcover.graph import _is_automorphism, label_automorphisms
+from homcover.trees import _bareiss_det
 
-from conftest import (connected_multigraphs, girth_oracle, has_loop,
-                      has_parallel_pair)
+from conftest import (array_lift_oracle, connected_multigraphs, girth_oracle,
+                      has_loop, has_parallel_pair, materialised_lift,
+                      traced_peak)
 
 NAMED = ("doubled_edge", "k4", "c5", "petersen")
 
@@ -368,11 +370,68 @@ def test_bad_lift_falls_back_to_fibers():
         check_against_oracles(broken, sources)
 
 
+def test_moved_table_head_refuses_every_lift():
+    # a built cover whose arc table no longer holds the formula: only
+    # clause 4 of the lift check sees it, and the fibers stay exact
+    c = build_zm_cover(cayley_zm_power(3, 2), 2)
+    heads = c.graph.arc_ends()[1]
+    assert np.shares_memory(heads, c.graph.heads)
+    heads[0] = (heads[0] + 1) % c.graph.vertex_count
+    autos = label_automorphisms(c.base)
+    assert len(autos) == 3
+    for vmap, emap, signs in autos:
+        assert _is_automorphism(c.base, vmap, emap, signs)
+        a, b = _affine_action(c, emap, signs)
+        assert _moves_edges(c, a, b, emap, signs)
+        assert np.gcd(_bareiss_det(a.tolist()) % c.m, c.m) == 1
+        assert _checked_lift(c, vmap, emap, signs) is None
+        assert array_lift_oracle(c, vmap, emap, signs) is None
+    assert c._formula is False
+    fibers = np.arange(c.base.vertex_count) * c.deck_size
+    assert np.array_equal(c.orbit_reps(), fibers)
+    fibers = fibers.tolist()
+    for sources in (fibers, fibers[::-1] + fibers[:3]):
+        check_against_oracles(c, sources)
+
+
+def test_transposed_vertex_map_is_refused():
+    # clause 1: the edge map still lifts, but the vertex map no longer
+    # carries the edges' endpoints
+    c = build_zm_cover(cayley_zm_power(3, 2), 2)
+    for vmap, emap, signs in label_automorphisms(c.base):
+        assert _checked_lift(c, vmap, emap, signs) is not None
+        swapped = vmap[[1, 0, *range(2, vmap.size)]]  # vmap after (0 1)
+        assert not _is_automorphism(c.base, swapped, emap, signs)
+        assert _checked_lift(c, swapped, emap, signs) is None
+        assert array_lift_oracle(c, swapped, emap, signs) is None
+    assert c._formula is True
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_corrupted_profile_row_is_refused(m):
+    # clauses 2 and 3: with the row of cotree edge 0's loop zeroed, A has a
+    # zero column and no longer carries the cover edges over that edge
+    c = build_zm_cover(labelled_prism(), m)
+    c._profiles = c.base_profiles().copy()
+    c._profiles[1] = 0
+    autos = label_automorphisms(c.base)
+    assert autos
+    for vmap, emap, signs in autos:
+        assert _is_automorphism(c.base, vmap, emap, signs)
+        a, b = _affine_action(c, emap, signs)
+        assert not _moves_edges(c, a, b, emap, signs)
+        assert _bareiss_det(a.tolist()) % m == 0
+        assert _checked_lift(c, vmap, emap, signs) is None
+        assert array_lift_oracle(c, vmap, emap, signs) is None
+    assert np.array_equal(c.orbit_reps(),
+                          np.arange(c.base.vertex_count) * c.deck_size)
+
+
 def matmul_lift_map(c, vmap, emap, signs):
-    """The vertex map that _checked_lift checks, one base vertex at a
-    time: x goes to the vertex over vmap[v_x] whose label digits are the
-    cotree columns of the signed column permutation of prof[x], as an
-    int64 matmul of the digits with the rank weights."""
+    """The vertex map of the lift that _checked_lift checks, one base
+    vertex at a time: x goes to the vertex over vmap[v_x] whose label
+    digits are the cotree columns of the signed column permutation of
+    prof[x], as an int64 matmul of the digits with the rank weights."""
     deck, m = c.deck_size, c.m
     inverse = np.empty_like(emap)
     inverse[emap] = np.arange(emap.size)
@@ -388,24 +447,52 @@ def matmul_lift_map(c, vmap, emap, signs):
     return f
 
 
-@pytest.mark.parametrize("case", ["tower", "cube-m2", "prism-m2",
-                                  "prism-m3"])
+#: Per case, whether some label automorphism reverses an edge (signs -1):
+#: the m = 2 Cayley graphs store each involution edge once.
+LIFT_CASES = {"tower": False, "cube-m2": True, "prism-m2": False,
+              "prism-m3": False, "z2sq-m3": True, "z2sq-m4": True,
+              "z2sq-m5": True, "z3sq-m2": False, "tower-m2": True}
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
 def test_lift_matches_matmul_map(case, request):
+    # every label automorphism's lift is accepted, as by the array
+    # oracle, and its affine vertex map is the oracle's and the matmul's
     if case == "tower":
-        c = request.getfixturevalue("tower_level")
+        covers = [request.getfixturevalue("tower_level")]
     elif case == "cube-m2":
-        c = build_zm_cover(cayley_zm_power(3, 2), 2)
+        covers = [build_zm_cover(cayley_zm_power(3, 2), 2)]
+    elif case.startswith("prism"):
+        covers = [build_zm_cover(labelled_prism(), int(case[-1]))]
+    elif case.startswith("z2sq"):
+        covers = [build_zm_cover(cayley_zm_power(2, 2), int(case[-1]))]
+    elif case == "z3sq-m2":
+        covers = [build_zm_cover(cayley_zm_power(2, 3), 2)]
     else:
-        c = build_zm_cover(labelled_prism(), int(case[-1]))
-    autos = label_automorphisms(c.base)
+        covers = tower_covers()
+    autos = [(c, auto) for c in covers for auto in label_automorphisms(c.base)]
     assert autos
-    # the cube's automorphisms reverse some edges: signs -1
-    assert (case == "cube-m2") == any(
-        (signs < 0).any() for _vmap, _emap, signs in autos)
-    for auto in autos:
-        got = _checked_lift(c, *auto)
-        assert got is not None
+    assert LIFT_CASES[case] == any(
+        (signs < 0).any() for _c, (_vmap, _emap, signs) in autos)
+    for c, auto in autos:
+        lift = _checked_lift(c, *auto)
+        want = array_lift_oracle(c, *auto)
+        assert lift is not None and want is not None
+        got = materialised_lift(c, auto[0], lift)
+        assert np.array_equal(got, want)
         assert np.array_equal(got, matmul_lift_map(c, *auto))
+
+
+def test_orbit_reps_reads_no_cover_array(tower_level):
+    # the lifts read |V(X)| + r profile rows; the formula pass holds a
+    # few deck-long arrays, not |V~|-long ones
+    c = CoverGraph(tower_level.base, tower_level.m, tower_level.tree0,
+                   tower_level.graph)
+    c._profiles = tower_level.base_profiles()
+    reps, peak = traced_peak(c.orbit_reps)
+    assert reps.tolist() == [0] * 9
+    assert c._formula is True
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("labels", [
