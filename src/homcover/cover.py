@@ -89,6 +89,85 @@ def _digit_move(stride: int, m: int, width: int) -> np.ndarray:
                    width // (m * stride))
 
 
+#: Bytes of the profile table that `CoverGraph.base_profiles` writes per
+#: block, and the longest row it sums at once.
+_TABLE_BLOCK = 1 << 18
+_ROW_BYTES = 1 << 12
+
+
+@dataclass(frozen=True)
+class TreeSteps:
+    """The spanning-tree factor of the traversal profiles.
+
+    Per base vertex v, int64 arrays of shape (|V(X)|,): parent[v], the
+    tree edge edge[v] that joins the parent to v, and step[v], +1 where
+    that edge runs from the parent to v and -1 where it runs back (-1,
+    -1 and 0 at the root, vertex 0).  So the chain of v's tree path from
+    the root is its parent's plus step[v] on column edge[v].  pre[v] is
+    v's place in a depth-first preorder from the root and end[v] is
+    pre[v] plus the size of v's subtree, so u lies on v's path exactly
+    when pre[u] <= pre[v] < end[u].
+    """
+
+    parent: np.ndarray
+    edge: np.ndarray
+    step: np.ndarray
+    pre: np.ndarray
+    end: np.ndarray
+
+
+def _tree_steps(g: MultiGraph, tree: SpanningTree) -> TreeSteps:
+    """The `TreeSteps` of a spanning tree of g, one pass over its parent
+    table and one depth-first walk."""
+    n = g.vertex_count
+    tails = g.tails.tolist()
+    parent, edge, step = [-1] * n, [-1] * n, [0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, pe in enumerate(tree.parent):
+        if pe is not None:
+            p, e = pe
+            parent[v], edge[v] = p, e
+            step[v] = 1 if tails[e] == p else -1
+            children[p].append(v)
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += children[v]
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    pre = np.empty(n, dtype=np.int64)
+    pre[order] = np.arange(n)
+    return TreeSteps(np.array(parent, dtype=np.int64),
+                     np.array(edge, dtype=np.int64),
+                     np.array(step, dtype=np.int64), pre,
+                     pre + np.array(size, dtype=np.int64))
+
+
+def _deck_part(c: CoverGraph) -> np.ndarray:
+    """`CoverGraph.deck_profiles`, built digit by digit: rank j * rows + k
+    is rank k plus j times the next cotree edge's fundamental loop."""
+    g, m, deck, r = c.base, c.m, c.deck_size, c.r
+    ne = g.edge_count
+    cotree = np.array(c.cotree, dtype=np.int64)
+    # the fundamental cycle of cotree edge e = (t, h): e, then h up to the
+    # root and the root down to t
+    ends = c._tree_chains(np.concatenate([g.tails[cotree], g.heads[cotree]]))
+    loops = ends[:r].astype(np.int64) - ends[r:]
+    loops[np.arange(r), cotree] += 1
+    dtype = _residue_dtype(m)
+    prof = np.empty((deck, ne), dtype=dtype)
+    prof[0] = 0
+    rows = 1  # prof[:rows] is the deck part of the digits so far
+    for loop in loops % m:
+        steps = (np.arange(m)[:, None] * loop % m).astype(dtype)
+        _add_mod(prof[None, :rows], steps[1:, None], m,
+                 prof[rows:m * rows].reshape(m - 1, rows, ne))
+        rows *= m
+    return prof
+
+
 @dataclass(frozen=True)
 class EdgeChainModM:
     """Element of Z_m^{E(X)}: one residue per base edge."""
@@ -119,6 +198,8 @@ class CoverGraph:
         self.deck_size = m ** self.r
         self.graph = graph
         self.basepoint = 0  # vertex (0, 0)
+        self._deck = None
+        self._tree = None
         self._profiles = None
         self._tree_counts = None
         self._orbit_reps = None
@@ -164,6 +245,57 @@ class CoverGraph:
 
     # -- basepoint traversal profiles -------------------------------------
 
+    def deck_profiles(self) -> np.ndarray:
+        """The deck part of the traversal profiles: row k is the profile of
+        (0, k), the chain of the deck translation by rank k; shape
+        (deck, |E(X)|) in the residue dtype, built once per cover.
+
+        Built one digit at a time: digit 0 varies fastest, and each new
+        digit is the outer axis and adds its multiple of its cotree edge's
+        fundamental loop, about deck * m / (m - 1) row additions.
+        """
+        if self._deck is None:
+            self._deck = _deck_part(self)
+        return self._deck
+
+    def tree_steps(self) -> TreeSteps:
+        """The spanning-tree part of the traversal profiles (`TreeSteps`),
+        built once per cover."""
+        if self._tree is None:
+            self._tree = _tree_steps(self.base, self.tree0)
+        return self._tree
+
+    def profile_row(self, x: int) -> np.ndarray:
+        """Row x of `base_profiles`, read from its two factors: the deck
+        row of x's rank plus the chain of its fiber's tree path, mod m.
+        A fresh array; O(|V(X)| + |E(X)|), with no table built."""
+        self.require_vertices(x)
+        v, k = divmod(x, self.deck_size)
+        row = np.empty(self.base.edge_count, dtype=_residue_dtype(self.m))
+        _add_mod(self.deck_profiles()[k], self._tree_chains([v])[0], self.m,
+                 row)
+        return row
+
+    def _tree_chains(self, vs, cols=None) -> np.ndarray:
+        """The chains of the tree paths from the root to the base vertices
+        vs, restricted to the base edges cols (every edge when None):
+        shape (len(vs), len(cols)), residues mod m.
+
+        A path crosses each tree edge at most once, so entry (v, e) is
+        the step of the tree edge e where e leads to a vertex u on v's
+        path, pre[u] <= pre[v] < end[u] (`TreeSteps`), and 0 elsewhere;
+        the temporaries are a few booleans per entry.
+        """
+        tree = self.tree_steps()
+        below = np.zeros(self.base.edge_count, dtype=np.int64)
+        # the vertex each tree edge leads to; off the tree, the root, whose
+        # step is 0
+        below[tree.edge[1:]] = np.arange(1, self.base.vertex_count)
+        u = below if cols is None else below[np.asarray(cols, dtype=np.int64)]
+        at = tree.pre[np.asarray(vs, dtype=np.int64)][:, None]
+        on_path = (tree.pre[u] <= at) & (at < tree.end[u])
+        return on_path * (tree.step[u] % self.m).astype(_residue_dtype(self.m))
+
     def base_profiles(self) -> np.ndarray:
         """Per-vertex signed traversal counts mod m from the basepoint.
 
@@ -173,50 +305,47 @@ class CoverGraph:
         Well-defined because any two such paths differ by a loop whose
         projection has trivial mod-m homology class.
 
-        Built fiber by fiber down the tree.  The fiber over vertex 0 is
-        the deck part: the chain of the translation by each rank, one
-        digit at a time (digit 0 varies fastest, each new digit is the
-        outer axis and adds its multiple of its cotree edge's fundamental
-        loop).  A tree edge joins (p, k) to (v, k), so the fiber over v
-        is its parent p's with the tree edge's column moved by +1 or -1.
+        The table is the materialisation of two factors, for the consumers
+        that read all of it (the embeddings, `export` and the Hamming
+        checks); single rows (`profile_row`), d_Q rows and the lifts of
+        automorphisms read the factors alone.  A tree edge joins (p, k) to
+        (v, k), so row (v, k) is the deck row k (`deck_profiles`) plus the
+        chain of v's tree path (`tree_steps`), mod m.  Written one block
+        of about _TABLE_BLOCK bytes at a time, whole fibers or the rows of
+        one fiber, so beside the table the temporaries are about one block.
 
         SizeCapExceeded, with the MemoryError chained, where the table
         cannot be allocated.
         """
         if self._profiles is None:
-            g, m, tree, deck = self.base, self.m, self.tree0, self.deck_size
-            ne = g.edge_count
-            dtype = _residue_dtype(m)
-            n_cover = g.vertex_count * deck
+            deck_part = self.deck_profiles()
+            nv, ne = self.base.vertex_count, self.base.edge_count
+            n_cover = nv * self.deck_size
             try:
-                prof = np.empty((n_cover, ne), dtype=dtype)
+                prof = np.empty((n_cover, ne), dtype=deck_part.dtype)
             except MemoryError as exc:
                 raise SizeCapExceeded(
                     f"traversal profiles of {n_cover} x {ne} residues need "
-                    f"{n_cover * ne * dtype.itemsize} bytes, more than can "
-                    f"be allocated") from exc
-            prof[0] = 0
-            rows = 1  # prof[:rows] is the deck part of the digits so far
-            for e in self.cotree:
-                t, h = g.endpoints(e)
-                # the fundamental cycle: e, then h up to the root and the
-                # root down to t (counts need no order)
-                arcs = [2 * e, *tree.walk_to_root(g, h).steps]
-                arcs += [a ^ 1 for a in tree.walk_to_root(g, t).steps]
-                loop = signed_arc_counts(arcs, ne) % m
-                steps = (np.arange(m)[:, None] * loop % m).astype(dtype)
-                # rank j * rows + k is rank k plus j times the loop
-                _add_mod(prof[None, :rows], steps[1:, None], m,
-                         prof[rows:m * rows].reshape(m - 1, rows, ne))
-                rows *= m
-            tails = g.tails.tolist()
-            for v in tree.depth_order()[1:]:
-                p, e = tree.parent[v]
-                fiber = prof[v * deck:(v + 1) * deck]
-                fiber[:] = prof[p * deck:(p + 1) * deck]
-                column = fiber[:, e]
-                _add_mod(column, dtype.type(1 if tails[e] == p else m - 1),
-                         m, column)
+                    f"{n_cover * ne * deck_part.itemsize} bytes, more than "
+                    f"can be allocated") from exc
+            # rows of `side` deck ranks side by side, a power of m, so that
+            # the sums run over rows of about _ROW_BYTES, not |E(X)|
+            # residues
+            side, m = 1, self.m
+            while (side * m * ne <= _ROW_BYTES
+                   and self.deck_size % (side * m) == 0):
+                side *= m
+            by_fiber = prof.reshape(nv, self.deck_size // side, side * ne)
+            deck_rows = deck_part.reshape(self.deck_size // side, side * ne)
+            # blocks of whole fibers, or of the rows of one fiber
+            rows = max(1, _TABLE_BLOCK // max(side * ne, 1))
+            fibers = max(1, rows // len(deck_rows))
+            for lo in range(0, nv, fibers):
+                chains = self._tree_chains(np.arange(lo, min(lo + fibers, nv)))
+                chains = np.tile(chains, side)[:, None]
+                for k in range(0, len(deck_rows), rows):
+                    _add_mod(deck_rows[k:k + rows], chains, m,
+                             by_fiber[lo:lo + fibers, k:k + rows])
             self._profiles = prof
         return self._profiles
 
@@ -237,7 +366,7 @@ class CoverGraph:
         ``row.reshape(|V(X)|, deck_size)[:, perm].ravel()``.  Digit i of
         rank(l - k) is (l_i - k_i) mod m whatever the other digits are, so
         perm is an outer sum over the digits, built one digit at a time
-        as in `base_profiles`: about deck_size * m / (m - 1) additions,
+        as in `deck_profiles`: about deck_size * m / (m - 1) additions,
         with no pass over all ranks per digit and nothing cached.
         """
         m = self.m
@@ -256,7 +385,8 @@ class CoverGraph:
         u is the least base vertex of the orbit.  Both kinds keep d and
         d_Q, so the (d, d_Q) pairs from any source are those from its
         representative.  On an unlabelled base every fiber is an orbit.
-        Besides `base_profiles`, allocates nothing longer than the deck.
+        Besides the deck part of the profiles (`deck_profiles`),
+        allocates nothing longer than the deck.
         """
         if self._orbit_reps is None:
             orbits = Orbits(self.base.vertex_count)
@@ -389,7 +519,7 @@ def _checked_lift(c: CoverGraph, vmap: np.ndarray, emap: np.ndarray,
     P: (P p)[emap[e]] = signs[e] * p[e].  The lift f takes x to the vertex
     over vmap[v_x] whose label digits are the cotree columns of P(prof[x]).
     A profile row is affine in the label, prof[(v, k)] = prof[(v, 0)] +
-    sum_i k_i prof[m**i] mod m (`CoverGraph.base_profiles`), so f(v, k) =
+    sum_i k_i prof[m**i] mod m (`CoverGraph.deck_profiles`), so f(v, k) =
     (vmap[v], A k + b_v) mod m (`_affine_action`): int64 arrays a of shape
     (r, r) and b of shape (|V(X)|, r).
 
@@ -425,15 +555,17 @@ def _affine_action(c: CoverGraph, emap: np.ndarray, signs: np.ndarray):
     """(A, b) of the lift of the base edge map (emap, signs): column i of
     A holds the cotree digits of P(prof[m**i]), the row of cotree edge i's
     fundamental loop, and b_v those of P(prof[v * deck]).  Reads these
-    |V(X)| + r rows of `CoverGraph.base_profiles` only."""
+    |V(X)| + r rows from the factors of the profiles, on the columns src
+    only: the r loop rows of the deck part (`CoverGraph.deck_profiles`)
+    and, since prof[0] = 0, the tree-path chains of the base vertices."""
     m, r = c.m, c.r
     inverse = np.empty_like(emap)
     inverse[emap] = np.arange(emap.size)
     src = inverse[list(c.cotree)]  # the base edge P moves to cotree column i
-    rows = np.concatenate([m ** np.arange(r, dtype=np.int64),
-                           np.arange(c.base.vertex_count) * c.deck_size])
+    loops = c.deck_profiles()[m ** np.arange(r, dtype=np.int64)][:, src]
+    paths = c._tree_chains(np.arange(c.base.vertex_count), src)
     sign = np.where(signs[src] > 0, 1, -1)
-    digits = c.base_profiles()[rows][:, src] * sign % m
+    digits = np.concatenate([loops, paths]).astype(np.int64) * sign % m
     return digits[:r].T, digits[r:]
 
 
@@ -608,11 +740,10 @@ def phi_profile(c: CoverGraph, x: int, y: int) -> EdgeChainModM:
     path from x to y.
 
     Values are canonical residues in 0..m-1, the row difference
-    (base_profiles()[y] - base_profiles()[x]) mod m; the value is
-    independent of the chosen path.  The direction-free traversal cost of
+    (base_profiles()[y] - base_profiles()[x]) mod m, read from the
+    factors (`CoverGraph.profile_row`); the value is independent of the
+    chosen path.  The direction-free traversal cost of
     an edge with residue z is min(z, m - z).
     """
-    c.require_vertices(x, y)
-    prof = c.base_profiles()
-    counts = (prof[y].astype(np.int64) - prof[x].astype(np.int64)) % c.m
+    counts = (c.profile_row(y).astype(np.int64) - c.profile_row(x)) % c.m
     return EdgeChainModM(tuple(int(v) for v in counts), c.m)

@@ -116,11 +116,12 @@ def embed_point_l1(c: CoverGraph, x: int) -> HalfIntVector:
     """Per-base-edge cut embedding of a cover vertex.
 
     l1 distances between images equal d_Q exactly.  One `_cut_bits`
-    row, O(|E(X)| * m), with no (m, m) table.
+    row of x's profile row (`CoverGraph.profile_row`), O(|E(X)| * m),
+    with no (m, m) table and no profile table.
     """
     c.require_vertices(x)
     ne, m = c.base.edge_count, c.m
-    coords = np.flatnonzero(_cut_bits(c.base_profiles()[x], m)).tolist()
+    coords = np.flatnonzero(_cut_bits(c.profile_row(x), m)).tolist()
     return HalfIntVector(tuple((k, 1) for k in coords), ne * m,
                          _edge_block_layout(ne, m))
 

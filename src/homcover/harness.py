@@ -407,7 +407,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     for name in cfg.graphs:
         g = named_graph(name)
         covers[name] = build_zm_cover(g, cfg.m, size_cap=cfg.size_cap)
-        # fill the lazy profile cache here, not racing in the worker threads
+        # fill the lazy profile caches here, not racing in the worker
+        # threads: the table and its two factors, the deck part and the
+        # tree steps, which the d_Q rows read
         covers[name].base_profiles()
 
     tasks = []

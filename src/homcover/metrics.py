@@ -34,35 +34,82 @@ def d_T_distance(a, b, m: int) -> int:
 
 
 def d_q(c: CoverGraph, x: int, y: int) -> int:
-    """Quotient metric between two cover vertices."""
+    """Quotient metric between two cover vertices, from their profile rows
+    (`CoverGraph.profile_row`)."""
     c.require_vertices(x, y)
-    prof = c.base_profiles()
-    return int(_cyclic_distance(prof[x], prof[y], c.m).sum(dtype=np.int64))
+    return int(_cyclic_distance(c.profile_row(x), c.profile_row(y),
+                                c.m).sum(dtype=np.int64))
 
 
-#: Bytes of base_profiles that d_q_from reads per row block.
-_DQ_BLOCK = 1 << 18
+#: Entries of the d_Q row that d_q_from computes per slice of deck ranks,
+#: across all fibers.
+_ROW_SLICE = 1 << 16
 
 
 def d_q_from(c: CoverGraph, x: int) -> np.ndarray:
     """d_Q from x to every cover vertex, as one int64 row.
 
-    The collapsed edge sum over row blocks of `CoverGraph.base_profiles`
-    of about _DQ_BLOCK bytes each, every block's sums written into the
-    row in place; beside the row, the temporaries are a few blocks of
-    residues.
+    Read from the two factors of the traversal profiles, never the whole
+    table: with ref = prof[x] (`CoverGraph.profile_row`), P0 the deck part
+    (`CoverGraph.deck_profiles`) and cyc(z) = min(z, m - z) mod m,
+    * rank k of the fiber over the root is sum_e cyc(P0[k, e] - ref_e);
+    * the fiber over v differs from its tree parent's only on v's tree
+      edge e, crossed with step s (`CoverGraph.tree_steps`), which lies
+      on no path above v: its row is the parent's plus
+      cyc(P0[:, e] - ref_e + s) - cyc(P0[:, e] - ref_e);
+    and these per-fiber deltas are summed down the tree (`_down_tree`).
+    One slice of about _ROW_SLICE entries across all fibers at a time,
+    each written into the row in place; the temporaries are a few
+    slices.
     """
     c.require_vertices(x)
-    prof = c.base_profiles()
-    n, ne = prof.shape
-    out = np.empty(n, dtype=np.int64)
-    rows = max(1, _DQ_BLOCK // max(ne * prof.itemsize, 1))
-    for lo in range(0, n, rows):
+    m, deck, nv = c.m, c.deck_size, c.base.vertex_count
+    deck_part, tree = c.deck_profiles(), c.tree_steps()
+    ref = c.profile_row(x)
+    edge, step = tree.edge[1:], tree.step[1:]  # the fibers below the root
+    # the delta is D(s * (P0 - ref_e) mod m), D(w) = cyc(w + 1) - cyc(w),
+    # read as deltas[s * P0 + shift] with shift in m..2m-1, so that the
+    # index stays in the three periods of the table
+    w = np.arange(3 * m) % m
+    up = (w + 1) % m
+    deltas = np.minimum(up, m - up) - np.minimum(w, m - w)
+    shift = (-step * ref[edge]) % m + m
+    out = np.empty(nv * deck, dtype=np.int64)
+    rows = out.reshape(nv, deck)
+    width = max(1, _ROW_SLICE // nv)
+    for lo in range(0, deck, width):
+        block = deck_part[lo:lo + width]
+        acc = rows[:, lo:lo + width]
         # einsum's row sum is about twice as fast as sum(axis=1) on these
         # short |E(X)|-long rows
-        np.einsum("ij->i", _cyclic_distance(prof[lo:lo + rows], prof[x], c.m),
-                  dtype=np.int64, out=out[lo:lo + rows])
+        np.einsum("ij->i", _cyclic_distance(block, ref, m), dtype=np.int64,
+                  out=acc[0])
+        at = block.T[edge].astype(np.intp)
+        at *= step[:, None]
+        at += shift[:, None]
+        acc[1:] = deltas[at]
+        del at  # before the tree sums, which gather slices of their own
+        _down_tree(acc, tree.parent)
     return out
+
+
+def _down_tree(acc: np.ndarray, parent: np.ndarray) -> None:
+    """Sum the rows of acc down a rooted tree in place: afterwards acc[v]
+    is the sum of the old rows of v and of all its ancestors.
+
+    parent[v] is v's parent, -1 at the root.  Pointer doubling: each
+    pass adds to every unfinished row the partial sum of its current
+    ancestor pointer, then doubles the pointer, so ceil(log2(depth + 1))
+    passes finish the deepest vertex, also on path-shaped trees.  A pass
+    reads every row it adds (a gather) before it writes any.
+    """
+    up = parent.copy()
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        above = up[live]
+        acc[live] += acc[above]
+        up[live] = up[above]
+        live = live[up[live] >= 0]
 
 
 def _cyclic_distance(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -121,8 +168,8 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
     trees = (enumerate_spanning_trees(c.base, cap) if sample is None else
              (sample_uniform_tree(c.base, seed + i) for i in range(sample)))
     w, used = _avoidance_weights(c, trees)
-    prof = c.base_profiles()
-    total = Fraction(int(_cyclic_distance(prof[x], prof[y], c.m) @ w), n_avoid)
+    cyc = _cyclic_distance(c.profile_row(x), c.profile_row(y), c.m)
+    total = Fraction(int(cyc @ w), n_avoid)
     scale = 1 if sample is None else Fraction(c.tree_counts().total, used)
     return TreeAverage(scale * total, used, sample is not None)
 

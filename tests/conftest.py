@@ -52,6 +52,15 @@ def long_cycle_cover():
     return build_zm_cover(named_graph("cycle:200000"), 2)
 
 
+def unblocked_d_q_from(c, x):
+    """The collapsed edge sum over the whole profile table at once, in
+    int64: sum_e min(z_e, m - z_e) for z the residue difference from x.
+    An oracle for metrics.d_q_from, which reads the table's factors."""
+    prof = c.base_profiles().astype(np.int64)
+    z = (prof - prof[x]) % c.m
+    return np.minimum(z, c.m - z).sum(axis=1)
+
+
 def traced_peak(run):
     """(run(), the tracemalloc peak in bytes while it ran)."""
     tracemalloc.start()

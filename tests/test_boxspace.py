@@ -69,6 +69,7 @@ class TestTower:
         assert cover._orbit_reps is None
         assert cover._formula is None
         assert cover._profiles is None
+        assert cover._deck is None and cover._tree is None
         assert cover.graph._arcs is None
         assert np.shares_memory(cover.graph.tails, cover.graph.arc_ends()[0])
         assert peak < 32 << 20

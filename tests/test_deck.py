@@ -409,11 +409,12 @@ def test_transposed_vertex_map_is_refused():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_corrupted_profile_row_is_refused(m):
-    # clauses 2 and 3: with the row of cotree edge 0's loop zeroed, A has a
-    # zero column and no longer carries the cover edges over that edge
+    # clauses 2 and 3: with the deck row of cotree edge 0's loop zeroed, A
+    # has a zero column and no longer carries the cover edges over that
+    # edge
     c = build_zm_cover(labelled_prism(), m)
-    c._profiles = c.base_profiles().copy()
-    c._profiles[1] = 0
+    c._deck = c.deck_profiles().copy()
+    c._deck[1] = 0
     autos = label_automorphisms(c.base)
     assert autos
     for vmap, emap, signs in autos:
@@ -484,15 +485,16 @@ def test_lift_matches_matmul_map(case, request):
 
 
 def test_orbit_reps_reads_no_cover_array(tower_level):
-    # the lifts read |V(X)| + r profile rows; the formula pass holds a
-    # few deck-long arrays, not |V~|-long ones
+    # the lifts read r rows of the deck part and |V(X)| tree paths; the
+    # formula pass holds a few deck-long arrays, not |V~|-long ones
     c = CoverGraph(tower_level.base, tower_level.m, tower_level.tree0,
                    tower_level.graph)
-    c._profiles = tower_level.base_profiles()
+    c._deck = tower_level.deck_profiles()
     reps, peak = traced_peak(c.orbit_reps)
     assert reps.tolist() == [0] * 9
     assert c._formula is True
     assert peak < 1 << 20
+    assert c._profiles is None
 
 
 @pytest.mark.parametrize("labels", [

@@ -132,6 +132,19 @@ class TestSuite:
         c = run_suite(SuiteConfig(**base, threads=1))
         assert a.to_json() == b.to_json() == c.to_json()
 
+    def test_two_threads_build_each_factor_once(self, monkeypatch):
+        built = []
+        for name in ("_deck_part", "_tree_steps"):
+            def counted(*args, _build=getattr(cover_mod, name), _name=name):
+                built.append(_name)
+                return _build(*args)
+            monkeypatch.setattr(cover_mod, name, counted)
+        graphs = ("doubled_edge", "k4", "c5")
+        report = run_suite(SuiteConfig(graphs=graphs, m=3, seed=5,
+                                       samples=20, threads=2))
+        assert report.passed
+        assert sorted(built) == ["_deck_part"] * 3 + ["_tree_steps"] * 3
+
     def test_import_leaves_thread_pool_unloaded(self):
         # only run_suite's threaded branch uses the pool
         src = os.path.dirname(os.path.dirname(homcover.__file__))

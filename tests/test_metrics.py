@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from homcover import (MultiGraph, build_zm_cover, compression_profile,
-                      d_T_distance, d_q, d_q_from, d_q_tree_average,
-                      named_graph, tree_average_numerators, verify_compare)
+from homcover import (CoverGraph, MultiGraph, build_zm_cover,
+                      compression_profile, d_T_distance, d_q, d_q_from,
+                      d_q_tree_average, named_graph, tree_average_numerators,
+                      verify_compare)
 from homcover.cover import _residue_dtype
 from homcover.errors import InvalidParameter, LengthMismatch, NonConstantNe
 from homcover.embed import binary_embed_matrix
 from homcover.graph import bfs_distance_matrix
-from homcover.metrics import _DQ_BLOCK, _cyclic_distance
+from homcover.metrics import _cyclic_distance
 
-from conftest import traced_peak, two_edge_connected_multigraphs
+from conftest import (traced_peak, two_edge_connected_multigraphs,
+                      unblocked_d_q_from)
 
 
 class TestDT:
@@ -357,16 +359,12 @@ class TestRowMemory:
         assert self.peak(lambda: verify_compare(cover, srcs)) < 4 << 20
 
 
-def unblocked_d_q_from(c, x):
-    """The collapsed edge sum over the whole profile at once, in int64:
-    sum_e min(z_e, m - z_e) for z the residue difference from x."""
-    prof = c.base_profiles().astype(np.int64)
-    z = (prof - prof[x]) % c.m
-    return np.minimum(z, c.m - z).sum(axis=1)
-
-
 class TestRowBlocks:
-    """d_q_from sums the profile in row blocks of _DQ_BLOCK bytes."""
+    """d_q_from against the table-scan oracle on covers that the old row
+    kernel read in several row blocks of OLD_BLOCK bytes of profiles,
+    from sources at and beside the block edges."""
+
+    OLD_BLOCK = 1 << 18
 
     # cycle:n has one cotree edge: n * m vertices and n edges; each cover
     # spans three to seven blocks, the last one partial, and m = 257 has
@@ -377,7 +375,7 @@ class TestRowBlocks:
         c = build_zm_cover(named_graph(f"cycle:{n}"), m)
         prof = c.base_profiles()
         assert prof.dtype == _residue_dtype(m)
-        rows = _DQ_BLOCK // prof[0].nbytes
+        rows = self.OLD_BLOCK // prof[0].nbytes
         size = len(prof)
         assert 3 * rows < size and size % rows
         for x in (0, 1, rows - 1, rows, size // 2, size - size % rows,
@@ -388,10 +386,77 @@ class TestRowBlocks:
 
     def test_tower_level_peak_near_the_row(self, tower_level):
         # the unblocked sum held four (|V~|, |E(X)|) uint8 temporaries,
-        # 27.4 MiB traced here
+        # 27.4 MiB traced here; the row from the factors holds slices
         row, peak = traced_peak(lambda: d_q_from(tower_level, 12345))
         assert np.array_equal(row, unblocked_d_q_from(tower_level, 12345))
         assert peak < row.nbytes + (2 << 20)
+
+
+class TestFactoredRows:
+    """d_Q rows and pairs read from the deck part and the spanning tree,
+    never from the whole profile table."""
+
+    @pytest.mark.parametrize("m,extra", [(2, 4), (3, 4), (5, 4), (256, 1),
+                                         (257, 1)])
+    def test_matches_table_scan(self, m, extra):
+        # at m = 256 and 257 a base with more than two cotree edges would
+        # exceed the size cap
+        @given(two_edge_connected_multigraphs(max_extra_edges=extra))
+        @settings(max_examples=12, deadline=None)
+        def check(g):
+            c = build_zm_cover(g, m)
+            deck = c.deck_size
+            rng = random.Random(c.graph.vertex_count)
+            for v in range(g.vertex_count):
+                for x in (v * deck, v * deck + rng.randrange(deck)):
+                    assert np.array_equal(d_q_from(c, x),
+                                          unblocked_d_q_from(c, x))
+                    assert np.array_equal(c.profile_row(x),
+                                          c.base_profiles()[x])
+        check()
+
+    def test_long_cycle_row(self, long_cycle_cover):
+        # the 400,000-cycle over cycle:200000 at m = 2, whose profile table
+        # cannot be allocated: every distance below 200,000 is held by two
+        # vertices, and d_Q = d
+        c = long_cycle_cover
+        c.deck_profiles(), c.tree_steps()
+        row, peak = traced_peak(lambda: d_q_from(c, 123457))
+        assert row.dtype == np.int64 and row.size == 400_000
+        want = np.full(200_001, 2)
+        want[[0, -1]] = 1
+        assert np.array_equal(np.bincount(row), want)
+        assert peak < 5 * row.nbytes
+        assert c._profiles is None
+
+    def test_cycle_rows_are_graph_distances(self):
+        # at m = 2 the cover of a cycle is the doubled cycle, and d_Q = d
+        c = build_zm_cover(named_graph("cycle:2000"), 2)
+        sources = [0, 1, 999, 1999, 2000, 3001, 3999]
+        d = bfs_distance_matrix(c.graph, sources)
+        for x, d_row in zip(sources, d):
+            assert np.array_equal(d_q_from(c, x), d_row)
+        assert c._profiles is None
+
+    @pytest.mark.parametrize("case", ["petersen-m4", "tower"])
+    def test_reads_build_no_table(self, case, tower_level):
+        if case == "tower":
+            c = CoverGraph(tower_level.base, tower_level.m,
+                           tower_level.tree0, tower_level.graph)
+        else:
+            c = build_zm_cover(named_graph("petersen"), 4)
+        n = c.graph.vertex_count
+        sources = random.Random(4).sample(range(n), 8)
+        calls = [c.orbit_reps, lambda: d_q(c, sources[0], sources[1]),
+                 lambda: d_q_from(c, sources[2]),
+                 lambda: d_q_tree_average(c, sources[0], sources[3],
+                                          sample=3),
+                 lambda: verify_compare(c, sources),
+                 lambda: verify_compare(c, sources[:2], _dq_perturb=1),
+                 lambda: compression_profile(c, sources, "dq")]
+        for call in calls:
+            call()
+            assert c._profiles is None
 
 
 def profile_from_rows(d_rows, vals):
