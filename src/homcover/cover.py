@@ -12,15 +12,18 @@ moves a label digit of a rank, and the edge heads and the girth search
 (`cover_girth`) use it; a deck permutation moves every digit at once, as
 an outer sum of per-digit moves.
 
-`build_zm_cover` writes one arc table, the signed-arc table of the
-cover's graph (`MultiGraph.arc_ends`), in int32 while the ids fit; the
-graph's edge arrays are its forward arcs, views of the table.  Walks are
-lifted through it: a base walk's signed arcs (`graph.Walk`)
-pick signed cover arcs, and `_lift_block` follows them for a block of
-walks at once.  Two base walks from one vertex lift to the same cover
-endpoint exactly when their signed edge counts agree mod m.  BFS rows
-lift the base's CSR arcs through the same table, and on the large levels
-of a large deck they move whole fibers by the same digit moves instead:
+`build_zm_cover` writes one arc table, the targets of the signed-arc
+table of the cover's graph (`MultiGraph.arc_heads`), in int32 while the
+ids fit; the graph's heads are its forward arcs, a view of the table.  An
+arc's source is not stored: it is the base arc's source at the slot's
+rank, and the graph's tails are derived from that formula when read.
+Walks are lifted through the table: a base walk's signed arcs
+(`graph.Walk`) pick signed cover arcs, and `_lift_block` follows them
+for a block of walks at once.  Two base walks from one vertex lift to
+the same cover endpoint exactly when their signed edge counts agree mod
+m.  BFS rows lift the base's CSR arcs through the same table, and on the
+large levels of a large deck they move whole fibers by the same digit
+moves instead:
 `build_zm_cover` sets the graph's `_lift` to (base, deck) and its
 `_moves` to (m, each base edge's cotree stride m**i, 0 for a tree edge)
 for `graph.bfs_distance_matrix`.
@@ -405,7 +408,9 @@ class CoverGraph:
         label moved in the digit of e (`_digit_moves`) where e is a cotree
         edge.  Checked against the edge arrays once per cover, one
         base-edge block at a time, and cached (clause 4 of
-        `_checked_lift`).
+        `_checked_lift`).  Tails derived from the graph's own lift of
+        this base (`MultiGraph.tails`) hold the formula by construction,
+        so only stored tails, those of a hand-built graph, are compared.
         """
         if self._formula is None:
             self._formula = self._check_formula()
@@ -413,18 +418,21 @@ class CoverGraph:
 
     def _check_formula(self) -> bool:
         g, m, deck = self.base, self.m, self.deck_size
-        tails, heads = self.graph.tails, self.graph.heads
+        heads = self.graph.heads
         n_cover = g.vertex_count * deck
         if (self.graph.vertex_count != n_cover
-                or tails.size != g.edge_count * deck):
+                or heads.size != g.edge_count * deck):
             return False
+        # only build_zm_cover sets a graph's _lift, and it leaves the
+        # tails to the formula
+        tails = None if self.graph._lift == (g, deck) else self.graph.tails
         stride = {e: m ** i for i, e in enumerate(self.cotree)}
         ranks = np.arange(deck, dtype=_index_dtype(n_cover))
         want = np.empty_like(ranks)
         for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
             block = slice(e * deck, (e + 1) * deck)
-            if not np.array_equal(tails[block],
-                                  np.add(ranks, t * deck, out=want)):
+            if tails is not None and not np.array_equal(
+                    tails[block], np.add(ranks, t * deck, out=want)):
                 return False
             if e in stride:
                 # blocks of m * stride ranks, one digit value per row, so
@@ -453,13 +461,15 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
     and d_Q is a metric on it).  The optional tree fixes the construction
     layout; the cover's isomorphism type does not depend on it.
 
-    The cover's graph is written as its signed-arc table
-    (`MultiGraph.arc_ends`), in `_index_dtype(2 * max(|V~|, |E~|))`.  Slot
-    i = e * deck + k of base edge e = (t, h) holds arc 2i from (t, k) to
-    (h, k + 1) and arc 2i + 1 from (h, k) to (t, k - 1), the label moved
-    in the digit of e where e is a cotree edge (`_digit_move`) and kept
-    where e is a tree edge.  The graph's tails and heads are the table's
-    even entries, so cover edge i runs from (t, k) to (h, k + 1).
+    The cover's graph is written as the targets of its signed-arc table
+    (`MultiGraph.arc_heads`), in `_index_dtype(2 * max(|V~|, |E~|))`.
+    Slot i = e * deck + k of base edge e = (t, h) holds arc 2i from (t, k)
+    to (h, k + 1) and arc 2i + 1 from (h, k) to (t, k - 1), the label
+    moved in the digit of e where e is a cotree edge (`_digit_move`) and
+    kept where e is a tree edge.  Only the targets are stored: the
+    sources (t, k) and (h, k) follow from the slot.  The graph's heads
+    are the table's even entries and its tails, derived when read, the
+    sources of those arcs, so cover edge i runs from (t, k) to (h, k + 1).
     """
     if not 2 <= m <= MAX_M:
         raise UnsupportedModulus(f"m must be in 2..{MAX_M}, got {m}")
@@ -477,13 +487,10 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
             f"cover would have {n_cover} vertices, cap is {size_cap}")
     stride = {e: m ** i for i, e in enumerate(tree.cotree)}
     arcs = 2 * g.edge_count * deck
-    src = np.empty(arcs, dtype=_index_dtype(max(arcs, 2 * n_cover)))
-    dst = np.empty_like(src)
-    ranks = np.arange(deck, dtype=src.dtype)
+    dst = np.empty(arcs, dtype=_index_dtype(max(arcs, 2 * n_cover)))
+    ranks = np.arange(deck, dtype=dst.dtype)
     for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
         block = slice(2 * e * deck, 2 * (e + 1) * deck)
-        np.add(ranks, t * deck, out=src[block][0::2])
-        np.add(ranks, h * deck, out=src[block][1::2])
         fwd, back = dst[block][0::2], dst[block][1::2]
         if e not in stride:
             np.add(ranks, h * deck, out=fwd)
@@ -496,16 +503,13 @@ def build_zm_cover(g: MultiGraph, m: int, tree: SpanningTree | None = None,
             width *= m
         up = _digit_move(stride[e], m, width)
         by_row = ranks.reshape(-1, width)
-        np.add(by_row, (h * deck + up).astype(src.dtype),
+        np.add(by_row, (h * deck + up).astype(dst.dtype),
                out=fwd.reshape(-1, width))
         # a move by -1 undoes the move by +1 of the rank one stride below
-        np.add(by_row, (t * deck - np.roll(up, stride[e])).astype(src.dtype),
+        np.add(by_row, (t * deck - np.roll(up, stride[e])).astype(dst.dtype),
                out=back.reshape(-1, width))
-    cover_graph = MultiGraph.from_arrays(n_cover, src[0::2], dst[0::2])
-    cover_graph._lift = g, deck
-    cover_graph._moves = m, np.array([stride.get(e, 0)
-                                      for e in range(g.edge_count)])
-    cover_graph._ends = src, dst
+    moves = m, np.array([stride.get(e, 0) for e in range(g.edge_count)])
+    cover_graph = MultiGraph.from_arc_heads(n_cover, dst, g, deck, moves)
     return CoverGraph(g, m, tree, cover_graph)
 
 
@@ -612,35 +616,48 @@ def _lift_block(c: CoverGraph, starts, walks):
     Returns (end vertices, signed cover arcs): the arcs of all steps,
     walk after walk in input order.  A step along base arc a from cover
     vertex x takes signed cover arc 2 * ((a >> 1) * deck + x % deck) +
-    (a & 1) (`MultiGraph.arc_ends`); PathMismatch if x is not that arc's
-    source, IndexError for a base arc out of range.  The walks still
-    active at step j are the longest ones, a prefix of the block in
-    longest-first order.
+    (a & 1) (`MultiGraph.arc_heads`), whose source is a's base source at
+    x's rank; PathMismatch if a does not leave x's fiber x // deck,
+    IndexError for a base arc out of range.  The walks still active at
+    step j are the longest ones, a prefix of the block in longest-first
+    order.  A step from the wrong fiber still takes a slot in range, so
+    the steps' fibers are checked together once the walks are lifted;
+    the error names the least step that fails.
     """
-    deck = c.deck_size
-    src, dst = c.graph.arc_ends()
+    deck, base = c.deck_size, c.base
+    dst = c.graph.arc_heads()
     lengths = np.fromiter(map(len, walks), np.int64, len(walks))
     order = np.argsort(-lengths, kind="stable")
     arcs = np.fromiter(chain.from_iterable(walks), np.int64,
                        int(lengths.sum()))
     if arcs.size and not (0 <= arcs.min()
-                          and arcs.max() < 2 * c.base.edge_count):
+                          and arcs.max() < 2 * base.edge_count):
         raise IndexError("base arc out of range")
-    # the slot-independent part of each step's cover arc id
+    # the base vertex each step must leave, and the slot-independent part
+    # of its cover arc id
+    fibers = np.stack([base.tails, base.heads], axis=1).ravel()[arcs]
     arcs = (arcs >> 1) * (2 * deck) + (arcs & 1)
-    offsets = (np.cumsum(lengths) - lengths)[order]
+    firsts = np.cumsum(lengths) - lengths
+    offsets = firsts[order]
     active = np.searchsorted(-lengths[order],
                              -np.arange(lengths.max(initial=0)))
-    cur = np.asarray(starts, dtype=np.int64)[order]
+    starts = np.asarray(starts, dtype=np.int64)
+    cur = starts[order]
     for j, n in enumerate(active.tolist()):
-        x = cur[:n]
         at = offsets[:n] + j
-        arc = arcs[at] + 2 * (x % deck)
-        if not np.array_equal(src[arc], x):
-            raise PathMismatch(f"step {j} of a lifted walk does not start "
-                               f"at its cover vertex")
+        arc = arcs[at] + 2 * (cur[:n] % deck)
         arcs[at] = arc
         cur[:n] = dst[arc]
+    # each step leaves the vertex the step before it reached, or the start
+    froms = np.empty_like(arcs)
+    froms[1:] = dst[arcs[:-1]]
+    walked = lengths > 0
+    froms[firsts[walked]] = starts[walked]
+    bad = np.flatnonzero(froms // deck != fibers)
+    if bad.size:
+        step = bad - np.repeat(firsts, lengths)[bad]
+        raise PathMismatch(f"step {int(step.min())} of a lifted walk does "
+                           f"not start at its cover vertex")
     ends = np.empty_like(cur)
     ends[order] = cur
     return ends, arcs
@@ -652,8 +669,8 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
     Returns (endpoint, cover edge ids of the lift).  The start vertex must
     lie over the walk's origin.  The lift is `_lift_block` on a block of
     one; the cover edge of a step is e * deck + the rank of its tail-side
-    vertex, the current vertex on a forward step and the next one on a
-    backward step.
+    vertex: on a forward step the current vertex, so the edge is the
+    arc's slot arc >> 1, and on a backward step the arc's target.
     """
     c.require_vertices(start)
     deck = c.deck_size
@@ -661,9 +678,9 @@ def lift_path(c: CoverGraph, base_walk: Walk, start: int) -> tuple[int, list[int
         raise PathMismatch(f"start vertex lies over {start // deck}, walk "
                            f"begins at {base_walk.start}")
     ends, arcs = _lift_block(c, [start], [base_walk.steps])
-    src, dst = c.graph.arc_ends()
-    tail_side = np.where(arcs & 1, dst[arcs], src[arcs])
-    edges = (arcs >> 1) // deck * deck + tail_side % deck
+    slots = arcs >> 1
+    back = slots // deck * deck + c.graph.arc_heads()[arcs] % deck
+    edges = np.where(arcs & 1, back, slots)
     return int(ends[0]), edges.tolist()
 
 

@@ -7,8 +7,11 @@ edge-traversal counts, traversal itself is always bidirectional.  Loops
 and parallel edges are allowed.
 
 Each graph has sorted CSR arcs, `MultiGraph.arcs`; a cover's graph also
-holds the signed-arc table that `cover.build_zm_cover` writes,
-`MultiGraph.arc_ends`, and its edge arrays are the table's forward arcs.
+holds the targets of the signed-arc table that `cover.build_zm_cover`
+writes, `MultiGraph.arc_heads`, with its heads as the even entries.  An
+arc's source follows from its slot and the base, so the table stores
+none, and a cover's tails are derived from that slot formula on first
+read.
 Distances come from one engine, `bfs_distance_matrix`: a
 level-synchronous BFS per source, with a one-byte flag per vertex.  A
 plain graph steps along its CSR heads; a cover steps from its base's CSR
@@ -46,10 +49,15 @@ def _index_dtype(count: int) -> np.dtype:
 
 
 class MultiGraph:
-    """Finite oriented multigraph backed by numpy edge arrays."""
+    """Finite oriented multigraph backed by numpy edge arrays.
 
-    __slots__ = ("vertex_count", "tails", "heads", "labels", "_lift",
-                 "_moves", "_arcs", "_ends", "_spmat")
+    A plain graph stores its tails and heads.  The graph of a built cover
+    (`from_arc_heads`) stores only its arc table's targets, whose even
+    entries are the heads; its tails are derived from the slot formula.
+    """
+
+    __slots__ = ("vertex_count", "_tails", "heads", "labels", "_lift",
+                 "_moves", "_arcs", "_dst", "_spmat")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = (),
                  labels: Sequence | None = None):
@@ -70,9 +78,8 @@ class MultiGraph:
     def from_arrays(cls, vertex_count: int, tails: np.ndarray, heads: np.ndarray,
                     labels: Sequence | None = None) -> "MultiGraph":
         """A graph on the given edge arrays.  int32 and int64 arrays are
-        stored as given, views included (a cover's are strided views of
-        its arc table); other integer types are widened to int64, and any
-        other type raises ParseError."""
+        stored as given, views included; other integer types are widened
+        to int64, and any other type raises ParseError."""
         g = cls.__new__(cls)
         g._init_arrays(vertex_count, np.asarray(tails), np.asarray(heads), labels)
         return g
@@ -92,21 +99,58 @@ class MultiGraph:
         if labels is not None and len(labels) != tails.size:
             raise ParseError("labels length must equal edge count")
         self.vertex_count = int(vertex_count)
-        self.tails, self.heads = (
+        self._tails, self.heads = (
             a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
             for a in (tails, heads))
         self.labels = tuple(labels) if labels is not None else None
         self._lift = None
         self._moves = None
         self._arcs = None
-        self._ends = None
+        self._dst = None
         self._spmat = None
+
+    @classmethod
+    def from_arc_heads(cls, vertex_count: int, dst: np.ndarray,
+                       base: "MultiGraph", deck: int, moves) -> "MultiGraph":
+        """The graph of a cover of `base` with `deck` ranks per fiber,
+        given as the targets `dst` of its signed-arc table (`arc_heads`);
+        `moves` is (m, each base edge's cotree stride, 0 for a tree edge),
+        for `bfs_distance_matrix`.  The heads are dst's even entries, a
+        view, checked to be in range; EndpointOutOfRange if one is not.
+        The tails are not stored (see `tails`).
+        """
+        heads = dst[0::2]
+        if heads.size and (heads.min() < 0 or heads.max() >= vertex_count):
+            raise EndpointOutOfRange("edge endpoint out of range")
+        g = cls.__new__(cls)
+        g.vertex_count = int(vertex_count)
+        g._tails, g.heads, g.labels = None, heads, None
+        g._lift, g._moves = (base, deck), moves
+        g._arcs = g._spmat = None
+        g._dst = dst
+        return g
 
     # -- basic accessors -------------------------------------------------
 
     @property
+    def tails(self) -> np.ndarray:
+        """Tail of every edge.  A plain graph's stored array; on a built
+        cover's graph derived once, on first read, from the slot formula
+        (cover edge i = e * deck + k runs from base tail t_e at rank k,
+        t_e * deck + k), in the table's dtype, cached and read-only."""
+        if self._tails is None:
+            base, deck = self._lift
+            tails = np.empty(self.heads.size, dtype=self._dst.dtype)
+            np.add((base.tails.astype(tails.dtype) * deck)[:, None],
+                   np.arange(deck, dtype=tails.dtype),
+                   out=tails.reshape(-1, deck))
+            tails.setflags(write=False)
+            self._tails = tails
+        return self._tails
+
+    @property
     def edge_count(self) -> int:
-        return int(self.tails.size)
+        return int(self.heads.size)
 
     def endpoints(self, e: int) -> tuple[int, int]:
         if not 0 <= e < self.edge_count:
@@ -137,20 +181,22 @@ class MultiGraph:
             self._arcs = indptr, eid[order], sgn[order], dst[order]
         return self._arcs
 
-    def arc_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target) of every signed arc of a cover's graph: the
-        table `cover.build_zm_cover` writes, with `tails` and `heads` as
-        its even entries.  NoArcTable (a ValueError) on a graph built any
-        other way, which has no table.
+    def arc_heads(self) -> np.ndarray:
+        """Target of every signed arc of a cover's graph: the table
+        `cover.build_zm_cover` writes, with `heads` as its even entries.
+        NoArcTable (a ValueError) on a graph built any other way, which
+        has no table.
 
         Arc 2i + b belongs to cover edge slot i = e * deck + k (base edge
-        e, label rank k): arc 2i is edge i forward, and arc 2i + 1 runs
-        backward from the head vertex of rank k over e.  So base arc 2e +
-        b taken at rank k is table arc 2i + b.
+        e = (t, h), label rank k): arc 2i is edge i forward, from t * deck
+        + k, and arc 2i + 1 runs backward from h * deck + k, the head
+        vertex of rank k over e.  So base arc 2e + b taken at rank k is
+        table arc 2i + b, and its source is the base arc's source at rank
+        k: the slot formula, which is why the table stores no sources.
         """
-        if self._ends is None:
+        if self._dst is None:
             raise NoArcTable("only the graph of a built cover has an arc table")
-        return self._ends
+        return self._dst
 
     def adjacency_of(self, v: int) -> list[tuple[int, int, int]]:
         """Arcs at v as (edge_id, direction, neighbor), edge-id order."""
@@ -305,12 +351,14 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     over the CSR arcs of g's base.  A plain graph is its own base: the
     arcs at a frontier vertex reach their CSR heads.  A cover's graph
     (`_lift` set to (base, deck)) takes its arcs at vertex x = v * deck +
-    k from the base's CSR arcs at v, through its signed-arc table
-    (`MultiGraph.arc_ends`): base arc 2e + b is table arc 2 * (e * deck +
-    k) + b = offset + 2x, with offset = 2 * deck * (e - v) + b.  A cover
-    with at least _SHIFT_DECK_FLOOR ranks per fiber also expands its
-    large levels by the deck moves of its base arcs (`_DeckShifts`, from
-    the m and cotree strides that `build_zm_cover` leaves in `_moves`).
+    k from the base's CSR arcs at v, through the targets of its signed-arc
+    table (`MultiGraph.arc_heads`): base arc 2e + b is table arc 2 * (e *
+    deck + k) + b = offset + 2x, with offset = 2 * deck * (e - v) + b.
+    The arc's source is x by the slot formula, so only targets are read.
+    A cover with at least _SHIFT_DECK_FLOOR ranks per fiber also expands
+    its large levels by the deck moves of its base arcs (`_DeckShifts`,
+    from the m and cotree strides that `build_zm_cover` leaves in
+    `_moves`).
     The offsets, shifts and scratch are set up once per call, in the
     table's width.
     """
@@ -329,7 +377,7 @@ def bfs_distance_matrix(g: MultiGraph, sources: Sequence[int]) -> np.ndarray:
     if g._lift is None:
         dst, offset = head, None
     else:
-        dst = g.arc_ends()[1]
+        dst = g.arc_heads()
         owner = np.repeat(np.arange(base.vertex_count), degree)
         offset = (2 * deck * (edge - owner) + (sign < 0)).astype(dst.dtype)
         if deck >= _SHIFT_DECK_FLOOR:

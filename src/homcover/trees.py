@@ -113,8 +113,8 @@ def some_spanning_tree(g: MultiGraph) -> SpanningTree:
         return x
 
     chosen = []
-    for e in range(g.edge_count):
-        t, h = g.endpoints(e)
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    for e, (t, h) in enumerate(zip(tails, heads)):
         if t == h:
             continue
         rt, rh = find(t), find(h)
@@ -125,7 +125,7 @@ def some_spanning_tree(g: MultiGraph) -> SpanningTree:
                 break
     if len(chosen) != n - 1:
         raise NotConnected("graph is not connected")
-    return _tree_from_edge_set(g, chosen)
+    return _tree_from_ends(tails, heads, n, chosen)
 
 
 # -- exact counting -----------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homcover import (build_tower, build_zm_cover, cover_girth, girth,
-                      named_graph)
+from homcover import (build_tower, build_zm_cover, compression_profile,
+                      cover_girth, girth, named_graph)
 from homcover.boxspace import girth_vertex_transitive
 from homcover.errors import SizeCapExceeded
 from homcover.graph import cayley_zm_power, cycle_graph
@@ -56,9 +57,9 @@ class TestTower:
 
     def test_builds_no_cover_arrays(self):
         # the girth search runs over base states: level 2 (531,441
-        # vertices) gets no CSR arcs, profiles or orbit representatives,
-        # and the build peaks near its int32 arc table (about 17 MB),
-        # whose forward arcs are the edge arrays
+        # vertices) gets no CSR arcs, profiles, orbit representatives or
+        # tails, and the build peaks near the targets of its int32 arc
+        # table (about 8.5 MB), whose even entries are the heads
         tracemalloc.start()
         try:
             tower = build_tower(2, 3, 2)
@@ -71,8 +72,27 @@ class TestTower:
         assert cover._profiles is None
         assert cover._deck is None and cover._tree is None
         assert cover.graph._arcs is None
-        assert np.shares_memory(cover.graph.tails, cover.graph.arc_ends()[0])
-        assert peak < 32 << 20
+        assert cover.graph._tails is None
+        assert np.shares_memory(cover.graph.heads, cover.graph.arc_heads())
+        assert peak < 16 << 20
+
+    def test_profile_pass_materialises_no_tails(self):
+        # the build, the orbit representatives and the BFS and d_Q rows of
+        # a 32-source profile read the arc table's targets and the base
+        # only (27.0 MiB traced when the table also stored its sources)
+        tracemalloc.start()
+        try:
+            cover = build_tower(2, 3, 2).levels[1].cover
+            sources = sorted(random.Random(7).sample(
+                range(cover.graph.vertex_count), 32))
+            prof = compression_profile(cover, sources, "dq")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof
+        assert cover._orbit_reps is not None and cover._profiles is None
+        assert cover.graph._tails is None
+        assert peak < 22 << 20
 
     def test_girth_growth_is_checked_under_optimisation(self, tmp_path):
         # a girth that does not grow is a bug (exit 3), also where

@@ -267,6 +267,23 @@ class TestVerbs:
         level1 = json.loads((out / "level1.json").read_text())
         assert level1["vertices"] == 4
 
+    def test_tower_build_m3_bytes(self, tmp_path, capsys):
+        # level 2's edge list is written from its derived tails
+        out = tmp_path / "tw"
+        assert main(["tower", "build", "--rank", "2", "--m", "3",
+                     "--levels", "2", "--out-dir", str(out)]) == 0
+        got = {p.name: (p.stat().st_size,
+                        hashlib.sha256(p.read_bytes()).hexdigest())
+               for p in sorted(out.iterdir())}
+        assert got == {
+            "level1.json": (237, "a80bbdf39164d817e7f23861aed7dea1"
+                                 "21ff2d2a92e735126f0ef7f7d31c7c44"),
+            "level2.json": (18_687_468, "9390d9c5cd95d25dbb4d7f7b81a98b6c"
+                                        "043a7484e90cf45656da222c8bdd784b"),
+            "manifest.json": (252, "ada7eaad750b9b428acab8eb640fbf6d"
+                                   "7385c90a2cfefc56a1f34d6fce5358d6"),
+        }
+
     def test_suite_run_pass(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
         code = main(["suite", "run", "--graphs", "doubled_edge",

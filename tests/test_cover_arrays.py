@@ -4,12 +4,15 @@
 digit in the residue dtype, and every other fiber as its tree parent's
 with the tree edge's column moved by one; the oracle is the int64
 formula it replaced (a tree-path chain matrix, a digit matrix, a matmul
-and a per-vertex int64 sum).  `cover.build_zm_cover` writes the signed-arc
-table (`MultiGraph.arc_ends`) one base edge's block at a time, each
-backward arc's move read off its forward move; the oracle reads the backward arcs off the forward ones, the
-edge arrays, by an inverse head index per block.  BFS lifts the base's
-CSR arcs through that table; the oracle is `MultiGraph.arcs`, which
-sorts every arc of a graph that knows nothing of the cover.
+and a per-vertex int64 sum).  `cover.build_zm_cover` writes the targets
+of the signed-arc table (`MultiGraph.arc_heads`) one base edge's block at
+a time, each backward arc's move read off its forward move; the oracle
+reads the backward arcs off the forward ones, the edge arrays, by an
+inverse head index per block.  The table stores no sources: they, and the
+cover's tails, follow from the slot formula, which the oracle
+`formula_arc_sources` evaluates in int64.  BFS lifts the base's CSR arcs
+through that table; the oracle is `MultiGraph.arcs`, which sorts every
+arc of a graph that knows nothing of the cover.
 """
 
 import tracemalloc
@@ -21,9 +24,9 @@ from homcover import (CoverGraph, HomcoverError, MultiGraph, NoArcTable,
                       Walk, bfs_distance_matrix, build_tower, build_zm_cover,
                       compression_profile, enumerate_spanning_trees,
                       lift_path, named_graph)
-from homcover.cover import MAX_M, _lift_block, _residue_dtype
+from homcover.cover import MAX_M, _checked_lift, _lift_block, _residue_dtype
 from homcover.errors import SizeCapExceeded
-from homcover.graph import _index_dtype
+from homcover.graph import _index_dtype, cayley_zm_power, label_automorphisms
 from homcover.harness import check_conglifts
 
 #: Vertex cap of the covers built here; it keeps each oracle's int64
@@ -68,9 +71,10 @@ def int64_profiles(c) -> np.ndarray:
 
 
 def int64_arc_ends(c):
-    """arc_ends by the int64 formula: arcs 2i and 2i + 1 interleaved by
-    stacking cover edge i forward with the backward edge of its slot, the
-    edge of block e whose head has rank k."""
+    """(source, target) of every table arc read off the edge arrays in
+    int64: arcs 2i and 2i + 1 interleaved by stacking cover edge i
+    forward with the backward edge of its slot, the edge of block e whose
+    head has rank k."""
     deck = c.deck_size
     tails, heads = (a.astype(np.int64) for a in (c.graph.tails, c.graph.heads))
     ids = np.arange(tails.size, dtype=np.int64)
@@ -78,6 +82,16 @@ def int64_arc_ends(c):
     inv[ids - ids % deck + heads % deck] = ids
     return (np.stack([tails, heads[inv]], axis=1).ravel(),
             np.stack([heads, tails[inv]], axis=1).ravel())
+
+
+def formula_arc_sources(g):
+    """Source of every signed arc of a cover's graph g by the slot
+    formula, in int64: arc 2 * (e * deck + k) + b leaves the source of
+    base arc 2e + b at rank k, the base tail (b = 0) or head (b = 1)."""
+    base, deck = g._lift
+    ends = np.stack([base.tails, base.heads], axis=1).astype(np.int64)
+    return (ends[:, None, :] * deck
+            + np.arange(deck, dtype=np.int64)[None, :, None]).ravel()
 
 
 def other_tree(g):
@@ -125,7 +139,7 @@ def assert_same_arcs(g: MultiGraph):
     owner = np.repeat(np.arange(base.vertex_count), np.diff(indptr))
     x = (owner * deck + np.arange(deck)[:, None]).ravel()
     arc = np.tile(2 * deck * (edge - owner) + (sign < 0), deck) + 2 * x
-    src, dst = g.arc_ends()
+    src, dst = formula_arc_sources(g), g.arc_heads()
     assert np.array_equal(src[arc], x)
     # a table arc's cover edge: its block and the rank of its tail side
     tail_side = np.where(arc & 1, dst[arc], src[arc])
@@ -208,16 +222,20 @@ class TestArcEnds:
     def test_matches_int64_formula(self, name, m, request):
         c = (request.getfixturevalue("tower_level") if name == "tower"
              else cover_of(name, m))
-        for got, want in zip(c.graph.arc_ends(), int64_arc_ends(c)):
-            assert got.dtype == np.int32
-            assert np.array_equal(got, want)
+        src, dst = int64_arc_ends(c)
+        got = c.graph.arc_heads()
+        assert got.dtype == np.int32
+        assert np.array_equal(got, dst)
+        # the backward arcs read off the edge arrays leave the vertices
+        # that the slot formula names
+        assert np.array_equal(src, formula_arc_sources(c.graph))
 
     @pytest.mark.parametrize("name,m", fitting(sorted(BASES), [2, 5]))
     def test_edges_are_the_forward_arcs(self, name, m):
         g = cover_of(name, m).graph
-        src, dst = g.arc_ends()
+        src, dst = formula_arc_sources(g), g.arc_heads()
         assert g.tails.dtype == g.heads.dtype == np.int32
-        assert np.shares_memory(g.tails, src) and np.shares_memory(g.heads, dst)
+        assert np.shares_memory(g.heads, dst)
         assert np.array_equal(g.tails, src[0::2])
         assert np.array_equal(g.heads, dst[0::2])
 
@@ -228,7 +246,7 @@ class TestArcEnds:
         # forward and (head, tail) backward
         g, _tree = BASES[name]()
         with pytest.raises(NoArcTable):
-            g.arc_ends()
+            g.arc_heads()
         indptr, edge, sign, head = g.arcs()
         step = 2 * edge + (sign < 0)
         owner = np.repeat(np.arange(g.vertex_count), np.diff(indptr))
@@ -243,7 +261,7 @@ class TestArcEnds:
         c = build_zm_cover(named_graph("k4"), 3)
         hand = CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
             c.graph.vertex_count, c.graph.tails, c.graph.heads))
-        for lift in (hand.graph.arc_ends,
+        for lift in (hand.graph.arc_heads,
                      lambda: lift_path(hand, Walk(0, (0,)), 0),
                      lambda: _lift_block(hand, [0], [[0]]),
                      lambda: check_conglifts(hand, "k4", 10, seed=1)):
@@ -259,9 +277,9 @@ class TestArcEnds:
         assert _index_dtype(1 << 31) == np.int64
 
     def test_tower_level_peak(self):
-        # the arc table is written once by the build and held: level 2's
-        # profiles and one BFS row add no read-off of it (65.9 MiB traced
-        # when the table was read off two int64 edge arrays)
+        # the arc table's targets are written once by the build and held:
+        # level 2's profiles and one BFS row add no read-off of it (65.9
+        # MiB traced when the table was read off two int64 edge arrays)
         tracemalloc.start()
         try:
             c = build_tower(2, 3, 2).levels[-1].cover
@@ -271,3 +289,48 @@ class TestArcEnds:
         finally:
             tracemalloc.stop()
         assert peak < 52 << 20
+
+
+class TestDerivedTails:
+    @pytest.mark.parametrize(
+        "name,m", fitting(sorted(BASES), [2, 3, 5, 257]) + [("tower", 3)])
+    def test_slot_formula(self, name, m, request):
+        c = (request.getfixturevalue("tower_level") if name == "tower"
+             else cover_of(name, m))
+        g = c.graph
+        tails = g.tails
+        assert tails is g.tails  # derived once
+        assert tails.dtype == g.arc_heads().dtype == np.int32
+        assert np.array_equal(tails, formula_arc_sources(g)[0::2])
+        with pytest.raises(ValueError):
+            tails[0] = tails[-1]
+        assert not tails.flags.writeable
+
+    def test_built_tails_not_read_by_the_formula_check(self):
+        c = build_zm_cover(cayley_zm_power(3, 2), 2)
+        assert c._follows_formula()
+        assert c.graph._tails is None
+
+    def test_moved_stored_tail_refuses_every_lift(self):
+        # a hand-built cover stores its tails, so the formula check reads
+        # them: one moved tail refuses the lift of every base automorphism,
+        # and each fiber stays its own orbit
+        c = build_zm_cover(cayley_zm_power(3, 2), 2)
+        n = c.graph.vertex_count
+        autos = label_automorphisms(c.base)
+        assert len(autos) == 3
+
+        def hand_built(tails):
+            return CoverGraph(c.base, c.m, c.tree0, MultiGraph.from_arrays(
+                n, tails, c.graph.heads))
+
+        kept = hand_built(c.graph.tails.copy())
+        assert all(_checked_lift(kept, *auto) is not None for auto in autos)
+        assert kept.orbit_reps().tolist() == [0] * c.base.vertex_count
+        tails = c.graph.tails.copy()
+        tails[0] = (tails[0] + 1) % n
+        moved = hand_built(tails)
+        assert all(_checked_lift(moved, *auto) is None for auto in autos)
+        assert moved._formula is False
+        fibers = np.arange(c.base.vertex_count) * c.deck_size
+        assert np.array_equal(moved.orbit_reps(), fibers)

@@ -374,7 +374,7 @@ def test_moved_table_head_refuses_every_lift():
     # a built cover whose arc table no longer holds the formula: only
     # clause 4 of the lift check sees it, and the fibers stay exact
     c = build_zm_cover(cayley_zm_power(3, 2), 2)
-    heads = c.graph.arc_ends()[1]
+    heads = c.graph.arc_heads()
     assert np.shares_memory(heads, c.graph.heads)
     heads[0] = (heads[0] + 1) % c.graph.vertex_count
     autos = label_automorphisms(c.base)

@@ -331,6 +331,21 @@ class TestBlockLift:
         with pytest.raises(PathMismatch):
             _lift_block(c, [h * c.deck_size], [[2 * e]])
 
+    def test_least_failing_step_is_named(self, k4):
+        # the fibers are checked once the block is lifted: a walk broken
+        # at step 2 beside a shorter one broken at step 1 reports step 1,
+        # and the steps after a break reach vertices in range
+        c = build_zm_cover(k4, 3)
+        assert [k4.endpoints(e) for e in (0, 1)] == [(0, 1), (0, 2)]
+        at_step_2 = [0, 1, 3, 0, 0]  # 0 -> 1 -> 0, then edge 1 back from 2
+        at_step_1 = [0, 2]  # 0 -> 1, then edge 1 forward from 0
+        with pytest.raises(PathMismatch, match="step 1 of"):
+            _lift_block(c, [1, 2], [at_step_2, at_step_1])
+        with pytest.raises(PathMismatch, match="step 2 of"):
+            _lift_block(c, [1], [at_step_2])
+        with pytest.raises(PathMismatch, match="step 0 of"):
+            _lift_block(c, [0, c.deck_size], [[0, 1], [0]])
+
 
 #: sha256 of the `suite run --out` report for each argument list, with
 #: its exit code; a change of the walk draw order changes these.

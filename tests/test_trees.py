@@ -16,7 +16,8 @@ from homcover.metrics import _avoidance_weights
 from homcover.trees import _bareiss_det, _tree_from_edge_set
 
 from conftest import (connected_multigraphs, enumerate_spanning_trees_oracle,
-                      sample_uniform_tree_oracle, spanning_tree_sets)
+                      multigraphs, sample_uniform_tree_oracle,
+                      spanning_tree_sets)
 
 #: Connected bases for the oracle comparisons: loops, a parallel pair,
 #: bridges, a single vertex, and the Petersen graph's 2,000 trees.
@@ -26,6 +27,31 @@ ORACLE_BASES = {
                     "complete:1", "path:3")},
     "loop_pair": lambda: MultiGraph(2, [[0, 1], [0, 1], [0, 0]]),
 }
+
+def some_spanning_tree_oracle(g):
+    """The edges of `some_spanning_tree` by its first loop, which read
+    each edge's ends through `MultiGraph.endpoints`; None when g is not
+    connected."""
+    comp = list(range(g.vertex_count))
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    chosen = []
+    for e in range(g.edge_count):
+        t, h = g.endpoints(e)
+        if t == h:
+            continue
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            comp[rt] = rh
+            chosen.append(e)
+            if len(chosen) == g.vertex_count - 1:
+                break
+    return chosen if len(chosen) == g.vertex_count - 1 else None
+
 
 #: tracemalloc peak, in bytes, of streaming the 16,807 trees of
 #: complete:7 into _avoidance_weights: twice the 0.34 MB that the
@@ -52,6 +78,27 @@ class TestSomeSpanningTree:
     def test_disconnected(self):
         with pytest.raises(NotConnected):
             some_spanning_tree(MultiGraph(3, [[0, 1]]))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES) + [
+        "cycle:200", "complete:6", "cover:petersen:3"])
+    def test_matches_per_edge_loop(self, name):
+        if name.startswith("cover:"):
+            _kind, base, m = name.split(":")
+            g = build_zm_cover(named_graph(base), int(m)).graph
+        else:
+            g = ORACLE_BASES.get(name, lambda: named_graph(name))()
+        want = some_spanning_tree_oracle(g)
+        assert sorted(some_spanning_tree(g).tree_edges) == want
+
+    @given(multigraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_edge_loop_on_multigraphs(self, g):
+        want = some_spanning_tree_oracle(g)
+        if want is None:
+            with pytest.raises(NotConnected):
+                some_spanning_tree(g)
+        else:
+            assert sorted(some_spanning_tree(g).tree_edges) == want
 
     @given(connected_multigraphs())
     @settings(max_examples=50, deadline=None)
