@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (InvalidParameter, LengthMismatch, NonBinaryCoordinates,
                      SizeCapExceeded)
 from .cover import CoverGraph
 from .metrics import avoidance_count
-from .trees import DEFAULT_TREE_CAP, enumerate_spanning_trees
+from .trees import DEFAULT_TREE_CAP, _cotrees
 
 
 @dataclass(frozen=True)
@@ -213,28 +213,45 @@ class PsiEmbedding:
 
     Stored entries are half-integers; the 1/N weight is applied at norm
     evaluation time.  Distances equal d_Q exactly (the bi-Lipschitz
-    constant of the cut embedding is 1).  The cloud labels of every tree
-    are the tree's cotree columns of base_profiles, held side by side in
-    `labels`, shape (|V~|, tau * r).
+    constant of the cut embedding is 1).  A tree enters psi only through
+    its cotree: `trees` holds the cotree tuples in enumeration order and
+    `cols` the cotree edges of every tree side by side, so the cloud
+    labels of x are base_profiles()[x, cols], read per row and never
+    held as a (|V~|, tau * r) table.
     """
 
     def __init__(self, c: CoverGraph, cap: int = DEFAULT_TREE_CAP):
         self.cover = c
         self.n_avoid = avoidance_count(c)
-        self.trees = list(enumerate_spanning_trees(c.base, cap))
-        self.r = len(self.trees[0].cotree)
-        self.cols = np.array([e for t in self.trees for e in t.cotree],
+        self.trees = tuple(_cotrees(c.base, cap))
+        self.r = len(self.trees[0])
+        self.cols = np.array([e for t in self.trees for e in t],
                              dtype=np.int64)
-        self.labels = c.base_profiles()[:, self.cols]
         self.dim = self.cols.size * c.m
-        self.block_layout = tuple(
-            (f"tree{ti}_factor{i}", (ti * self.r + i) * c.m, c.m)
-            for ti in range(len(self.trees)) for i in range(self.r))
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The cloud labels of every vertex and tree, shape (|V~|, tau * r):
+        a fresh gather of the cotree columns of base_profiles."""
+        return self.cover.base_profiles()[:, self.cols]
+
+    @cached_property
+    def block_layout(self) -> tuple[tuple[str, int, int], ...]:
+        """One (name, start, m) block per (tree, cotree edge); built on the
+        first `vector` call."""
+        m = self.cover.m
+        return tuple((f"tree{ti}_factor{i}", (ti * self.r + i) * m, m)
+                     for ti in range(len(self.trees)) for i in range(self.r))
+
+    def _label_bits(self, x: int) -> np.ndarray:
+        """The cut bits of x's cloud labels, shape (tau * r, m)."""
+        return _cut_bits(self.cover.base_profiles()[x, self.cols],
+                         self.cover.m)
 
     def vector(self, x: int) -> HalfIntVector:
         self.cover.require_vertices(x)
         # row-major: bit t of block b is coordinate b * m + t, in sorted order
-        coords = np.flatnonzero(_cut_bits(self.labels[x], self.cover.m)).tolist()
+        coords = np.flatnonzero(self._label_bits(x)).tolist()
         return HalfIntVector(tuple((k, 1) for k in coords), self.dim,
                              self.block_layout)
 
@@ -253,7 +270,7 @@ class PsiEmbedding:
         """(1/N)-weighted l1 distance between psi images: the number of
         differing cut bits of the two label rows, over 2N."""
         self.cover.require_vertices(x, y)
-        bx, by = (_cut_bits(self.labels[v], self.cover.m) for v in (x, y))
+        bx, by = self._label_bits(x), self._label_bits(y)
         return Fraction(int((bx != by).sum()), 2 * self.n_avoid)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import InvalidParameter, LengthMismatch, NonConstantNe
 from .graph import bfs_distance_matrix, girth
 from .cover import CoverGraph
-from .trees import (DEFAULT_TREE_CAP, enumerate_spanning_trees,
-                    sample_uniform_tree)
+from .trees import DEFAULT_TREE_CAP, _cotrees, _sampled_cotrees
 
 
 def d_T_distance(a, b, m: int) -> int:
@@ -134,14 +133,16 @@ def avoidance_count(c: CoverGraph) -> int:
     return avoiding.pop()
 
 
-def _avoidance_weights(c: CoverGraph, trees) -> tuple[np.ndarray, int]:
-    """(w, count): int64 w[e] counts the `trees` that leave base edge e
-    out, streamed with no per-tree array; count counts the trees."""
-    w = np.zeros(c.base.edge_count, dtype=np.int64)
+def _avoidance_weights(c: CoverGraph, cotrees) -> tuple[np.ndarray, int]:
+    """(w, count): int64 w[e] counts the `cotrees` that hold base edge e,
+    that is the trees that leave it out, streamed into a Python list;
+    count counts the trees."""
+    w = [0] * c.base.edge_count
     count = 0
-    for count, tree in enumerate(trees, 1):
-        w[list(tree.cotree)] += 1
-    return w, count
+    for count, cotree in enumerate(cotrees, 1):
+        for e in cotree:
+            w[e] += 1
+    return np.array(w, dtype=np.int64), count
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,9 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
     if sample is not None and sample < 1:
         raise InvalidParameter(f"sample must be at least 1, got {sample}")
     n_avoid = avoidance_count(c)
-    trees = (enumerate_spanning_trees(c.base, cap) if sample is None else
-             (sample_uniform_tree(c.base, seed + i) for i in range(sample)))
-    w, used = _avoidance_weights(c, trees)
+    cotrees = (_cotrees(c.base, cap) if sample is None else
+               _sampled_cotrees(c.base, range(seed, seed + sample)))
+    w, used = _avoidance_weights(c, cotrees)
     cyc = _cyclic_distance(c.profile_row(x), c.profile_row(y), c.m)
     total = Fraction(int(cyc @ w), n_avoid)
     scale = 1 if sample is None else Fraction(c.tree_counts().total, used)
@@ -189,7 +190,7 @@ def tree_average_numerators(c: CoverGraph,
     covers.
     """
     n_avoid = avoidance_count(c)
-    w, _ = _avoidance_weights(c, enumerate_spanning_trees(c.base, cap))
+    w, _ = _avoidance_weights(c, _cotrees(c.base, cap))
     prof = c.base_profiles()
     n = len(prof)
     total = np.zeros((n, n), dtype=np.int64)

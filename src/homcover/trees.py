@@ -58,6 +58,14 @@ class SpanningTree:
         return Walk(v, tuple(steps))
 
 
+def _cotree(edge_count: int, tree_edges) -> tuple[int, ...]:
+    """The edge ids outside tree_edges, ascending: loops included."""
+    off_tree = [True] * edge_count
+    for e in tree_edges:
+        off_tree[e] = False
+    return tuple(compress(range(edge_count), off_tree))
+
+
 def _tree_from_edge_set(g: MultiGraph, edge_ids) -> SpanningTree:
     return _tree_from_ends(g.tails.tolist(), g.heads.tolist(),
                            g.vertex_count, edge_ids)
@@ -75,7 +83,6 @@ def _tree_from_ends(tails: list[int], heads: list[int], n: int,
         raise NotSpanningTree(f"need {n - 1} edges, got {len(edge_ids)}")
     ne = len(tails)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    off_tree = [True] * ne
     for e in edge_ids:
         if not 0 <= e < ne:
             raise IndexError(f"edge {e} out of range")
@@ -84,7 +91,6 @@ def _tree_from_ends(tails: list[int], heads: list[int], n: int,
             raise NotSpanningTree(f"edge {e} is a loop")
         adj[t].append((e, h))
         adj[h].append((e, t))
-        off_tree[e] = False
     parent: list[Optional[tuple[int, int]]] = [None] * n
     seen = [False] * n
     seen[0] = True
@@ -98,7 +104,7 @@ def _tree_from_ends(tails: list[int], heads: list[int], n: int,
     if len(queue) != n:
         raise NotSpanningTree("edge set does not span")
     return SpanningTree(frozenset(edge_ids), tuple(parent),
-                        tuple(compress(range(ne), off_tree)))
+                        _cotree(ne, edge_ids))
 
 
 def some_spanning_tree(g: MultiGraph) -> SpanningTree:
@@ -221,16 +227,16 @@ def tree_counts(g: MultiGraph) -> TreeCounts:
 # -- enumeration --------------------------------------------------------
 
 
-def enumerate_spanning_trees(g: MultiGraph,
-                             cap: int = DEFAULT_TREE_CAP) -> Iterator[SpanningTree]:
-    """Yield every maximal spanning tree exactly once, in lexicographic
-    edge-id order.  Raises CapExceeded when tau(g) > cap.
+def _tree_edge_lists(g: MultiGraph, cap: int) -> Iterator[list[int]]:
+    """The edge ids of every maximal spanning tree, ascending, in
+    lexicographic order; CapExceeded when tau(g) > cap.
 
     A depth-first search over include/exclude choices, one edge per
     level, include first.  Each pending exclude branch sits on an
     explicit stack as (next edge position, components, number of edges
     chosen); each tree is yielded as soon as it is complete, so memory
-    holds one search path, never the list of trees."""
+    holds one search path, never the list of trees.  The list yielded is
+    the search's own and changes once the search resumes."""
     total = count_spanning_trees(g)
     if total > cap:
         raise CapExceeded(f"tau = {total} exceeds cap {cap}")
@@ -259,47 +265,84 @@ def enumerate_spanning_trees(g: MultiGraph,
                 chosen.append(e)
                 k += 1
         if k == n - 1:
-            yield _tree_from_ends(tails, heads, n, chosen)
+            yield chosen
+
+
+def _cotrees(g: MultiGraph,
+             cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[int, ...]]:
+    """The cotree of every maximal spanning tree, in the order and under
+    the cap of `enumerate_spanning_trees`, with no SpanningTree built."""
+    ne = g.edge_count
+    for chosen in _tree_edge_lists(g, cap):
+        yield _cotree(ne, chosen)
+
+
+def enumerate_spanning_trees(g: MultiGraph,
+                             cap: int = DEFAULT_TREE_CAP) -> Iterator[SpanningTree]:
+    """Yield every maximal spanning tree exactly once, in lexicographic
+    edge-id order.  Raises CapExceeded when tau(g) > cap.  One tree at a
+    time from `_tree_edge_lists`."""
+    tails, heads = g.tails.tolist(), g.heads.tolist()
+    for chosen in _tree_edge_lists(g, cap):
+        yield _tree_from_ends(tails, heads, g.vertex_count, chosen)
 
 
 # -- uniform sampling ---------------------------------------------------
 
 
-def sample_uniform_tree(g: MultiGraph, seed: int) -> SpanningTree:
-    """Exactly uniform maximal spanning tree via Wilson's loop-erased
-    random walk; deterministic for a given seed.
+def _sampled_tree_edges(g: MultiGraph, seeds) -> Iterator[list[int]]:
+    """The edge ids of an exactly uniform maximal spanning tree per seed,
+    by Wilson's loop-erased random walk on random.Random(seed).
 
+    NotConnected for a disconnected or empty graph, before any draw.
     The arcs of vertex u are (edge id, direction, neighbour) in edge-id
-    order, read from one `arcs()` call; each step draws
-    rng.randrange(deg(u)) among them."""
-    if not is_connected(g):
-        raise NotConnected("sampling requires a connected graph")
+    order, read from one `arcs()` call for all the seeds; each step
+    draws rng.randrange(deg(u)) among them."""
     n = g.vertex_count
-    tails, heads = g.tails.tolist(), g.heads.tolist()
+    if n == 0 or not is_connected(g):
+        raise NotConnected("sampling requires a connected graph")
     if n == 1:
-        return _tree_from_ends(tails, heads, n, [])
-    randrange = random.Random(seed).randrange
+        for _seed in seeds:
+            yield []
+        return
     indptr, ae, asg, ah = g.arcs()
     arcs = list(zip(ae.tolist(), asg.tolist(), ah.tolist()))
     bounds = indptr.tolist()
     adj = [arcs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    in_tree = [False] * n
-    in_tree[0] = True
-    next_arc: list[Optional[tuple[int, int, int]]] = [None] * n
-    for v in range(1, n):
-        if in_tree[v]:
-            continue
-        u = v
-        while not in_tree[u]:
-            out = adj[u]
-            arc = out[randrange(len(out))]
-            next_arc[u] = arc
-            u = arc[2]
-        u = v
-        while not in_tree[u]:
-            in_tree[u] = True
-            u = next_arc[u][2]
-    # after termination every non-root vertex is committed and its
-    # next_arc points along the in-tree
-    edge_ids = [next_arc[v][0] for v in range(1, n)]
-    return _tree_from_ends(tails, heads, n, edge_ids)
+    for seed in seeds:
+        randrange = random.Random(seed).randrange
+        in_tree = [False] * n
+        in_tree[0] = True
+        next_arc: list[Optional[tuple[int, int, int]]] = [None] * n
+        for v in range(1, n):
+            if in_tree[v]:
+                continue
+            u = v
+            while not in_tree[u]:
+                out = adj[u]
+                arc = out[randrange(len(out))]
+                next_arc[u] = arc
+                u = arc[2]
+            u = v
+            while not in_tree[u]:
+                in_tree[u] = True
+                u = next_arc[u][2]
+        # after termination every non-root vertex is committed and its
+        # next_arc points along the in-tree
+        yield [next_arc[v][0] for v in range(1, n)]
+
+
+def _sampled_cotrees(g: MultiGraph, seeds) -> Iterator[tuple[int, ...]]:
+    """The cotree of `sample_uniform_tree(g, seed)` for each seed in turn,
+    with Wilson's set-up done once and no SpanningTree built."""
+    ne = g.edge_count
+    for edge_ids in _sampled_tree_edges(g, seeds):
+        yield _cotree(ne, edge_ids)
+
+
+def sample_uniform_tree(g: MultiGraph, seed: int) -> SpanningTree:
+    """Exactly uniform maximal spanning tree via Wilson's loop-erased
+    random walk (`_sampled_tree_edges`); deterministic for a given seed.
+    NotConnected for a disconnected or empty graph."""
+    edge_ids = next(_sampled_tree_edges(g, (seed,)))
+    return _tree_from_edge_set(g, edge_ids)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestPsi:
         got = psi.matrix()
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name,m", psi_covers())
+    def test_labels_are_the_cotree_columns(self, name, m):
+        c = build_zm_cover(PSI_BASES[name](), m)
+        psi = PsiEmbedding(c)
+        assert np.array_equal(psi.labels, c.base_profiles()[:, psi.cols])
+        assert psi.labels is not psi.labels  # a fresh gather, never stored
+
+    def test_keeps_no_label_table(self):
+        # a (640, 12,000) label table alone is 7.3 MiB, and 2,000
+        # SpanningTree objects about 5 MiB more
+        c = build_zm_cover(named_graph("petersen"), 2)
+        c.base_profiles()
+        c.tree_counts()
+        tracemalloc.start()
+        try:
+            psi = PsiEmbedding(c)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(psi.trees) == 2000 and psi.dim == 24_000
+        assert kept < 1 << 20
 
     def test_requires_constant_counts(self):
         g = MultiGraph(3, [[0, 1], [0, 1], [1, 2], [2, 0]])

@@ -245,12 +245,17 @@ class TestPhiProfileSelect:
 
 
 class TestPsiGather:
+    """psi against per-tree labels of its own SpanningTree enumeration;
+    PsiEmbedding itself keeps only the cotrees."""
+
     @pytest.mark.parametrize("name,m", [("doubled_edge", 3), ("k4", 3),
                                         ("c5", 2), ("k4", 5)])
     def test_matches_per_tree_construction(self, name, m):
         c = build_zm_cover(named_graph(name), m)
         psi = PsiEmbedding(c)
-        vector, matrix = per_tree_psi(c, psi.trees)
+        trees = list(enumerate_spanning_trees(c.base))
+        assert psi.trees == tuple(t.cotree for t in trees)
+        vector, matrix = per_tree_psi(c, trees)
         assert psi.matrix().dtype == np.uint8
         assert np.array_equal(psi.matrix(), matrix)
         for x in range(c.graph.vertex_count):
@@ -260,7 +265,9 @@ class TestPsiGather:
     def test_petersen_m2_sample(self):
         c = build_zm_cover(named_graph("petersen"), 2)
         psi = PsiEmbedding(c)
-        vector, matrix = per_tree_psi(c, psi.trees)
+        trees = list(enumerate_spanning_trees(c.base))
+        assert psi.trees == tuple(t.cotree for t in trees)
+        vector, matrix = per_tree_psi(c, trees)
         assert np.array_equal(psi.matrix(), matrix)
         for x in random.Random(3).sample(range(c.graph.vertex_count), 5):
             v = psi.vector(x)
@@ -589,6 +596,24 @@ class TestTreeAverageEdgeSum:
         for x, y in some_pairs(c.graph.vertex_count, 10, seed=1):
             assert d_T_distance(lab[x], lab[y], m) == \
                 oracle_d_T_distance(lab[x], lab[y], m)
+
+    @pytest.mark.parametrize("seed,x,y,value", [
+        (0, 0, 639, Fraction(73, 10)), (1, 3, 200, Fraction(167, 20)),
+        (7, 17, 455, Fraction(26, 5)), (42, 64, 65, Fraction(91, 20)),
+        (501, 320, 1, Fraction(117, 20))])
+    def test_petersen_m2_sampled_pins(self, seed, x, y, value):
+        # taken from the per-tree SpanningTree construction
+        c = build_zm_cover(named_graph("petersen"), 2)
+        got = d_q_tree_average(c, x, y, sample=50, seed=seed)
+        assert (got.value, got.trees_used, got.sampled) == (value, 50, True)
+
+    @pytest.mark.parametrize("x,y,value", [(0, 107, 4), (5, 50, 4),
+                                           (13, 88, 5), (40, 41, 3)])
+    def test_k4_m3_enumerated_pins(self, x, y, value):
+        c = build_zm_cover(named_graph("k4"), 3)
+        got = d_q_tree_average(c, x, y)
+        assert (got.value, got.trees_used, got.sampled) == \
+            (Fraction(value), 16, False)
 
     @pytest.mark.parametrize("name,m", SMALL_COVERS)
     def test_psi_distance(self, name, m):

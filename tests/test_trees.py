@@ -13,7 +13,8 @@ from homcover import (MultiGraph, NotConnected, build_zm_cover,
                       sample_uniform_tree, some_spanning_tree, tree_counts)
 from homcover.errors import CapExceeded, NotSpanningTree
 from homcover.metrics import _avoidance_weights
-from homcover.trees import _bareiss_det, _tree_from_edge_set
+from homcover.trees import (_bareiss_det, _cotrees, _sampled_cotrees,
+                            _tree_from_edge_set)
 
 from conftest import (connected_multigraphs, enumerate_spanning_trees_oracle,
                       multigraphs, sample_uniform_tree_oracle,
@@ -286,12 +287,33 @@ class TestEnumeration:
         assert got == list(enumerate_spanning_trees_oracle(g))
         assert len(got) == count_spanning_trees(g)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_cotrees_match_oracle(self, name):
+        g = ORACLE_BASES[name]()
+        want = [t.cotree for t in enumerate_spanning_trees_oracle(g)]
+        assert list(_cotrees(g)) == want
+        assert list(_cotrees(g, cap=len(want))) == want
+        if len(want) > 1:
+            with pytest.raises(CapExceeded):
+                next(_cotrees(g, cap=len(want) - 1))
+
+    @given(connected_multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_cotrees_match_oracle_on_multigraphs(self, g):
+        want = [t.cotree for t in enumerate_spanning_trees_oracle(g)]
+        assert list(_cotrees(g, cap=len(want))) == want
+        with pytest.raises(CapExceeded):
+            next(_cotrees(g, cap=len(want) - 1))
+
+    def test_cotrees_refuse_disconnected(self):
+        with pytest.raises(NotConnected):
+            next(_cotrees(MultiGraph(3, [[0, 1]])))
+
     def test_streams_trees(self):
         c = build_zm_cover(named_graph("complete:7"), 2)
         tracemalloc.start()
         try:
-            _w, count = _avoidance_weights(
-                c, enumerate_spanning_trees(c.base))
+            _w, count = _avoidance_weights(c, _cotrees(c.base))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,6 +348,28 @@ class TestUniformSampling:
         for seed in range(200):
             assert sample_uniform_tree(g, seed) == \
                 sample_uniform_tree_oracle(g, seed)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_sampled_cotrees_match_oracle(self, name):
+        g = ORACLE_BASES[name]()
+        want = [sample_uniform_tree_oracle(g, s).cotree for s in range(200)]
+        assert list(_sampled_cotrees(g, range(200))) == want
+
+    def test_sampled_cotrees_one_vertex(self):
+        g = MultiGraph(1, [[0, 0], [0, 0]])
+        assert list(_sampled_cotrees(g, range(3))) == [(0, 1)] * 3
+        assert sample_uniform_tree(g, 5).cotree == (0, 1)
+
+    @pytest.mark.parametrize("g", [MultiGraph(3, [[0, 1], [1, 1]]),
+                                   MultiGraph(0, [])],
+                             ids=["disconnected", "empty"])
+    def test_sampling_refuses_before_any_draw(self, g):
+        seeds = iter(range(5))
+        with pytest.raises(NotConnected):
+            next(_sampled_cotrees(g, seeds))
+        assert next(seeds) == 0  # no seed was drawn
+        with pytest.raises(NotConnected):
+            sample_uniform_tree(g, 0)
 
     def test_k4_uniform(self, k4):
         counts = {}
