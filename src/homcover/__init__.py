@@ -20,8 +20,8 @@ from .graph import (MultiGraph, Walk, bfs_distance_matrix, cayley_zm_power,
                     complete_graph, cycle_graph, doubled_edge, girth,
                     graph_document, is_connected, is_two_edge_connected,
                     load_graph, named_graph, path_graph, petersen_graph)
-from .harness import (SuiteConfig, VerificationReport, fingerprint,
-                      make_congruence_pair, run_suite)
+from .harness import (SuiteConfig, VerificationReport, make_congruence_pair,
+                      run_suite)
 from .metrics import (CompareReport, CompressionProfile, ProfileRow,
                       TreeAverage, compression_profile, d_T_distance, d_q,
                       d_q_from, d_q_tree_average, tree_average_numerators,

@@ -36,7 +36,8 @@ from .boxspace import DEFAULT_TOWER_CAP, build_tower
 from .cover import CoverGraph, build_zm_cover
 from .embed import _cut_bits, _edge_block_layout
 from .errors import HomcoverError, ParseError
-from .graph import DEFAULT_SIZE_CAP, graph_document, load_graph
+from .graph import (DEFAULT_SIZE_CAP, _document_fields, graph_document,
+                    load_graph)
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
 from .metrics import compression_profile
 from .trees import DEFAULT_TREE_CAP, _tree_from_edge_set, tree_counts
@@ -46,8 +47,13 @@ OUT_DIR_ENV = "HOMCOVER_OUT"
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-#: Vertices formatted per write of ``embed export``.
+#: Vertices formatted per write of ``embed export``, and the bytes of
+#: records one write may hold.
 _EXPORT_BLOCK = 4096
+_EXPORT_BLOCK_BYTES = 1 << 20
+
+#: Edges formatted per write of a graph or cover document.
+_EDGE_BLOCK = 1 << 16
 
 
 def _resolve_out(path: str) -> Path:
@@ -70,24 +76,28 @@ def _read_json(path: str) -> dict:
 
 
 def _emit(out, chunks: Iterable[str]) -> None:
-    """Write text chunks to the --out file if one is given, else to stdout.
+    """Write text chunks to the --out file if one is given, else to stdout."""
+    if out:
+        _write_file(_resolve_out(out), chunks)
+    else:
+        sys.stdout.writelines(chunks)
+
+
+def _write_file(target: Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to the file at target.
 
     The file is written under a temporary sibling name and renamed onto
     the target only once every chunk is written, so a command that fails
     midway leaves no partial file and keeps a previous one intact.
     """
-    if out:
-        target = _resolve_out(out)
-        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-            os.replace(tmp, target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    else:
-        sys.stdout.writelines(chunks)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _frac_str(x) -> str:
@@ -95,15 +105,119 @@ def _frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+# -- text records ------------------------------------------------------------
+#
+# The large texts -- the edge list of a graph or cover document and the
+# rows of `embed export` -- are written from int arrays a block of rows at
+# a time.  A block is a 2-D uint8 array of fixed-width fields, one record
+# per row: decimal ids right-aligned in a fixed number of columns with
+# NUL on the left, literal separators, and pieces gathered from a padded
+# table.  NUL marks every unused byte, so the block's text is its
+# non-NUL bytes in row-major order.
+
+
+def _width(top: int) -> int:
+    """Columns of the decimal ids 0..top."""
+    return len(str(max(top, 0)))
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The decimal text of the non-negative ints v right-aligned in
+    `width` columns, NUL on the left: shape (len(v), width), uint8."""
+    v = np.asarray(v)
+    out = np.empty((v.size, width), dtype=np.uint8)
+    for j in range(width):
+        scale = 10 ** (width - 1 - j)
+        out[:, j] = v // scale % 10 + ord("0")
+        if j < width - 1:  # the last digit is written even for 0
+            out[v < scale, j] = 0
+    return out
+
+
+def _records(rows: int, *fields) -> np.ndarray:
+    """`rows` records of the fields side by side: shape (rows, width).
+
+    A str field is a literal, the same in every record; an array field
+    holds one record's bytes per row, shape (rows, ...).
+    """
+    parts = [np.frombuffer(f.encode("ascii"), dtype=np.uint8) if isinstance(f, str)
+             else f.reshape(rows, f[0].size if rows else 0) for f in fields]
+    rec = np.empty((rows, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    at = 0
+    for p in parts:
+        rec[:, at:at + p.shape[-1]] = p
+        at += p.shape[-1]
+    return rec
+
+
+def _text(rec: np.ndarray) -> str:
+    """The text of a block of records: its bytes, NUL dropped."""
+    return rec[rec != 0].tobytes().decode("ascii")
+
+
+def _joiner(rows: int, sep: str, first: bool) -> np.ndarray:
+    """The field `sep` of rows records, blank in the first when `first`:
+    the separator that joins records across blocks."""
+    field = np.tile(np.frombuffer(sep.encode("ascii"), dtype=np.uint8), (rows, 1))
+    if first:
+        field[0] = 0
+    return field
+
+
+def _json_around(doc: dict, key: str) -> tuple[str, str]:
+    """(head, tail) such that `json.dumps(doc, sort_keys=True)` is head,
+    then the JSON of doc[key], then tail.
+
+    Each other field is json's own rendering of it, so the value of `key`
+    is placed by position, and no text in another field can be taken for
+    it.
+    """
+    fields = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+              for k, v in sorted(doc.items()) if k != key]
+    at = sorted(doc).index(key)
+    head = "{" + "".join(f + ", " for f in fields[:at]) + json.dumps(key) + ": "
+    return head, "".join(", " + f for f in fields[at:]) + "}"
+
+
+def _edge_list_text(g) -> Iterable[str]:
+    """`json.dumps` of g's edge list, [[tail, head], ...], in blocks of
+    `_EDGE_BLOCK` edges."""
+    width = _width(g.vertex_count - 1)
+    tails, heads = g.tails, g.heads
+    yield "["
+    for start in range(0, g.edge_count, _EDGE_BLOCK):
+        t = tails[start:start + _EDGE_BLOCK]
+        yield _text(_records(t.size, _joiner(t.size, ", ", start == 0), "[",
+                             _digits(t, width), ", ",
+                             _digits(heads[start:start + _EDGE_BLOCK], width), "]"))
+    yield "]"
+
+
+def _document_text(doc: dict, g) -> Iterable[str]:
+    """`json.dumps(doc, sort_keys=True) + "\n"` with g's edge list as
+    doc's "edges", written from g's arrays."""
+    head, tail = _json_around(doc, "edges")
+    yield head
+    yield from _edge_list_text(g)
+    yield tail + "\n"
+
+
 # -- cover document round-trip ---------------------------------------------
 
 
+def _cover_fields(c: CoverGraph) -> dict:
+    """The fields a cover document adds to its graph's document."""
+    return {"base": graph_document(c.base), "m": c.m, "cotree": list(c.cotree)}
+
+
 def cover_document(c: CoverGraph) -> dict:
-    doc = graph_document(c.graph)
-    doc["base"] = graph_document(c.base)
-    doc["m"] = c.m
-    doc["cotree"] = list(c.cotree)
-    return doc
+    return {**graph_document(c.graph), **_cover_fields(c)}
+
+
+def _cover_text(c: CoverGraph) -> Iterable[str]:
+    """`json.dumps(cover_document(c), sort_keys=True) + "\n"`, in pieces."""
+    return _document_text({**_document_fields(c.graph), **_cover_fields(c)},
+                          c.graph)
 
 
 def _is_int(x) -> bool:
@@ -180,7 +294,7 @@ def _cmd_cover_build(args) -> int:
     g = load_graph(_read_json(args.graph), args.size_cap)
     tree = None if args.tree == "auto" else _tree_arg(g, args.tree)
     c = build_zm_cover(g, args.m, tree=tree, size_cap=args.size_cap)
-    _emit(args.out, [json.dumps(cover_document(c), sort_keys=True) + "\n"])
+    _emit(args.out, _cover_text(c))
     return 0
 
 
@@ -213,62 +327,97 @@ def _cmd_metrics_profile(args) -> int:
     return 0
 
 
-def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, cell_sep: str,
-                 sep: str, row_text) -> Iterable[str]:
+def _export_rows(c: CoverGraph, order: np.ndarray, cell: str, row: str,
+                 sep: str, lead: bool, row_sep: str) -> Iterable[str]:
     """Text of the cut coordinates of the vertices in `order`, in blocks.
 
     Edge e's cells in a row depend only on the row's residue k on e, so a
     row is |E(X)| pieces, piece (e, k) being the cells of coordinates
-    e * m + t for the set bits t of `_cut_bits(k)`, joined by `cell_sep`.
-    Coordinate i prints as `cell.format(i)`, read from a per-coordinate
-    string table.  Each block of `_EXPORT_BLOCK` vertices builds only the
-    pieces its rows use, so the pieces held never exceed one block's
-    cells.  A row prints as `row_text(x, pieces)`, and rows are joined by
-    `sep`, across blocks too.  What this saves over joining each row's
+    e * m + t for the set bits t of `_cut_bits(k)`.  Coordinate i prints
+    as `cell.format(i)` and row x as `row.format(x, cells)`, each cell
+    after `sep` (the first only when `lead`); rows are joined by
+    `row_sep`, across blocks too.
+
+    Each block of rows is written as byte records (see `_records`): one
+    padded record per piece its rows use, so the pieces held never exceed
+    one block's cells, then one record per row, its pieces gathered from
+    that table.  A block holds at most `_EXPORT_BLOCK` rows and about
+    `_EXPORT_BLOCK_BYTES` of records, so a large m makes the blocks
+    shorter, not larger.  What the table saves over formatting each row's
     cells is the reuse of pieces by the rows of a block, which needs m
     much smaller than the block.
     """
     ne, m = c.base.edge_count, c.m
-    table = np.array([cell.format(i) for i in range(ne * m)], dtype=object)
     offsets = np.arange(ne, dtype=np.int64) * m
+    id_width = _width(c.graph.vertex_count - 1)
+    # cell i, after its separator, is record i of the table
+    table = _records(ne * m, sep, *_around(cell, _digits(np.arange(ne * m),
+                                                         _width(ne * m - 1))))
+    row_bytes = (len(row_sep) + len(row.format("", "")) + id_width
+                 + ne * (m // 2) * table.shape[1])
+    step = max(1, min(_EXPORT_BLOCK, _EXPORT_BLOCK_BYTES // row_bytes))
     profiles = c.base_profiles()
-    for start in range(0, len(order), _EXPORT_BLOCK):
-        rows = order[start:start + _EXPORT_BLOCK]
+    for start in range(0, len(order), step):
+        rows = order[start:start + step]
         keys = profiles[rows] + offsets
         used = np.zeros(ne * m, dtype=bool)
         used[keys] = True
         ids = np.flatnonzero(used)
         k = ids % m
         coords = np.nonzero(_cut_bits(k, m))[1].reshape(ids.size, m // 2)
-        pieces = np.empty(ne * m, dtype=object)
-        pieces[ids] = list(map(cell_sep.join,
-                               table[coords + (ids - k)[:, None]].tolist()))
-        text = sep.join(map(row_text, rows.tolist(), pieces[keys].tolist()))
-        yield text if start == 0 else sep + text
+        coords += (ids - k)[:, None]
+        pieces = np.take(table, coords, axis=0)
+        slot = np.zeros(ne * m, dtype=np.int64)
+        slot[ids] = np.arange(ids.size)
+        cells = np.take(pieces, slot[keys], axis=0)
+        if not lead:
+            cells[:, :1, :1, :len(sep)] = 0
+        yield _text(_records(rows.size, _joiner(rows.size, row_sep, start == 0),
+                             *_around(row, _digits(rows, id_width), cells)))
+
+
+def _around(template: str, *fields) -> list:
+    """The fields of `template.format(*fields)`: the fields, with the
+    template's literal text around them."""
+    parts = template.split("{}")
+    return [f for pair in zip(parts, fields) for f in pair] + parts[-1:]
 
 
 def _export_csv(c: CoverGraph, layout, dim: int) -> Iterable[str]:
     blocks = ";".join(f"{name}:{start}:{width}" for name, start, width in layout)
     yield f"# m={c.m} dim={dim} blocks={blocks}\n"
-    yield from _export_rows(c, np.arange(c.graph.vertex_count), "{}:1", ",",
-                            "\n", lambda x, pieces: ",".join([str(x), *pieces]))
+    yield from _export_rows(c, np.arange(c.graph.vertex_count), "{}:1", "{}{}",
+                            ",", True, "\n")
     yield "\n"
+
+
+def _string_order(n: int) -> np.ndarray:
+    """0..n-1 sorted as decimal strings, as `sorted(range(n), key=str)`.
+
+    An id of d digits, scaled by 10 ** (D - d) to D digits, compares as
+    its string does; among equal scaled values the shorter string, a
+    prefix of the longer, comes first.
+    """
+    ids = np.arange(n, dtype=np.int64)
+    width = _width(n - 1)
+    lengths = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=np.int64),
+                                  ids, side="right")
+    return np.lexsort((lengths, ids * 10 ** (width - lengths)))
 
 
 def _export_json(c: CoverGraph, layout, dim: int) -> Iterable[str]:
     """`json.dumps(body, sort_keys=True)` of the export body, in pieces.
 
-    The text around `vectors` is json's own rendering of the body with an
-    empty `vectors`; its entries follow in `sort_keys` order, the vertex
-    ids sorted as strings.
+    The text around `vectors` is json's own rendering of the other
+    fields; its entries follow in `sort_keys` order, the vertex ids
+    sorted as strings.
     """
     body = {"m": c.m, "blocks": [list(b) for b in layout], "dim": dim,
-            "vectors": {}}
-    head, tail = json.dumps(body, sort_keys=True).rsplit("{}", 1)
+            "vectors": None}
+    head, tail = _json_around(body, "vectors")
     yield head + "{"
-    order = np.array(sorted(range(c.graph.vertex_count), key=str))
-    yield from _export_rows(c, order, "[{}, 1]", ", ", ", ",
-                            lambda x, pieces: f'"{x}": [{", ".join(pieces)}]')
+    yield from _export_rows(c, _string_order(c.graph.vertex_count), "[{}, 1]",
+                            '"{}": [{}]', ", ", False, ", ")
     yield "}" + tail + "\n"
 
 
@@ -295,11 +444,10 @@ def _cmd_tower_build(args) -> int:
             "edges": lvl.graph.edge_count,
             "girth": None if gv is math.inf else int(gv),
         })
-        doc = graph_document(lvl.graph)
-        (out_dir / f"level{lvl.level}.json").write_text(
-            json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_file(out_dir / f"level{lvl.level}.json",
+                    _document_text(_document_fields(lvl.graph), lvl.graph))
+    _write_file(out_dir / "manifest.json",
+                [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     sys.stdout.write(f"wrote {len(tower.levels)} levels to {out_dir}\n")
     return 0
 

@@ -216,8 +216,9 @@ class PsiEmbedding:
     constant of the cut embedding is 1).  A tree enters psi only through
     its cotree: `trees` holds the cotree tuples in enumeration order and
     `cols` the cotree edges of every tree side by side, so the cloud
-    labels of x are base_profiles()[x, cols], read per row and never
-    held as a (|V~|, tau * r) table.
+    labels of x are profile_row(x)[cols], read per row from the cover's
+    factors, and neither the profile table nor a (|V~|, tau * r) label
+    table is built for them.
     """
 
     def __init__(self, c: CoverGraph, cap: int = DEFAULT_TREE_CAP):
@@ -245,11 +246,9 @@ class PsiEmbedding:
 
     def _label_bits(self, x: int) -> np.ndarray:
         """The cut bits of x's cloud labels, shape (tau * r, m)."""
-        return _cut_bits(self.cover.base_profiles()[x, self.cols],
-                         self.cover.m)
+        return _cut_bits(self.cover.profile_row(x)[self.cols], self.cover.m)
 
     def vector(self, x: int) -> HalfIntVector:
-        self.cover.require_vertices(x)
         # row-major: bit t of block b is coordinate b * m + t, in sorted order
         coords = np.flatnonzero(self._label_bits(x)).tolist()
         return HalfIntVector(tuple((k, 1) for k in coords), self.dim,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -295,23 +296,43 @@ def load_graph(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> MultiGraph:
         raise SizeCapExceeded(f"graph has {n} vertices, cap is {size_cap}")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
-    for pair in edges:
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
-            raise ParseError(f"bad edge entry: {pair!r}")
+    if not _plain_pairs(edges):
+        for pair in edges:
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                    or not all(isinstance(x, int) and not isinstance(x, bool)
+                               for x in pair)):
+                raise ParseError(f"bad edge entry: {pair!r}")
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ParseError("'labels' must be a list")
     return MultiGraph(n, edges, labels)
 
 
-def graph_document(g: MultiGraph) -> dict:
-    doc = {
-        "vertices": g.vertex_count,
-        "edges": np.stack((g.tails, g.heads), axis=1).tolist(),
-    }
+def _plain_pairs(edges: list) -> bool:
+    """True iff every entry is a list or tuple of two ints of type int.
+
+    The checks are C-level passes over the entries, with no Python loop
+    per pair.  False does not mean that load_graph refuses the entries:
+    it then checks pair by pair, which accepts subclasses of list, tuple
+    and int (bool excepted) and names the first bad entry.
+    """
+    return (set(map(type, edges)) <= {list, tuple}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int})
+
+
+def _document_fields(g: MultiGraph) -> dict:
+    """g's graph document with "edges" None, for writers that put the
+    edge list in from the arrays."""
+    doc = {"vertices": g.vertex_count, "edges": None}
     if g.labels is not None:
         doc["labels"] = list(g.labels)
+    return doc
+
+
+def graph_document(g: MultiGraph) -> dict:
+    doc = _document_fields(g)
+    doc["edges"] = np.stack((g.tails, g.heads), axis=1).tolist()
     return doc
 
 

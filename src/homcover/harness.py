@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,8 +23,8 @@ from .cover import CoverGraph, _lift_block, build_zm_cover, cover_girth
 from .embed import hamming_row, packed_embed_matrix
 from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
                      ParseError)
-from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, bfs_distance_matrix,
-                    girth, named_graph, signed_arc_counts)
+from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, girth, named_graph,
+                    signed_arc_counts)
 from .metrics import d_q_from, tree_average_numerators, verify_compare
 from .trees import DEFAULT_TREE_CAP, SpanningTree
 
@@ -432,31 +431,3 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
                                f"{cfg.fault} record has a violation")
     return VerificationReport(cfg, records)
 
-
-# -- isomorphism-invariant fingerprint --------------------------------------
-
-
-def fingerprint(g: MultiGraph):
-    """Cheap isomorphism-invariant summary of a graph.
-
-    (|V|, |E|, degree multiset, girth, sorted per-source distance
-    histograms) from min(|V|, 64) evenly spaced sources.  With more than
-    64 vertices the source choice is a heuristic: strictly
-    relabelling-invariant only when all sources see the same histogram
-    multiset (e.g. vertex-transitive graphs).
-    """
-    n = g.vertex_count
-    if n <= 64:
-        sources = list(range(n))
-    else:
-        sources = sorted({int(i) for i in np.linspace(0, n - 1, 64)})
-    dmat = bfs_distance_matrix(g, sources)
-    hists = []
-    for row in dmat:
-        reach = row[row < n]  # finite distances are < |V|
-        hist = tuple(np.bincount(reach).tolist())
-        hists.append((hist, int(len(row) - len(reach))))
-    degree_multiset = tuple(sorted(g.degrees().tolist()))
-    gth = girth(g)
-    gth = "inf" if gth is math.inf else int(gth)
-    return (n, g.edge_count, degree_multiset, gth, tuple(sorted(hists)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from homcover import MultiGraph, build_tower, build_zm_cover, named_graph
+from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
+                      build_zm_cover, girth, named_graph)
 from homcover.errors import NotSpanningTree
 from homcover.graph import _shift
 from homcover.trees import SpanningTree
@@ -363,3 +365,32 @@ def materialised_lift(c, vmap, lift):
         f[v * deck:(v + 1) * deck] = (vmap[v] * deck
                                       + (moved + b[v]) % m @ weights)
     return f
+
+
+# -- isomorphism-invariant fingerprint ---------------------------------------
+
+
+def fingerprint(g: MultiGraph):
+    """Cheap isomorphism-invariant summary of a graph.
+
+    (|V|, |E|, degree multiset, girth, sorted per-source distance
+    histograms) from min(|V|, 64) evenly spaced sources.  With more than
+    64 vertices the source choice is a heuristic: strictly
+    relabelling-invariant only when all sources see the same histogram
+    multiset (e.g. vertex-transitive graphs).
+    """
+    n = g.vertex_count
+    if n <= 64:
+        sources = list(range(n))
+    else:
+        sources = sorted({int(i) for i in np.linspace(0, n - 1, 64)})
+    dmat = bfs_distance_matrix(g, sources)
+    hists = []
+    for row in dmat:
+        reach = row[row < n]  # finite distances are < |V|
+        hist = tuple(np.bincount(reach).tolist())
+        hists.append((hist, int(len(row) - len(reach))))
+    degree_multiset = tuple(sorted(g.degrees().tolist()))
+    gth = girth(g)
+    gth = "inf" if gth is math.inf else int(gth)
+    return (n, g.edge_count, degree_multiset, gth, tuple(sorted(hists)))

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import homcover
 from homcover import (MultiGraph, SuiteConfig, Walk, build_zm_cover,
-                      fingerprint, is_m_congruent, lift_path,
-                      make_congruence_pair, named_graph, run_suite,
-                      sample_uniform_tree, some_spanning_tree)
+                      is_m_congruent, lift_path, make_congruence_pair,
+                      named_graph, run_suite, sample_uniform_tree,
+                      some_spanning_tree)
 from homcover.cli import main
 from homcover.errors import (FaultNotInjected, InvalidParameter, ParseError,
                              PathMismatch)
@@ -27,7 +27,7 @@ from homcover.harness import (_WalkTables, check_conglifts, check_isometry,
 from homcover.graph import cycle_graph, path_graph
 from homcover.trees import _tree_from_edge_set
 
-from conftest import connected_multigraphs, label_list_lift_path
+from conftest import connected_multigraphs, fingerprint, label_list_lift_path
 
 
 class TestCongruencePairs:
