@@ -18,9 +18,10 @@ from .trees import tree_counts
 
 DEFAULT_TOWER_CAP = 1 << 23
 
-#: Per-edge matrix-tree N_e verification is done only below this vertex
-#: count; exact big-integer determinants get prohibitive well before the
-#: graphs themselves do.
+#: N_e is verified (`trees.tree_counts`) only up to this vertex count:
+#: its one fraction-free elimination is pure-Python big-integer work,
+#: cubic in the vertex count (about 0.5 s on a 150-cycle), and gets
+#: prohibitive well before the graphs themselves do.
 NE_CHECK_LIMIT = 64
 
 

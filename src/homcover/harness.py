@@ -405,11 +405,14 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     covers = {}
     for name in cfg.graphs:
         g = named_graph(name)
-        covers[name] = build_zm_cover(g, cfg.m, size_cap=cfg.size_cap)
-        # fill the lazy profile caches here, not racing in the worker
-        # threads: the table and its two factors, the deck part and the
-        # tree steps, which the d_Q rows read
-        covers[name].base_profiles()
+        c = covers[name] = build_zm_cover(g, cfg.m, size_cap=cfg.size_cap)
+        # fill the lazy caches here, not racing in the worker threads: the
+        # profile table and its two factors, the deck part and the tree
+        # steps, which the d_Q rows read, and the tree counts, which
+        # ne_constant reads and treeavg too unless it skips the cover
+        c.base_profiles()
+        if "ne_constant" in cfg.checks:
+            c.tree_counts()
 
     tasks = []
     for name in cfg.graphs:

@@ -6,8 +6,7 @@ one per edge whenever the base is bridgeless.  The tree average
 (1/N) sum_T d_T, an exact cross-check, is the weighted edge sum
 sum_e w_e min(z_e, m - z_e): z_e is the residue difference on base edge
 e and w_e counts the given trees that leave e out.  Over all trees w_e
-is N_e, so the suite's `treeavg` check compares the enumeration's counts
-with the matrix-tree N, which every edge, loops included, must share.
+is the matrix-tree N_e, which every edge, loops included, must share.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, LengthMismatch, NonConstantNe
+from .errors import (CapExceeded, InvalidParameter, LengthMismatch,
+                     NonConstantNe)
 from .graph import bfs_distance_matrix, girth
 from .cover import CoverGraph
-from .trees import DEFAULT_TREE_CAP, _cotrees, _sampled_cotrees
+from .trees import DEFAULT_TREE_CAP, _sampled_cotrees
 
 
 def d_T_distance(a, b, m: int) -> int:
@@ -145,6 +145,14 @@ def _avoidance_weights(c: CoverGraph, cotrees) -> tuple[np.ndarray, int]:
     return np.array(w, dtype=np.int64), count
 
 
+def _all_tree_weights(c: CoverGraph, cap: int) -> tuple[np.ndarray, int]:
+    """(w, tau): int64 w[e] = N_e of the tau trees; CapExceeded if tau > cap."""
+    counts = c.tree_counts()
+    if counts.total > cap:
+        raise CapExceeded(f"tau = {counts.total} exceeds cap {cap}")
+    return np.array(counts.avoiding, dtype=np.int64), counts.total
+
+
 @dataclass(frozen=True)
 class TreeAverage:
     value: Fraction
@@ -158,21 +166,20 @@ def d_q_tree_average(c: CoverGraph, x: int, y: int,
                      seed: int = 0) -> TreeAverage:
     """(1/N) sum over maximal spanning trees of the cloud distance d_T.
 
-    Exact rational over a full enumeration when tau(base) <= cap;
-    with `sample` set, a seeded uniform-tree sample is used instead and
-    the (tau/N)-scaled sample mean is returned.
+    Exact rational over all trees, read from their N_e, when
+    tau(base) <= cap; with `sample` set, a seeded uniform-tree sample is
+    used instead and the (tau/N)-scaled sample mean is returned.
     """
     c.require_vertices(x, y)
     if sample is not None and sample < 1:
         raise InvalidParameter(f"sample must be at least 1, got {sample}")
     n_avoid = avoidance_count(c)
-    cotrees = (_cotrees(c.base, cap) if sample is None else
-               _sampled_cotrees(c.base, range(seed, seed + sample)))
-    w, used = _avoidance_weights(c, cotrees)
+    w, used = (_all_tree_weights(c, cap) if sample is None else
+               _avoidance_weights(c, _sampled_cotrees(
+                   c.base, range(seed, seed + sample))))
     cyc = _cyclic_distance(c.profile_row(x), c.profile_row(y), c.m)
-    total = Fraction(int(cyc @ w), n_avoid)
-    scale = 1 if sample is None else Fraction(c.tree_counts().total, used)
-    return TreeAverage(scale * total, used, sample is not None)
+    value = Fraction(c.tree_counts().total * int(cyc @ w), n_avoid * used)
+    return TreeAverage(value, used, sample is not None)
 
 
 #: Entries of the row block that tree_average_numerators adds per edge.
@@ -190,7 +197,7 @@ def tree_average_numerators(c: CoverGraph,
     covers.
     """
     n_avoid = avoidance_count(c)
-    w, _ = _avoidance_weights(c, _cotrees(c.base, cap))
+    w, _ = _all_tree_weights(c, cap)
     prof = c.base_profiles()
     n = len(prof)
     total = np.zeros((n, n), dtype=np.int64)

@@ -1,11 +1,11 @@
 """Exact spanning-tree machinery.
 
-Counting uses the matrix-tree theorem with fraction-free Bareiss
-elimination over Python integers, so all counts are exact at any size.
-Enumeration is bounded by an explicit cap; uniform sampling uses Wilson's
-loop-erased random walk and is exactly uniform over maximal spanning
-trees.  Loops never belong to a spanning tree but do count as cotree
-(free-generator) edges.
+Counting uses the matrix-tree theorem: one fraction-free Gauss-Jordan
+pass over Python integers gives tau and the adjugate of the Laplacian
+minor, hence every N_e, exactly at any size.  Enumeration is bounded by
+an explicit cap; uniform sampling uses Wilson's loop-erased random walk
+and is exactly uniform over maximal spanning trees.  Loops never belong
+to a spanning tree but do count as cotree (free-generator) edges.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Iterator, Optional
 
 from .errors import CapExceeded, NotConnected, NotSpanningTree
-from .graph import MultiGraph, Walk, is_connected
+from .graph import MultiGraph, is_connected
 
 DEFAULT_TREE_CAP = 200_000
 
@@ -46,16 +46,6 @@ class SpanningTree:
             order.extend(children[order[i]])
             i += 1
         return order
-
-    def walk_to_root(self, g: MultiGraph, v: int) -> Walk:
-        """Walk from v up to the root along tree edges, as signed arcs."""
-        steps = []
-        cur = v
-        while self.parent[cur] is not None:
-            p, e = self.parent[cur]
-            steps.append(2 * e + (cur != g.endpoints(e)[0]))
-            cur = p
-        return Walk(v, tuple(steps))
 
 
 def _cotree(edge_count: int, tree_edges) -> tuple[int, ...]:
@@ -138,37 +128,46 @@ def some_spanning_tree(g: MultiGraph) -> SpanningTree:
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination (destroys mat)."""
+    """d = det B of mat = [B | C], B square, by fraction-free (Bareiss)
+    Gauss-Jordan elimination in place: every entry stays a minor of mat,
+    so each division is exact.  Step k rewrites columns k onward, in
+    every other row when there is a C and in the rows below otherwise.
+    For d != 0 the C columns end as d B^-1 C, on [L | I] the adjugate
+    adj(L), with the sign of the row swaps undone.  0 if B is singular."""
     n = len(mat)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if mat[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
             if pivot is None:
                 return 0
             mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
-        pkk = mat[k][k]
-        for i in range(k + 1, n):
-            mik = mat[i][k]
-            row_i = mat[i]
-            row_k = mat[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
+        row_k = mat[k]
+        pkk = row_k[k]
+        for i in range(0 if len(row_k) > n else k + 1, n):
+            if i != k:
+                row_i = mat[i]
+                mik = row_i[k]
+                row_i[k:] = [(pkk * a - mik * b) // prev
+                             for a, b in zip(row_i[k:], row_k[k:])]
         prev = pkk
-    return sign * mat[n - 1][n - 1]
+    if sign < 0:
+        mat[:] = [[-a for a in row] for row in mat]
+    return sign * prev
 
 
 def _laplacian_minor(g: MultiGraph) -> list[list[int]]:
-    # loops contribute nothing to spanning trees and are excluded
+    """g's Laplacian less vertex 0's row and column, loops left out; they
+    lie in no tree.  NotConnected for a disconnected or empty graph."""
+    if not is_connected(g):
+        raise NotConnected("spanning-tree count requires a connected graph")
     n = g.vertex_count
+    if n == 0:
+        raise NotConnected("empty graph")
     lap = [[0] * n for _ in range(n)]
-    for t, h in zip(g.tails, g.heads):
-        t, h = int(t), int(h)
+    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
         if t == h:
             continue
         lap[t][h] -= 1
@@ -180,31 +179,15 @@ def _laplacian_minor(g: MultiGraph) -> list[list[int]]:
 
 def count_spanning_trees(g: MultiGraph) -> int:
     """tau(g) by the matrix-tree theorem, exact integer arithmetic."""
-    if not is_connected(g):
-        raise NotConnected("spanning-tree count requires a connected graph")
-    if g.vertex_count == 0:
-        raise NotConnected("empty graph")
     return _bareiss_det(_laplacian_minor(g))
-
-
-def _delete_edge(g: MultiGraph, e: int) -> MultiGraph:
-    keep = [i for i in range(g.edge_count) if i != e]
-    return MultiGraph.from_arrays(g.vertex_count, g.tails[keep], g.heads[keep])
 
 
 def count_trees_avoiding(g: MultiGraph, e: int) -> int:
     """N_e: spanning trees not containing edge e; tau(g) for loops,
-    0 for bridges."""
+    0 for bridges.  Read from `tree_counts`."""
     if not 0 <= e < g.edge_count:
         raise IndexError(f"edge {e} out of range")
-    if not is_connected(g):
-        raise NotConnected("N_e requires a connected graph")
-    if g.is_loop(e):
-        return count_spanning_trees(g)
-    deleted = _delete_edge(g, e)
-    if not is_connected(deleted):
-        return 0
-    return count_spanning_trees(deleted)
+    return tree_counts(g).avoiding[e]
 
 
 @dataclass(frozen=True)
@@ -216,9 +199,23 @@ class TreeCounts:
 
 
 def tree_counts(g: MultiGraph) -> TreeCounts:
-    total = count_spanning_trees(g)
-    avoiding = tuple(count_trees_avoiding(g, e) for e in range(g.edge_count))
-    non_loop = [avoiding[e] for e in range(g.edge_count) if not g.is_loop(e)]
+    """tau(g) and every N_e from one `_bareiss_det` pass over [L0 | I].
+
+    Kirchhoff: L0, the Laplacian minor, has det L0 = tau.  With A its
+    adjugate padded with zeros at vertex 0, A_uu + A_vv - 2 A_uv of the
+    trees hold an edge uv, so N_e = tau less that: 0 for a bridge, tau
+    for a loop.  NotConnected for a disconnected or empty graph."""
+    lap = _laplacian_minor(g)
+    k = len(lap)
+    for i, row in enumerate(lap):
+        row.extend([0] * k)
+        row[k + i] = 1
+    total = _bareiss_det(lap)
+    adj = [[0] * (k + 1)] + [[0] + row[k:] for row in lap]
+    ends = list(zip(g.tails.tolist(), g.heads.tolist()))
+    avoiding = tuple(total - adj[t][t] - adj[h][h] + 2 * adj[t][h]
+                     for t, h in ends)
+    non_loop = [a for a, (t, h) in zip(avoiding, ends) if t != h]
     constant = len(set(non_loop)) <= 1
     common = non_loop[0] if constant and non_loop else None
     return TreeCounts(total, avoiding, constant, common)

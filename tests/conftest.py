@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from homcover import (MultiGraph, bfs_distance_matrix, build_tower,
-                      build_zm_cover, girth, named_graph)
+from homcover import (MultiGraph, Walk, bfs_distance_matrix, build_tower,
+                      build_zm_cover, count_spanning_trees, girth,
+                      is_connected, named_graph)
 from homcover.errors import NotSpanningTree
 from homcover.graph import _shift
 from homcover.trees import SpanningTree
@@ -215,6 +216,41 @@ def sample_uniform_tree_oracle(g: MultiGraph, seed: int) -> SpanningTree:
             in_tree[u] = True
             u = next_arc[u][2]
     return tree_from_edge_set_oracle(g, [next_arc[v][0] for v in range(1, n)])
+
+
+def walk_to_root(tree: SpanningTree, g: MultiGraph, v: int) -> Walk:
+    """Walk from v up to the tree's root along tree edges, as signed arcs,
+    one parent at a time: an oracle for the tree walks of
+    harness._WalkTables."""
+    steps = []
+    cur = v
+    while tree.parent[cur] is not None:
+        p, e = tree.parent[cur]
+        steps.append(2 * e + (cur != g.endpoints(e)[0]))
+        cur = p
+    return Walk(v, tuple(steps))
+
+
+def delete_edge(g: MultiGraph, e: int) -> MultiGraph:
+    keep = [i for i in range(g.edge_count) if i != e]
+    return MultiGraph.from_arrays(g.vertex_count, g.tails[keep], g.heads[keep])
+
+
+def tree_counts_oracle(g: MultiGraph) -> tuple[int, tuple[int, ...]]:
+    """(tau, N_e per edge) by one determinant per edge: tau(g - e) for a
+    non-loop edge whose deletion keeps g connected, 0 for a bridge and
+    tau(g) for a loop.  An oracle for trees.tree_counts on a connected
+    graph."""
+    total = count_spanning_trees(g)
+    avoiding = []
+    for e in range(g.edge_count):
+        if g.is_loop(e):
+            avoiding.append(total)
+            continue
+        deleted = delete_edge(g, e)
+        avoiding.append(count_spanning_trees(deleted)
+                        if is_connected(deleted) else 0)
+    return total, tuple(avoiding)
 
 
 def has_loop(g: MultiGraph) -> bool:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -27,7 +28,8 @@ from homcover.harness import (_WalkTables, check_conglifts, check_isometry,
 from homcover.graph import cycle_graph, path_graph
 from homcover.trees import _tree_from_edge_set
 
-from conftest import connected_multigraphs, fingerprint, label_list_lift_path
+from conftest import (connected_multigraphs, fingerprint, label_list_lift_path,
+                      walk_to_root)
 
 
 class TestCongruencePairs:
@@ -133,17 +135,49 @@ class TestSuite:
         assert a.to_json() == b.to_json() == c.to_json()
 
     def test_two_threads_build_each_factor_once(self, monkeypatch):
+        # each cache is filled before the pool starts, on the main thread
         built = []
-        for name in ("_deck_part", "_tree_steps"):
+        for name in ("_deck_part", "_tree_steps", "tree_counts"):
             def counted(*args, _build=getattr(cover_mod, name), _name=name):
                 built.append(_name)
+                assert threading.current_thread() is threading.main_thread()
                 return _build(*args)
             monkeypatch.setattr(cover_mod, name, counted)
         graphs = ("doubled_edge", "k4", "c5")
         report = run_suite(SuiteConfig(graphs=graphs, m=3, seed=5,
                                        samples=20, threads=2))
         assert report.passed
-        assert sorted(built) == ["_deck_part"] * 3 + ["_tree_steps"] * 3
+        assert sorted(built) == (["_deck_part"] * 3 + ["_tree_steps"] * 3
+                                 + ["tree_counts"] * 3)
+
+    @pytest.mark.parametrize("checks", [("treeavg",), ("compare",)])
+    def test_tree_counts_only_where_a_check_reads_them(self, checks,
+                                                       monkeypatch):
+        # treeavg skips covers above SAMPLE_THRESHOLD before it counts
+        # trees (Petersen m = 3 has 7,290 vertices), and compare never
+        # reads them, so neither run counts them for a skipped cover
+        built = []
+        count = cover_mod.tree_counts
+        monkeypatch.setattr(cover_mod, "tree_counts",
+                            lambda g: built.append(g) or count(g))
+        graphs = ("k4", "petersen")
+        report = run_suite(SuiteConfig(graphs=graphs, m=3, samples=5,
+                                       checks=checks))
+        assert report.passed
+        assert len(built) == (1 if checks == ("treeavg",) else 0)
+
+    def test_long_cycle_tree_checks_within_cpu_budget(self):
+        # one adjugate for all 150 N_e of the base, and the exact tree
+        # average reads them instead of enumerating the 150 trees; the
+        # per-edge determinants took about 11 s of CPU on a 2-vCPU Xeon
+        start = time.process_time()
+        report = run_suite(SuiteConfig(graphs=("cycle:150",), m=2,
+                                       checks=("ne_constant", "treeavg")))
+        assert time.process_time() - start < 4.0
+        assert report.passed
+        assert [(r.check, r.trials, r.violations, r.note)
+                for r in report.records] == [("ne_constant", 1, 0, ""),
+                                             ("treeavg", 90_000, 0, "")]
 
     def test_import_leaves_thread_pool_unloaded(self):
         # only run_suite's threaded branch uses the pool
@@ -255,7 +289,7 @@ def signed_arc_walk(g, rng, length):
 def assert_walk_tables_match_walk_to_root(g, tree):
     tables = _WalkTables(g, tree)
     for v in range(g.vertex_count):
-        up = list(tree.walk_to_root(g, v).steps)
+        up = list(walk_to_root(tree, g, v).steps)
         assert tables.up[v] == up
         assert tables.down[v] == [a ^ 1 for a in reversed(up)]
 

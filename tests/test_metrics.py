@@ -12,10 +12,12 @@ from homcover import (CoverGraph, MultiGraph, build_zm_cover,
                       d_q_tree_average, named_graph, tree_average_numerators,
                       verify_compare)
 from homcover.cover import _residue_dtype
-from homcover.errors import InvalidParameter, LengthMismatch, NonConstantNe
+from homcover.errors import (CapExceeded, InvalidParameter, LengthMismatch,
+                             NonConstantNe)
 from homcover.embed import binary_embed_matrix
 from homcover.graph import bfs_distance_matrix
 from homcover.metrics import _cyclic_distance
+from homcover.trees import DEFAULT_TREE_CAP
 
 from conftest import (traced_peak, two_edge_connected_multigraphs,
                       unblocked_d_q_from)
@@ -157,17 +159,17 @@ class TestTreeAverage:
         assert avg.value >= 0
 
     def test_trees_counted_once_per_cover(self, k4, monkeypatch):
-        import homcover.trees
+        import homcover.cover
         from homcover.embed import PsiEmbedding
         from homcover.harness import check_ne_constant
-        avoid = homcover.trees.count_trees_avoiding
+        count = homcover.cover.tree_counts
         calls = []
 
-        def counted(g, e):
-            calls.append(e)
-            return avoid(g, e)
+        def counted(g):
+            calls.append(g)
+            return count(g)
 
-        monkeypatch.setattr(homcover.trees, "count_trees_avoiding", counted)
+        monkeypatch.setattr(homcover.cover, "tree_counts", counted)
         c = build_zm_cover(k4, 3)
         for x, y in [(0, 1), (5, 90), (7, 7)]:
             assert d_q_tree_average(c, x, y, cap=100).value \
@@ -176,9 +178,42 @@ class TestTreeAverage:
         tree_average_numerators(c, cap=100)
         PsiEmbedding(c, cap=100)
         assert check_ne_constant(c, "k4").passed
-        assert calls == list(range(k4.edge_count))
+        assert calls == [c.base]
         d_q_tree_average(build_zm_cover(k4, 2), 0, 1, cap=100)
-        assert len(calls) == 2 * k4.edge_count
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name,m", [("doubled_edge", 3), ("k4", 3),
+                                        ("c5", 2), ("petersen", 2),
+                                        ("complete:5", 2), ("cycle:1", 5)])
+    def test_exact_weights_are_the_enumerated_counts(self, name, m):
+        from homcover.metrics import _all_tree_weights, _avoidance_weights
+        from homcover.trees import _cotrees
+        c = build_zm_cover(named_graph(name), m)
+        w, tau = _all_tree_weights(c, DEFAULT_TREE_CAP)
+        want, count = _avoidance_weights(c, _cotrees(c.base))
+        assert w.dtype == np.int64 and np.array_equal(w, want)
+        assert tau == count == c.tree_counts().total
+        assert d_q_tree_average(c, 0, c.graph.vertex_count - 1).trees_used \
+            == tau
+
+    @pytest.mark.parametrize("name", ["k4", "petersen"])
+    def test_cap_below_tau_refused(self, name):
+        from homcover.harness import check_treeavg
+        c = build_zm_cover(named_graph(name), 2)
+        tau = c.tree_counts().total
+        message = f"tau = {tau} exceeds cap {tau - 1}"
+        for run in (lambda: d_q_tree_average(c, 0, 1, cap=tau - 1),
+                    lambda: tree_average_numerators(c, cap=tau - 1)):
+            with pytest.raises(CapExceeded) as err:
+                run()
+            assert str(err.value) == message
+        rec = check_treeavg(c, name, tau - 1)
+        assert (rec.trials, rec.violations) == (0, 0)
+        assert rec.note == f"skipped: {message}"
+        assert d_q_tree_average(c, 0, 1, cap=tau).trees_used == tau
+        assert tree_average_numerators(c, cap=tau)[1] == \
+            c.tree_counts().common
+        assert check_treeavg(c, name, tau).passed
 
     def test_nonconstant_rejected(self):
         # two triangles sharing a vertex: N_e differs between triangles? no;

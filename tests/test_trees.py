@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from homcover import (MultiGraph, NotConnected, build_zm_cover,
-                      count_spanning_trees, count_trees_avoiding, cycle_graph,
+                      cayley_zm_power, count_spanning_trees,
+                      count_trees_avoiding, cycle_graph,
                       enumerate_spanning_trees, named_graph, path_graph,
                       sample_uniform_tree, some_spanning_tree, tree_counts)
 from homcover.errors import CapExceeded, NotSpanningTree
@@ -18,7 +19,7 @@ from homcover.trees import (_bareiss_det, _cotrees, _sampled_cotrees,
 
 from conftest import (connected_multigraphs, enumerate_spanning_trees_oracle,
                       multigraphs, sample_uniform_tree_oracle,
-                      spanning_tree_sets)
+                      spanning_tree_sets, tree_counts_oracle, walk_to_root)
 
 #: Connected bases for the oracle comparisons: loops, a parallel pair,
 #: bridges, a single vertex, and the Petersen graph's 2,000 trees.
@@ -114,7 +115,7 @@ class TestSomeSpanningTree:
     def test_walk_to_root(self, g):
         t = some_spanning_tree(g)
         for v in range(g.vertex_count):
-            w = t.walk_to_root(g, v)
+            w = walk_to_root(t, g, v)
             assert w.start == v and w.end(g) == 0
             assert all(a >> 1 in t.tree_edges for a in w.steps)
 
@@ -206,6 +207,78 @@ class TestCounts:
                 tau_del = 0
             assert count_spanning_trees(g) == tau_del \
                 + count_spanning_trees(contracted)
+
+
+#: Connected bases for the adjugate counts against the deletion oracle:
+#: dense, long, bridged and single-vertex graphs, a Cayley graph, and two
+#: multigraphs with a loop, a bridge and a parallel pair.
+COUNT_BASES = {
+    **{name: (lambda name=name: named_graph(name))
+       for name in ("doubled_edge", "k4", "c5", "petersen", "complete:5",
+                    "complete:8", "complete:30", "cycle:50", "path:5",
+                    "cycle:1")},
+    "cayley_zm_power(2, 3)": lambda: cayley_zm_power(2, 3),
+    "loop_bridge_pair": lambda: MultiGraph(
+        4, [[0, 1], [1, 2], [1, 2], [2, 3], [3, 3]]),
+    "pair_loops_bridge": lambda: MultiGraph(
+        4, [[0, 0], [0, 1], [1, 0], [1, 2], [2, 2], [2, 0], [0, 3]]),
+}
+
+
+class TestAdjugateCounts:
+    """tree_counts from one elimination against one determinant per edge."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        tc = tree_counts(g)
+        total, avoiding = tree_counts_oracle(g)
+        assert (tc.total, tc.avoiding) == (total, avoiding)
+        assert count_spanning_trees(g) == total
+        non_loop = {a for e, a in enumerate(avoiding) if not g.is_loop(e)}
+        assert tc.constant == (len(non_loop) <= 1)
+        assert tc.common == (next(iter(non_loop)) if tc.constant and non_loop
+                             else None)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_BASES))
+    def test_named_bases(self, name):
+        self.assert_matches_oracle(COUNT_BASES[name]())
+
+    @given(connected_multigraphs(max_vertices=7, max_extra_edges=6))
+    @settings(max_examples=150, deadline=None)
+    def test_connected_multigraphs(self, g):
+        self.assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("e", [-1, 6, 100])
+    def test_avoiding_edge_out_of_range(self, k4, e):
+        with pytest.raises(IndexError):
+            count_trees_avoiding(k4, e)
+
+    @pytest.mark.parametrize("g", [MultiGraph(3, [[0, 1], [1, 1]]),
+                                   MultiGraph(0, [])],
+                             ids=["disconnected", "empty"])
+    def test_refuses_disconnected(self, g):
+        with pytest.raises(NotConnected):
+            tree_counts(g)
+        with pytest.raises(NotConnected):
+            count_spanning_trees(g)
+        if g.edge_count:
+            with pytest.raises(NotConnected):
+                count_trees_avoiding(g, 0)
+
+    def test_adjugate_beside_the_determinant(self):
+        # [B | I] ends with adj(B) = d B^-1 in place of I, also after a
+        # row swap
+        for mat in ([[2, -1, 0], [-1, 2, -1], [0, -1, 1]],
+                    [[0, 2], [3, 5]], [[0, 1, 2], [0, 3, 4], [5, 6, 7]]):
+            n = len(mat)
+            aug = [row + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(mat)]
+            d = _bareiss_det(aug)
+            assert d == fraction_det(mat)
+            adj = [row[n:] for row in aug]
+            assert [[sum(a * b for a, b in zip(row, col))
+                     for col in zip(*adj)] for row in mat] == \
+                [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 def fraction_det(mat) -> int:
