@@ -40,7 +40,8 @@ from .graph import (DEFAULT_SIZE_CAP, _document_fields, graph_document,
                     load_graph)
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
 from .metrics import compression_profile
-from .trees import DEFAULT_TREE_CAP, _tree_from_edge_set, tree_counts
+from .trees import (DEFAULT_TREE_CAP, _tree_from_edge_set,
+                    count_spanning_trees, tree_counts)
 
 OUT_DIR_ENV = "HOMCOVER_OUT"
 
@@ -65,14 +66,28 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
-def _read_json(path: str) -> dict:
-    """The JSON value in the file at path; ParseError, naming the path,
-    for bytes that are not UTF-8 JSON within int() and recursion limits."""
+def _read_text(path: str) -> str:
+    """The text of the file at path; ParseError, naming the path, for
+    bytes that are not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
+            return fh.read()
+        except ValueError as exc:  # UnicodeDecodeError
             raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _parse_json(path: str, text: str):
+    """The JSON value of text, read from path; ParseError, naming the
+    path, for text that is not JSON within int() and recursion limits."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _read_json(path: str) -> dict:
+    """The JSON value in the file at path, as `json.load` reads it."""
+    return _parse_json(path, _read_text(path))
 
 
 def _emit(out, chunks: Iterable[str]) -> None:
@@ -230,20 +245,72 @@ def load_cover(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
     for key in ("base", "m", "cotree"):
         if key not in doc:
             raise ParseError(f"cover document missing {key!r}")
-    base = load_graph(doc["base"], size_cap)
-    if not _is_int(doc["m"]):
-        raise ParseError("cover document 'm' must be an integer")
-    if not isinstance(doc["cotree"], list) or not all(map(_is_int, doc["cotree"])):
-        raise ParseError("cover document 'cotree' must be a list of edge ids")
-    cotree = set(doc["cotree"])
-    tree_edges = [e for e in range(base.edge_count) if e not in cotree]
-    tree = _tree_from_edge_set(base, tree_edges)
-    c = build_zm_cover(base, doc["m"], tree=tree, size_cap=size_cap)
+    c = _build_cover(doc["base"], doc["m"], doc["cotree"], size_cap)
     if (doc["cotree"] != list(c.cotree)
             or doc.get("vertices") != c.graph.vertex_count
             or not _edges_match(doc.get("edges"), c.graph)):
         raise ParseError("cover document does not match its base/m/cotree data")
     return c
+
+
+def _build_cover(base_doc, m, cotree, size_cap: int) -> CoverGraph:
+    """The cover a document's `base`, `m` and `cotree` fields name,
+    each field checked; its `edges` and `vertices` are left unchecked."""
+    base = load_graph(base_doc, size_cap)
+    if not _is_int(m):
+        raise ParseError("cover document 'm' must be an integer")
+    if not isinstance(cotree, list) or not all(map(_is_int, cotree)):
+        raise ParseError("cover document 'cotree' must be a list of edge ids")
+    ids = set(cotree)
+    tree_edges = [e for e in range(base.edge_count) if e not in ids]
+    tree = _tree_from_edge_set(base, tree_edges)
+    return build_zm_cover(base, m, tree=tree, size_cap=size_cap)
+
+
+def _read_cover(path: str, size_cap: int = DEFAULT_SIZE_CAP) -> CoverGraph:
+    """The cover in the document at path, as `load_cover(_read_json(path))`.
+
+    A document that `cover build` wrote is read by its bytes: its text is
+    `_cover_text` of the cover its `base`, `m` and `cotree` name, so those
+    three are decoded where that text puts them, the cover is built, and
+    it is returned if its text is the file's, byte for byte.  Any other
+    text, or one whose fields fail to decode or build, is parsed whole and
+    checked field by field by `load_cover`, so every rejection and every
+    error is the one `load_cover` gives.
+    """
+    text = _read_text(path)
+    c = _canonical_cover(text, size_cap)
+    if c is not None:
+        return c
+    return load_cover(_parse_json(path, text), size_cap)
+
+
+def _canonical_cover(text: str, size_cap: int) -> CoverGraph | None:
+    """The cover whose `_cover_text` is `text`, or None.
+
+    In that text the base document follows `{"base": `, the cotree
+    follows it, and m is the last `"m"` field; the edge list between them
+    is compared, block by block, never parsed.
+    """
+    head, sep, m_key = '{"base": ', ', "cotree": ', ', "m": '
+    if not text.startswith(head):
+        return None
+    decode = json.JSONDecoder().raw_decode
+    try:
+        base, at = decode(text, len(head))
+        if not text.startswith(sep, at):
+            return None
+        cotree, _ = decode(text, at + len(sep))
+        m, _ = decode(text, text.rindex(m_key) + len(m_key))
+        c = _build_cover(base, m, cotree, size_cap)
+    except Exception:  # whatever the fields hold, load_cover decides
+        return None
+    at = 0
+    for chunk in _cover_text(c):
+        if not text.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return c if at == len(text) else None
 
 
 def _edges_match(edges, g) -> bool:
@@ -300,11 +367,12 @@ def _cmd_cover_build(args) -> int:
 
 def _cmd_trees_count(args) -> int:
     g = load_graph(_read_json(args.graph))
-    tc = tree_counts(g)
-    body: dict = {"total": tc.total}
     if args.per_edge:
-        body.update({"avoiding": list(tc.avoiding), "constant": tc.constant,
-                     "N": tc.common})
+        tc = tree_counts(g)
+        body = {"total": tc.total, "avoiding": list(tc.avoiding),
+                "constant": tc.constant, "N": tc.common}
+    else:
+        body = {"total": count_spanning_trees(g)}
     _emit(args.out, [json.dumps(body, sort_keys=True) + "\n"])
     return 0
 
@@ -312,7 +380,7 @@ def _cmd_trees_count(args) -> int:
 def _cmd_metrics_profile(args) -> int:
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
-    c = load_cover(_read_json(args.cover), size_cap=args.size_cap)
+    c = _read_cover(args.cover, args.size_cap)
     n = c.graph.vertex_count
     if n <= args.samples:
         sources = None
@@ -422,7 +490,7 @@ def _export_json(c: CoverGraph, layout, dim: int) -> Iterable[str]:
 
 
 def _cmd_embed_export(args) -> int:
-    c = load_cover(_read_json(args.cover), size_cap=args.size_cap)
+    c = _read_cover(args.cover, args.size_cap)
     layout = _edge_block_layout(c.base.edge_count, c.m)
     dim = c.base.edge_count * c.m
     export = _export_json if args.format == "json" else _export_csv

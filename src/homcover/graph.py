@@ -296,7 +296,8 @@ def load_graph(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> MultiGraph:
         raise SizeCapExceeded(f"graph has {n} vertices, cap is {size_cap}")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be a list of pairs")
-    if not _plain_pairs(edges):
+    plain = _plain_pairs(edges)
+    if not plain:
         for pair in edges:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                     or not all(isinstance(x, int) and not isinstance(x, bool)
@@ -305,6 +306,14 @@ def load_graph(doc: dict, size_cap: int = DEFAULT_SIZE_CAP) -> MultiGraph:
     labels = doc.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ParseError("'labels' must be a list")
+    if plain:
+        # the ids straight into one int64 array, no list of the pairs;
+        # an id beyond int64 is left to MultiGraph, which rejects it
+        try:
+            edges = np.fromiter(chain.from_iterable(edges), np.int64,
+                                2 * len(edges)).reshape(-1, 2)
+        except OverflowError:
+            pass
     return MultiGraph(n, edges, labels)
 
 

@@ -13,6 +13,7 @@ from homcover import (build_zm_cover, cayley_zm_power, compression_profile,
                       named_graph)
 from homcover.errors import ParseError, SizeCapExceeded
 from homcover.graph import graph_document
+from homcover.trees import tree_counts
 
 
 @pytest.fixture
@@ -168,6 +169,22 @@ class TestVerbs:
     def test_trees_count_total_only(self, k4_file, capsys):
         assert main(["trees", "count", "--graph", k4_file]) == 0
         assert json.loads(capsys.readouterr().out) == {"total": 16}
+
+    @pytest.mark.parametrize("name", ["k4", "petersen", "doubled_edge",
+                                      "cycle:30", "complete:1"])
+    def test_trees_count_total_skips_the_adjugate(self, name, tmp_path,
+                                                  monkeypatch, capsys):
+        # the total alone is one determinant; the adjugate's N_e go unread
+        g = named_graph(name)
+        expected = json.dumps({"total": tree_counts(g).total}) + "\n"
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(graph_document(g)))
+
+        def unused(g):
+            raise AssertionError("tree_counts called without --per-edge")
+        monkeypatch.setattr("homcover.cli.tree_counts", unused)
+        assert main(["trees", "count", "--graph", str(p)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_cover_build(self, k4_cover_file):
         doc = json.loads(open(k4_cover_file).read())
@@ -485,7 +502,7 @@ class TestErrorPaths:
     def test_internal_error(self, k4_file, monkeypatch, capsys):
         def broken(g):
             raise ValueError("bug")
-        monkeypatch.setattr("homcover.cli.tree_counts", broken)
+        monkeypatch.setattr("homcover.cli.count_spanning_trees", broken)
         assert main(["trees", "count", "--graph", k4_file]) == 3
         assert "internal error: ValueError: bug" in capsys.readouterr().err
 

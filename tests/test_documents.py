@@ -16,10 +16,11 @@ import pytest
 from homcover import (MultiGraph, PsiEmbedding, build_zm_cover, cycle_graph,
                       embed_point_l1, embed_point_psi, load_graph,
                       named_graph, path_graph)
-from homcover.cli import (_cover_text, _document_text, _string_order,
-                          cover_document, main)
+from homcover.cli import (_cover_text, _document_text, _read_cover,
+                          _read_json, _string_order, cover_document,
+                          load_cover, main)
 from homcover.embed import _cut_bits
-from homcover.errors import ParseError
+from homcover.errors import ParseError, SizeCapExceeded
 from homcover.graph import _document_fields, graph_document
 
 DIGIT_BOUNDARIES = [1, 9, 10, 11, 99, 100, 101, 1000, 1001]
@@ -227,6 +228,169 @@ class TestLoadGraphChecks:
         with pytest.raises(ParseError) as info:
             load_graph({"vertices": 3, "edges": edges})
         assert str(info.value) == f"bad edge entry: {bad!r}"
+
+    @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 64])
+    def test_id_beyond_int64_is_a_parse_error(self, big, tmp_path, capsys):
+        # the ids are filled into an int64 array; one that does not fit
+        # is a malformed document (exit 2), not an internal error
+        edges = [[0, 1], [1, 2], [big, 2], [2, 0]]
+        with pytest.raises(ParseError):
+            load_graph({"vertices": 3, "edges": edges})
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": 3, "edges": edges}))
+        assert main(["trees", "count", "--graph", str(path)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_plain_pairs_make_int64_columns(self):
+        g = load_graph({"vertices": 4, "edges": [[0, 1], [3, 2], [2, 2]]})
+        for a, want in ((g.tails, [0, 3, 2]), (g.heads, [1, 2, 2])):
+            assert a.dtype == np.int64 and a.flags.c_contiguous
+            assert a.tolist() == want
+
+
+def _outcome(read):
+    """What a reader gives: the cover's document text, or its error."""
+    try:
+        c = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.m, c.cotree, "".join(_cover_text(c))
+
+
+def _redump(mutate):
+    """A text mutation that edits the parsed document and writes it back
+    in the canonical layout."""
+    def text_of(text):
+        doc = json.loads(text)
+        mutate(doc)
+        return json.dumps(doc, sort_keys=True) + "\n"
+    return text_of
+
+
+def _set(key, value):
+    return _redump(lambda doc: doc.__setitem__(key, value(doc[key])))
+
+
+def _last_digit(doc):
+    # the last edge's head, another id of the same width
+    doc["edges"][-1][1] ^= 1
+
+
+def _swap_edges(doc):
+    e = doc["edges"]
+    e[0], e[-1] = e[-1], e[0]
+
+
+#: Texts the byte check must reject, and one (the canonical text) it
+#: must accept; each goes on to load_cover as a parsed document would.
+MUTATIONS = {
+    "canonical": lambda text: text,
+    "edge_digit": _redump(_last_digit),
+    "edges_swapped": _redump(_swap_edges),
+    "vertices_up": _set("vertices", lambda n: n + 1),
+    "vertices_down": _set("vertices", lambda n: n - 1),
+    "m_up": _set("m", lambda m: m + 1),
+    "m_down": _set("m", lambda m: m - 1),
+    "m_bool": _set("m", lambda m: True),
+    "cotree_id": _set("cotree", lambda ids: [ids[0] + 1, *ids[1:]]),
+    "edge_float": _redump(lambda doc: doc["edges"][0].__setitem__(
+        0, float(doc["edges"][0][0]))),
+    "base_extra_key": _redump(lambda doc: doc["base"].update(note=1)),
+    "no_newline": lambda text: text[:-1],
+    "trailing_space": lambda text: text + " \n",
+    "trailing_bytes": lambda text: text + "x",
+    "indented": lambda text: json.dumps(json.loads(text), indent=2,
+                                        sort_keys=True),
+    "unsorted": lambda text: json.dumps(json.loads(text)) + "\n",
+    "truncated": lambda text: text[:len(text) // 2],
+    "head_only": lambda text: '{"base": ',
+}
+
+READ_COVERS = [("k4", 2), ("k4", 3), ("k4", 4), ("petersen", 2),
+               ("petersen", 3), ("petersen", 4), ("cycle:1", 2),
+               ("cycle:1", 3), ("cycle:1", 4)]
+
+
+class TestReadCover:
+    """`_read_cover` reads a cover document as `load_cover(_read_json(p))`
+    does: the same cover, or the same error type and message."""
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("name,m", READ_COVERS)
+    def test_matches_the_parsed_reader(self, name, m, mutation, tmp_path):
+        c = build_zm_cover(named_graph(name), m)
+        text = MUTATIONS[mutation]("".join(_cover_text(c)))
+        path = tmp_path / "cover.json"
+        path.write_text(text, encoding="utf-8")
+        p = str(path)
+        got = _outcome(lambda: _read_cover(p))
+        assert got == _outcome(lambda: load_cover(_read_json(p)))
+        if mutation == "canonical":
+            assert got[2] == text
+
+    @pytest.mark.parametrize("cap", [1, 35, 36, 107, 108])
+    def test_size_cap(self, cap, tmp_path):
+        # k4 at m = 3: a 4-vertex base, a 108-vertex cover
+        path = tmp_path / "cover.json"
+        path.write_text("".join(_cover_text(build_zm_cover(named_graph("k4"), 3))))
+        p = str(path)
+        got = _outcome(lambda: _read_cover(p, cap))
+        assert got == _outcome(lambda: load_cover(_read_json(p), cap))
+        assert (got[0] is SizeCapExceeded) == (cap < 108)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe", b"", b"{}", b"[1, 2]",
+                                     b"\xef\xbb\xbf{}"])
+    def test_bytes_that_are_no_cover(self, raw, tmp_path):
+        path = tmp_path / "cover.json"
+        path.write_bytes(raw)
+        p = str(path)
+        got = _outcome(lambda: _read_cover(p))
+        assert got == _outcome(lambda: load_cover(_read_json(p)))
+        assert got[0] is ParseError
+
+    def test_canonical_text_is_not_parsed(self, tmp_path, monkeypatch):
+        c = build_zm_cover(named_graph("petersen"), 3)
+        path = tmp_path / "cover.json"
+        path.write_text("".join(_cover_text(c)))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("json.loads called on a canonical document")
+        monkeypatch.setattr(json, "loads", unused)
+        got = _read_cover(str(path))
+        assert got.cotree == c.cotree
+        assert (got.graph.heads == c.graph.heads).all()
+
+    def test_memory_bound(self, tmp_path):
+        # the Petersen m = 4 cover document, 949,941 bytes: parsing it
+        # whole peaks at about 12 MiB, the byte check at about 4.4 MiB
+        c = build_zm_cover(named_graph("petersen"), 4)
+        path = tmp_path / "cover.json"
+        path.write_text("".join(_cover_text(c)))
+        tracemalloc.start()
+        try:
+            got = _read_cover(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.graph.vertex_count == 40_960
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pretty_document_exports_the_same_bytes(self, fmt, tmp_path):
+        graph = tmp_path / "k4.json"
+        graph.write_text(json.dumps(graph_document(named_graph("k4"))))
+        cover = tmp_path / "cover.json"
+        assert main(["cover", "build", "--graph", str(graph), "--m", "3",
+                     "--out", str(cover)]) == 0
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(cover.read_text()), indent=4))
+        outs = []
+        for doc in (cover, pretty):
+            out = tmp_path / f"{doc.stem}.{fmt}"
+            assert main(["embed", "export", "--cover", str(doc), "--format",
+                         fmt, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_embed_point_psi_builds_no_profile_table():
