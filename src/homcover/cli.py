@@ -39,7 +39,7 @@ from .errors import HomcoverError, ParseError
 from .graph import (DEFAULT_SIZE_CAP, _document_fields, graph_document,
                     load_graph)
 from .harness import DEFAULT_CHECKS, SuiteConfig, run_suite
-from .metrics import compression_profile
+from .metrics import _sample_sources, compression_profile
 from .trees import (DEFAULT_TREE_CAP, _tree_from_edge_set,
                     count_spanning_trees, tree_counts)
 
@@ -381,12 +381,7 @@ def _cmd_metrics_profile(args) -> int:
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     c = _read_cover(args.cover, args.size_cap)
-    n = c.graph.vertex_count
-    if n <= args.samples:
-        sources = None
-    else:
-        import random
-        sources = sorted(random.Random(args.seed).sample(range(n), args.samples))
+    sources = _sample_sources(c.graph.vertex_count, args.samples, args.seed)
     prof = compression_profile(c, sources, mode=args.mode)
     rows = ["t,pairs,min,max"]
     for r in prof.rows:

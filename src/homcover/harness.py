@@ -25,7 +25,8 @@ from .errors import (FaultNotInjected, HomcoverError, InvalidParameter,
                      ParseError)
 from .graph import (DEFAULT_SIZE_CAP, MultiGraph, Walk, girth, named_graph,
                     signed_arc_counts)
-from .metrics import d_q_from, tree_average_numerators, verify_compare
+from .metrics import (_sample_sources, _source_rows, d_q_from,
+                      tree_average_numerators, verify_compare)
 from .trees import DEFAULT_TREE_CAP, SpanningTree
 
 DEFAULT_CHECKS = ("compare", "conglifts", "isometry", "treeavg", "l2",
@@ -209,10 +210,7 @@ def make_congruence_pair(g: MultiGraph, tree: SpanningTree, m: int,
 
 def _sources_for(c: CoverGraph, samples: int, seed: int) -> list[int] | None:
     n = c.graph.vertex_count
-    if n <= SAMPLE_THRESHOLD:
-        return None  # exhaustive
-    rng = random.Random(seed)
-    return sorted(rng.sample(range(n), min(samples, n)))
+    return None if n <= SAMPLE_THRESHOLD else _sample_sources(n, samples, seed)
 
 
 def check_compare(c: CoverGraph, instance: str, samples: int, seed: int,
@@ -270,18 +268,6 @@ def check_conglifts(c: CoverGraph, instance: str, trials: int, seed: int,
     return CheckRecord("conglifts", instance, 2 * trials, violations, details)
 
 
-def _dq_rows(c: CoverGraph, sources):
-    """(s, d_Q row from s) per source: one d_q_from row per run of sources
-    in one fiber, gathered to (v, k) through c.deck_permutation(k)."""
-    deck = c.deck_size
-    rep = rep_row = None
-    for s in sources:
-        if s - s % deck != rep:
-            rep = s - s % deck
-            rep_row = d_q_from(c, rep).reshape(-1, deck)
-        yield s, rep_row[:, c.deck_permutation(s % deck)].ravel()
-
-
 def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
                    seed: int, fault: bool) -> CheckRecord:
     """Hamming rows of the binary embedding against 2 * d_Q.
@@ -300,7 +286,7 @@ def _check_hamming(check: str, c: CoverGraph, instance: str, samples: int,
     violations = 0
     trials = 0
     details = []
-    for s, dq_row in _dq_rows(c, sources):
+    for s, dq_row in _source_rows(c, sources, d_q_from):
         hamming = hamming_row(packed, s)
         if fault:
             hamming = hamming + 1
@@ -336,7 +322,7 @@ def check_treeavg(c: CoverGraph, instance: str, tree_cap: int,
         numer += 1
     violations = 0
     details = []
-    for x, dq_row in _dq_rows(c, range(n)):
+    for x, dq_row in _source_rows(c, range(n), d_q_from):
         bad = np.flatnonzero(numer[x] != n_avoid * dq_row)
         violations += len(bad)
         details.extend({"x": x, "y": int(y)}

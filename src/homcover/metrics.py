@@ -11,6 +11,7 @@ is the matrix-tree N_e, which every edge, loops included, must share.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -237,42 +238,66 @@ class CompareReport:
                 and self.monotone_violations == 0)
 
 
+def _sample_sources(n: int, samples: int, seed: int) -> list[int] | None:
+    """Every one of n vertices (None) when n <= samples, else `samples`
+    of them drawn with random.Random(seed), sorted."""
+    if n <= samples:
+        return None
+    return sorted(random.Random(seed).sample(range(n), samples))
+
+
 def _source_array(c: CoverGraph, sources) -> np.ndarray:
-    """The sources as int64 (every vertex when None); IndexError if one
-    is out of range."""
+    """The sources as int64 (every vertex when None).  InvalidParameter
+    if one is no integer (bools, floats and strings are none);
+    IndexError if one is out of range, beyond int64 too."""
     n = c.graph.vertex_count
     if sources is None:
         return np.arange(n, dtype=np.int64)
-    srcs = np.asarray(list(sources), dtype=np.int64).reshape(-1)
-    if srcs.size and (srcs.min() < 0 or srcs.max() >= n):
-        bad = srcs[(srcs < 0) | (srcs >= n)][0]
+    srcs = (sources.ravel().tolist() if isinstance(sources, np.ndarray)
+            else list(sources))
+    for s in srcs:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise InvalidParameter(f"source {s!r} is not an integer")
+    if srcs and (min(srcs) < 0 or max(srcs) >= n):
+        bad = next(s for s in srcs if not 0 <= s < n)
         raise IndexError(f"source {bad} out of range")
-    return srcs
+    return np.asarray(srcs, dtype=np.int64)
 
 
-def _rep_rows(c: CoverGraph, srcs: np.ndarray, reps: np.ndarray):
-    """Per distinct representative in `reps` (one per source), yield
-    (representative, its BFS row, its sources in list order, repeats
-    kept).  Grouped in numpy, once for the whole source list; each row is
-    computed as it is yielded, so one is held at a time."""
-    order = np.argsort(reps, kind="stable")
-    ranked = reps[order]
-    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-    members = np.split(srcs[order], starts[1:])
-    for rep, group in zip(ranked[starts].tolist(), members):
-        yield rep, bfs_distance_matrix(c.graph, [rep])[0], group
+def _bfs_row(c: CoverGraph, x: int) -> np.ndarray:
+    """The graph distances from x to every cover vertex."""
+    return bfs_distance_matrix(c.graph, [x])[0]
 
 
-def _orbit_of(c: CoverGraph, srcs: np.ndarray) -> np.ndarray:
-    """Each source's orbit representative (`CoverGraph.orbit_reps`): its
-    rows hold the source's (d, d_Q) pairs, so weight-only reductions read
-    one BFS and one d_Q row per orbit."""
-    return c.orbit_reps()[srcs // c.deck_size]
+def _orbit_rows(c: CoverGraph, srcs: np.ndarray):
+    """(reps, rows) for the sources `srcs`: each source's orbit
+    representative, and a generator that yields, per distinct
+    representative in ascending order, (representative, its BFS row, its
+    d_Q row, how many sources it stands for, repeats counted).  Its
+    orbit's group keeps both metrics, so weight-only reductions read one
+    row pair per orbit."""
+    reps = c.orbit_reps()[srcs // c.deck_size]
+    distinct, weights = np.unique(reps, return_counts=True)
+    return reps, ((rep, _bfs_row(c, rep), d_q_from(c, rep), w)
+                  for rep, w in zip(distinct.tolist(), weights.tolist()))
 
 
-def _compare_row(c: CoverGraph, x: int, d_row: np.ndarray, g0, perturb: int):
-    """d_Q row from x (perturbed off x) and verify_compare's three masks."""
-    dq_row = d_q_from(c, x)
+def _source_rows(c: CoverGraph, sources, row):
+    """(s, row(c, s)) per source, in list order, for a row of a metric
+    that deck translations keep (d or d_Q): computed once per run of
+    sources in one fiber, at (v, 0), and gathered to (v, k) through
+    c.deck_permutation(k)."""
+    deck = c.deck_size
+    fiber = fiber_row = None
+    for s in sources:
+        if s - s % deck != fiber:
+            fiber = s - s % deck
+            fiber_row = row(c, fiber).reshape(-1, deck)
+        yield s, fiber_row[:, c.deck_permutation(s % deck)].ravel()
+
+
+def _compare_row(x: int, d_row: np.ndarray, dq_row: np.ndarray, g0, perturb):
+    """x's d_Q row (perturbed off x) and verify_compare's three masks."""
     if perturb:
         dq_row = dq_row + np.where(np.arange(len(dq_row)) != x, perturb, 0)
     below = d_row < g0
@@ -286,18 +311,18 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
     d_Q < girth iff d < girth, and that below the girth the metrics agree.
 
     Counts come from each distinct orbit's rows, weighed by its source
-    count; details from the own rows of the first violating sources.
+    count (`_orbit_rows`); details from the own rows of the first
+    violating sources.
 
     `_dq_perturb` is a fault-injection hook for harness self-tests only.
     """
     g0 = girth(c.base)
     report = CompareReport(girth_base=g0)
     srcs = _source_array(c, sources)
-    reps = _orbit_of(c, srcs)
+    reps, rows = _orbit_rows(c, srcs)
     bad_reps = []
-    for rep, d_row, members in _rep_rows(c, srcs, reps):
-        mono, iff, eq = _compare_row(c, rep, d_row, g0, _dq_perturb)[1]
-        w = len(members)
+    for rep, d_row, dq_row, w in rows:
+        mono, iff, eq = _compare_row(rep, d_row, dq_row, g0, _dq_perturb)[1]
         report.pairs_checked += w * len(d_row)
         report.monotone_violations += w * int(mono.sum())
         report.iff_violations += w * int(iff.sum())
@@ -308,8 +333,9 @@ def verify_compare(c: CoverGraph, sources: Sequence[int] | None = None,
         room = max_details - len(report.details)
         if room <= 0:
             break
-        d_row = bfs_distance_matrix(c.graph, [s])[0]
-        dq_row, masks = _compare_row(c, s, d_row, g0, _dq_perturb)
+        d_row = _bfs_row(c, s)
+        dq_row, masks = _compare_row(s, d_row, d_q_from(c, s), g0,
+                                     _dq_perturb)
         for t in np.flatnonzero(np.logical_or.reduce(masks))[:room]:
             report.details.append(
                 {"source": s, "target": int(t),
@@ -349,31 +375,28 @@ def compression_profile(c: CoverGraph, sources: Sequence[int] | None = None,
     distance of the binary embedding images (kept squared so the profile
     stays in exact integers).
 
-    Mode "dq" weighs each distinct orbit's (d, d_Q) row by its source
-    count; mode "l2" translates its fiber's d row to each source and
-    computes that source's Hamming row, since that row is what it tests:
-    XOR and popcount over the rows of `embed.packed_embed_matrix`.  The
-    per-distance counts, minima and maxima are int64 arrays as long as
-    the largest distance seen plus one, grown as rows arrive.
+    Mode "dq" weighs each distinct orbit's (d, d_Q) rows by its source
+    count (`_orbit_rows`); mode "l2" reads each source's d row gathered
+    from its fiber's (`_source_rows`) and computes that source's Hamming
+    row, since that row is what it tests: XOR and popcount over the rows
+    of `embed.packed_embed_matrix`.  The per-distance counts, minima and
+    maxima are int64 arrays as long as the largest distance seen plus
+    one, grown as rows arrive.
     """
     if mode not in ("dq", "l2"):
         raise InvalidParameter(f"unknown mode {mode!r}")
     srcs = _source_array(c, sources)
     sums = (np.zeros(0, dtype=np.int64),) * 3
     if mode == "dq":
-        for rep, d_row, members in _rep_rows(c, srcs, _orbit_of(c, srcs)):
-            sums = _reduce_row(sums, d_row, d_q_from(c, rep), len(members))
+        for _, d_row, dq_row, w in _orbit_rows(c, srcs)[1]:
+            sums = _reduce_row(sums, d_row, dq_row, w)
     else:
         from .embed import hamming_row, packed_embed_matrix
         packed = packed_embed_matrix(c)
-        fibers = srcs - srcs % c.deck_size
-        for rep, d_row, members in _rep_rows(c, srcs, fibers):
-            for s in members.tolist():
-                d_s = d_row.reshape(-1, c.deck_size)[
-                    :, c.deck_permutation(s - rep)]
-                # squared Euclidean distance of 0/1 vectors = Hamming
-                val = hamming_row(packed, s)
-                sums = _reduce_row(sums, d_s.ravel(), val, 1)
+        # sorted, so that each fiber is one run; the sums ignore order
+        for s, d_row in _source_rows(c, np.sort(srcs).tolist(), _bfs_row):
+            # squared Euclidean distance of 0/1 vectors = Hamming
+            sums = _reduce_row(sums, d_row, hamming_row(packed, s), 1)
     counts, mins, maxs = sums
     rows = tuple(ProfileRow(int(t), int(counts[t]),
                             Fraction(int(mins[t])), Fraction(int(maxs[t])))

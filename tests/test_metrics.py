@@ -16,7 +16,9 @@ from homcover.errors import (CapExceeded, InvalidParameter, LengthMismatch,
                              NonConstantNe)
 from homcover.embed import binary_embed_matrix
 from homcover.graph import bfs_distance_matrix
-from homcover.metrics import _cyclic_distance
+from homcover import harness, metrics
+from homcover.metrics import (_bfs_row, _cyclic_distance, _orbit_rows,
+                              _source_rows)
 from homcover.trees import DEFAULT_TREE_CAP
 
 from conftest import (traced_peak, two_edge_connected_multigraphs,
@@ -551,3 +553,220 @@ class TestTowerProfileMemory:
             lambda: compression_profile(tower_level, sources, "dq"))
         assert sum(r.pair_count for r in prof.rows) == 32 * n
         assert peak < 30 << 20
+
+
+class TestRowEngine:
+    """`_orbit_rows` and `_source_rows`, the two generators that decide
+    which computed row stands for which source."""
+
+    CASES = [("doubled_edge", 5), ("k4", 3), ("petersen", 2), ("cycle:1", 7)]
+
+    @staticmethod
+    def orders(n):
+        srcs = random.Random(n).sample(range(n), min(n, 12))
+        return [sorted(srcs), sorted(srcs, reverse=True),
+                srcs + srcs[:4] + [srcs[0]] * 3]
+
+    @pytest.mark.parametrize("name,m", CASES)
+    def test_source_rows_are_the_own_rows(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        for srcs in self.orders(c.graph.vertex_count):
+            got = list(_source_rows(c, srcs, d_q_from))
+            assert [s for s, _ in got] == srcs
+            for s, row in got:
+                assert np.array_equal(row, d_q_from(c, s))
+            for s, row in _source_rows(c, srcs, _bfs_row):
+                assert np.array_equal(row, bfs_distance_matrix(c.graph, [s])[0])
+
+    @pytest.mark.parametrize("name,m", CASES)
+    def test_orbit_rows_stand_for_their_sources(self, name, m):
+        c = build_zm_cover(named_graph(name), m)
+        for srcs in self.orders(c.graph.vertex_count):
+            reps, rows = _orbit_rows(c, np.array(srcs))
+            assert np.array_equal(
+                reps, c.orbit_reps()[np.array(srcs) // c.deck_size])
+            got = list(rows)
+            assert [r for r, *_ in got] == sorted(set(reps.tolist()))
+            assert sum(w for *_, w in got) == len(srcs)
+            for rep, d_row, dq_row, w in got:
+                assert w == np.count_nonzero(reps == rep)
+                assert np.array_equal(d_row,
+                                      bfs_distance_matrix(c.graph, [rep])[0])
+                assert np.array_equal(dq_row, d_q_from(c, rep))
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """Counts of the BFS and d_Q rows computed, wrapped at every module
+    name the checks and profiles call them by."""
+    counts = {"bfs": 0, "dq": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "bfs_distance_matrix",
+                        counted("bfs", metrics.bfs_distance_matrix))
+    dq = counted("dq", metrics.d_q_from)
+    monkeypatch.setattr(metrics, "d_q_from", dq)
+    monkeypatch.setattr(harness, "d_q_from", dq)
+    return counts
+
+
+class TestRowCounts:
+    """How many rows each check and profile computes."""
+
+    @staticmethod
+    def runs(c, sources):
+        fibers = [s // c.deck_size for s in sources]
+        return 1 + sum(a != b for a, b in zip(fibers, fibers[1:]))
+
+    @pytest.mark.parametrize("check", [harness.check_isometry,
+                                       harness.check_l2])
+    @pytest.mark.parametrize("name", ["k4", "petersen"])
+    def test_hamming_checks_read_one_dq_row_per_fiber_run(self, check, name,
+                                                          row_counts):
+        c = build_zm_cover(named_graph(name), 3)
+        sources = harness._sources_for(c, 100, 5)
+        if sources is None:
+            sources = range(c.graph.vertex_count)
+        assert check(c, name, 100, 5).passed
+        assert row_counts == {"bfs": 0, "dq": self.runs(c, sources)}
+        assert row_counts["dq"] <= c.base.vertex_count
+
+    def test_treeavg_reads_one_dq_row_per_fiber(self, row_counts):
+        c = build_zm_cover(named_graph("k4"), 3)
+        assert harness.check_treeavg(c, "k4", DEFAULT_TREE_CAP).passed
+        assert row_counts == {"bfs": 0, "dq": 4}
+
+    def test_l2_profile_reads_one_bfs_row_per_fiber(self, row_counts):
+        c = build_zm_cover(named_graph("petersen"), 3)
+        srcs = [5000, 17, 7289, 17, 3650, 900, 5000, 18, 2]
+        compression_profile(c, srcs, "l2")
+        fibers = {s // c.deck_size for s in srcs}
+        assert row_counts == {"bfs": len(fibers), "dq": 0}
+
+    @pytest.mark.parametrize("mode", ["compare", "dq"])
+    def test_weight_only_reductions_read_one_row_pair_per_orbit(
+            self, mode, row_counts):
+        c = build_zm_cover(named_graph("petersen"), 3)
+        srcs = [5000, 17, 7289, 17, 3650, 900, 5000, 18, 2]
+        if mode == "compare":
+            assert verify_compare(c, srcs).passed
+        else:
+            compression_profile(c, srcs, "dq")
+        orbits = len(set(c.orbit_reps()[np.array(srcs) // c.deck_size]))
+        assert row_counts == {"bfs": orbits, "dq": orbits}
+
+    def test_tower_level_is_one_orbit(self, tower_level, row_counts):
+        n = tower_level.graph.vertex_count
+        sources = sorted(random.Random(1).sample(range(n), 32))
+        assert verify_compare(tower_level, sources).passed
+        assert row_counts == {"bfs": 1, "dq": 1}
+        compression_profile(tower_level, sources, "dq")
+        assert row_counts == {"bfs": 2, "dq": 2}
+
+
+class TestPinnedReports:
+    """Reports on unsorted sources with repeats, as computed when each
+    check walked its sources its own way."""
+
+    SOURCES = [5000, 17, 7289, 17, 3650, 900, 5000, 18, 2]
+    DQ = [(0, 9, 0, 0), (1, 27, 1, 1), (2, 54, 2, 2), (3, 108, 3, 3),
+          (4, 216, 4, 4), (5, 432, 5, 5), (6, 864, 5, 6), (7, 1728, 5, 7),
+          (8, 2916, 6, 8), (9, 4644, 6, 9), (10, 6876, 6, 10),
+          (11, 9108, 8, 11), (12, 11286, 8, 11), (13, 11070, 9, 12),
+          (14, 8208, 10, 12), (15, 4698, 11, 13), (16, 2403, 12, 13),
+          (17, 855, 12, 14), (18, 108, 14, 14)]
+
+    @pytest.fixture(scope="class")
+    def cover(self):
+        return build_zm_cover(named_graph("petersen"), 3)
+
+    @staticmethod
+    def rows(prof):
+        return [(r.t, r.pair_count, r.min_val, r.max_val) for r in prof.rows]
+
+    def test_compare(self, cover):
+        rep = verify_compare(cover, self.SOURCES)
+        assert (rep.pairs_checked, rep.details) == (65610, [])
+        assert rep.passed
+
+    def test_compare_fault(self, cover):
+        rep = verify_compare(cover, self.SOURCES, max_details=4,
+                             _dq_perturb=1)
+        assert (rep.pairs_checked, rep.iff_violations,
+                rep.equality_violations, rep.monotone_violations) == (
+                    65610, 216, 405, 8019)
+        assert rep.details == [
+            {"source": 5000, "target": t, "d": d, "d_q": d + 1}
+            for t, d in [(93, 9), (95, 8), (96, 10), (145, 11)]]
+
+    def test_dq_profile(self, cover):
+        assert self.rows(compression_profile(cover, self.SOURCES,
+                                             "dq")) == self.DQ
+
+    def test_l2_profile(self, cover):
+        # the binary embedding is an isometry onto 2 d_Q
+        assert self.rows(compression_profile(cover, self.SOURCES, "l2")) == [
+            (t, k, 2 * lo, 2 * hi) for t, k, lo, hi in self.DQ]
+
+
+class TestSourceValidation:
+    """Sources must be integers in range; nothing else is cast to one."""
+
+    CALLS = [verify_compare,
+             lambda c, s: compression_profile(c, s, "dq"),
+             lambda c, s: compression_profile(c, s, "l2")]
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("sources", [
+        [1.5], [2.0], ["3"], [True], [0, False], [np.True_], [np.float64(1)],
+        np.array([1.0]), np.array([True]), np.array(["3"]), [[1, 2]]],
+        ids=repr)
+    def test_non_integer_refused(self, call, sources):
+        c = build_zm_cover(named_graph("k4"), 3)
+        with pytest.raises(InvalidParameter, match="not an integer"):
+            call(c, sources)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("sources", [
+        [-1], [108], [2**63], [2**70], [3, -2**70],
+        np.array([2**64 - 1], dtype=np.uint64), np.array([-1, 5])],
+        ids=repr)
+    def test_out_of_range_refused(self, call, sources):
+        c = build_zm_cover(named_graph("k4"), 3)
+        with pytest.raises(IndexError, match="source .* out of range"):
+            call(c, sources)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_integers_accepted(self, call):
+        c = build_zm_cover(named_graph("k4"), 3)
+        want = call(c, [3, 50, 107])
+        for sources in ([np.int64(3), 50, np.uint8(107)], (3, 50, 107),
+                        np.array([3, 50, 107], dtype=np.uint16),
+                        np.array([[3, 50, 107]]),
+                        iter([3, 50, 107])):
+            assert call(c, sources) == want
+
+
+class TestSampleSources:
+    @pytest.mark.parametrize("n,samples,seed", [(10, 3, 0), (7290, 100, 9),
+                                                (2001, 2000, 4)])
+    def test_one_seeded_draw(self, n, samples, seed):
+        assert metrics._sample_sources(n, samples, seed) == sorted(
+            random.Random(seed).sample(range(n), samples))
+
+    @pytest.mark.parametrize("n,samples", [(0, 0), (10, 10), (10, 11)])
+    def test_every_vertex_when_samples_cover_them(self, n, samples):
+        assert metrics._sample_sources(n, samples, 3) is None
+
+    def test_suite_samples_above_the_threshold_only(self):
+        small = build_zm_cover(named_graph("k4"), 3)
+        big = build_zm_cover(named_graph("petersen"), 3)
+        assert harness._sources_for(small, 5, 1) is None
+        assert harness._sources_for(big, 10_000, 1) is None
+        assert harness._sources_for(big, 5, 1) == sorted(
+            random.Random(1).sample(range(7290), 5))
